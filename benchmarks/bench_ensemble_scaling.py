@@ -8,14 +8,15 @@ of per-trap :func:`repro.markov.uniformization.simulate_trap` calls by
 constant-sum fast path — the case the ensemble engine always hits — is
 what gets measured.
 
-The engine acceptance claim rides along on a second axis: the
-``shared`` execution backend must beat the ``process`` backend **>= 2x**
-on transport-bound fan-out (every job reading one large shared array,
-which the arena interns once where the process pool re-pickles it per
-job).  The backend axis writes ``out/BENCH_engine.json``; CI replays it
-with ``--quick`` and gates the dimensionless speedups against the
-committed ``benchmarks/BENCH_engine.json`` baseline via
-``scripts/check_bench.py``.
+The engine rides along on a second axis.  On transport-bound fan-out
+(every job reading one large shared array) the ``shared`` backend must
+intern that array into its arena exactly once, an exact count rather
+than a timing.  On the ensemble it must beat the ``serial`` run of the
+same pipeline; that speed-up is measured within one run, so it is a
+dimensionless ratio.  The backend axis writes
+``out/BENCH_engine.json``; CI replays it with ``--quick`` and gates the
+ensemble speed-up against the committed
+``benchmarks/BENCH_engine.json`` baseline via ``scripts/check_bench.py``.
 
 Timing is warm best-of-N: the first call pays one-off costs (imports,
 allocator warm-up) that say nothing about throughput, so each
@@ -27,6 +28,7 @@ backend costs, so each backend gets one cold timed run.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -121,9 +123,6 @@ def test_batch_kernel_speedup_scaling(benchmark, out_dir):
 #: shared arena's intern-once transport shows up undiluted by physics.
 TRANSPORT_GRID_LEN = 1_000_000  # 8 MB of float64
 
-TRANSPORT_SPEEDUP_FLOOR = 2.0
-QUICK_TRANSPORT_SPEEDUP_FLOOR = 1.5
-
 
 def _window_sum(payload):
     grid, lo, hi = payload
@@ -180,7 +179,9 @@ def _time_backend_dram(name: str, trials: int, workers: int) -> float:
 
 
 def test_execution_backend_axis(benchmark, out_dir, quick):
-    """Shared vs process backend: transport, ensemble + DRAM-VRT scan."""
+    """Serial vs shared backend: transport, ensemble + DRAM-VRT scan."""
+    from repro import obs
+
     n_jobs, workers = (64, 4) if quick else (256, 8)
     cells, cell_workers = (16, 4) if quick else (256, 8)
     trials, trial_workers = (16, 4) if quick else (128, 8)
@@ -188,47 +189,41 @@ def test_execution_backend_axis(benchmark, out_dir, quick):
     grid = np.random.default_rng(20110314).random(TRANSPORT_GRID_LEN)
     window = TRANSPORT_GRID_LEN // n_jobs
     jobs = [(grid, i * window, (i + 1) * window) for i in range(n_jobs)]
-    transport = {name: _time_backend_jobs(name, jobs, workers)
-                 for name in ("process", "shared")}
-    transport_speedup = transport["process"] / transport["shared"]
+    with obs.enable_tracing():
+        transport_s = _time_backend_jobs("shared", jobs, workers)
+        counters = obs.metrics().snapshot()["counters"]
+    arena_arrays = int(counters["engine.arena.arrays"])
+    dedup_hits = int(counters["engine.arena.dedup_hits"])
 
     ensemble = {name: _time_backend_ensemble(name, cells, cell_workers)
-                for name in ("serial", "process", "shared")}
-    ensemble_speedup = ensemble["process"] / ensemble["shared"]
+                for name in ("serial", "shared")}
+    ensemble_speedup = ensemble["serial"] / ensemble["shared"]
 
     # A scenario-layer workload on the same axis: the dram.retention
     # scan is ODE-bound with tiny payloads, the opposite corner of the
     # workload space from the transport fan-out above.
     dram = {name: _time_backend_dram(name, trials, trial_workers)
-            for name in ("serial", "process", "shared")}
-    dram_speedup = dram["process"] / dram["shared"]
+            for name in ("serial", "shared")}
+    dram_speedup = dram["serial"] / dram["shared"]
 
     rows = [
-        ["transport/process", n_jobs, workers,
-         f"{transport['process']:.2f}", ""],
-        ["transport/shared", n_jobs, workers,
-         f"{transport['shared']:.2f}", f"{transport_speedup:.1f}x"],
+        ["transport/shared", n_jobs, workers, f"{transport_s:.2f}", ""],
         ["ensemble/serial", cells, 1, f"{ensemble['serial']:.2f}", ""],
-        ["ensemble/process", cells, cell_workers,
-         f"{ensemble['process']:.2f}", ""],
         ["ensemble/shared", cells, cell_workers,
-         f"{ensemble['shared']:.2f}", f"{ensemble_speedup:.1f}x"],
+         f"{ensemble['shared']:.2f}", f"{ensemble_speedup:.2f}x"],
         ["dram_vrt/serial", trials, 1, f"{dram['serial']:.2f}", ""],
-        ["dram_vrt/process", trials, trial_workers,
-         f"{dram['process']:.2f}", ""],
         ["dram_vrt/shared", trials, trial_workers,
-         f"{dram['shared']:.2f}", f"{dram_speedup:.1f}x"],
+         f"{dram['shared']:.2f}", f"{dram_speedup:.2f}x"],
     ]
     print()
     print(format_table(
         ["workload/backend", "jobs", "workers", "wall [s]",
-         "shared speedup"], rows,
+         "speedup over serial"], rows,
         title="Execution backends (%s inputs)"
               % ("quick" if quick else "full")))
     write_csv(f"{out_dir}/engine_backends.csv",
               ["workload", "backend", "jobs", "workers", "wall_s"],
-              [("transport", name, n_jobs, workers, wall)
-               for name, wall in transport.items()]
+              [("transport", "shared", n_jobs, workers, transport_s)]
               + [("ensemble", name, cells,
                   1 if name == "serial" else cell_workers, wall)
                  for name, wall in ensemble.items()]
@@ -239,27 +234,26 @@ def test_execution_backend_axis(benchmark, out_dir, quick):
     report = {
         "schema": "repro.bench_engine/1",
         "mode": "quick" if quick else "full",
+        "cpu_count": os.cpu_count(),
         "transport": {
             "n_jobs": n_jobs, "workers": workers,
             "payload_mb": grid.nbytes / 2.0**20,
-            "process_s": transport["process"],
-            "shared_s": transport["shared"],
-            "speedup": transport_speedup,
+            "shared_s": transport_s,
+            "arena_arrays": arena_arrays,
+            "arena_dedup_hits": dedup_hits,
         },
         "ensemble": {
             "cells": cells, "workers": cell_workers,
             "serial_s": ensemble["serial"],
-            "process_s": ensemble["process"],
             "shared_s": ensemble["shared"],
             "speedup": ensemble_speedup,
         },
-        # Reported for trend-watching, not gated: the scan is ODE-bound
-        # with tiny payloads, so shared-vs-process is near parity and a
-        # ratio gate would only encode pool-spin-up noise.
+        # Reported for trend-watching, not gated: the scan is a few
+        # milliseconds per trial, so worker spin-up dominates at these
+        # sizes and a ratio gate would only encode that noise.
         "dram_vrt": {
             "trials": trials, "workers": trial_workers,
             "serial_s": dram["serial"],
-            "process_s": dram["process"],
             "shared_s": dram["shared"],
             "speedup": dram_speedup,
         },
@@ -268,14 +262,10 @@ def test_execution_backend_axis(benchmark, out_dir, quick):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # The engine acceptance claim: zero-copy transport pays >= 2x where
-    # payload movement dominates (relaxed under --quick's small fan-out,
-    # where pool spin-up eats a larger slice of the wall clock).
-    floor = QUICK_TRANSPORT_SPEEDUP_FLOOR if quick \
-        else TRANSPORT_SPEEDUP_FLOOR
-    assert transport_speedup >= floor, (
-        f"shared backend only {transport_speedup:.2f}x faster than the "
-        f"process backend on transport-bound jobs (floor {floor:g}x)")
+    # Zero-copy transport: the 8 MB grid every job reads rides the arena
+    # once, and every other reference to it is a dedup hit.
+    assert arena_arrays == 1, arena_arrays
+    assert dedup_hits == n_jobs - 1, dedup_hits
 
     # Representative dispatch through pytest-benchmark: one small shared
     # fan-out, pool spin-up included.

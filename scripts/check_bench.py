@@ -9,9 +9,12 @@ Usage::
     python scripts/check_bench.py --regen         # bless new numbers
 
 The benchmark writes ``benchmarks/out/BENCH_engine.json``; this script
-compares its **dimensionless speedups** (shared-over-process ratios)
-against ``benchmarks/BENCH_engine.json`` and fails when a fresh ratio
-falls more than ``--band`` (default 20 %) below the committed one.
+compares its **dimensionless speedup** (the ensemble's serial-over-shared
+wall-clock ratio, both measured in the same run) against
+``benchmarks/BENCH_engine.json`` and fails when the fresh ratio falls
+more than ``--band`` (default 20 %) below the committed one.  The
+transport workload is not gated here: the benchmark itself asserts that
+its shared grid rides the arena exactly once.
 Absolute wall-clock seconds are reported but never gated — they track
 the machine, not the code.  The gate is one-sided: running *faster*
 than baseline passes; bless a legitimately better baseline with
@@ -31,8 +34,7 @@ BASELINE = REPO / "benchmarks" / "BENCH_engine.json"
 SCHEMA = "repro.bench_engine/1"
 
 #: Gated metrics: (workload key, human label).
-RATIOS = (("transport", "transport shared/process"),
-          ("ensemble", "ensemble shared/process"))
+RATIOS = (("ensemble", "ensemble serial/shared"),)
 
 
 def _load(path: Path) -> dict:

@@ -1,26 +1,29 @@
 #!/usr/bin/env python
-"""Lint: parallel dispatch belongs to ``repro.core``, nowhere else.
+"""Lint: parallel dispatch belongs to ``repro.core.engine``, nowhere else.
 
 Usage::
 
     python scripts/check_layers.py [SRC_DIR]
 
-The scenario layer only pays off if it stays the *single* road to
-parallel execution: a domain module that quietly opens its own
+The scenario layer only pays off if the engine stays the *single* road
+to parallel execution: a module that quietly opens its own
 ``multiprocessing`` pool or ``concurrent.futures`` executor bypasses
 the backends, the retry/timeout resilience, checkpoint/resume, fault
 injection and observability that :mod:`repro.core.scenario` and
 :mod:`repro.core.engine` provide — and its results stop being
 backend-invariant.  This script fails the build when any module under
-``src/repro/`` outside ``repro.core`` imports ``multiprocessing`` or
+``src/repro/`` other than the exempt ones below imports
+``multiprocessing``, and when *any* module imports
 ``concurrent.futures`` (including ``from multiprocessing import ...``
 and function-local imports).
 
 The check is syntactic (AST, no imports), so it cannot be fooled by
 import-time side effects and needs no dependencies.
 
-Exemptions are explicit and carry their rationale:
+Exemptions cover ``multiprocessing`` only and carry their rationale:
 
+- ``core/engine.py`` — hosts the ``shared`` backend, the package's one
+  parallel executor;
 - ``testing/faults.py`` — the ``worker`` fault site needs
   ``multiprocessing.parent_process()`` to decide whether killing the
   hosting process is survivable; it dispatches nothing.
@@ -35,11 +38,11 @@ from pathlib import Path
 #: Module prefixes whose import marks a layering violation.
 BANNED = ("multiprocessing", "concurrent.futures")
 
-#: Directory (relative to the package root) allowed to use them.
-CORE = "core"
-
-#: path (relative to src/repro) -> why it may touch a banned module.
+#: path (relative to src/repro) -> why it may import multiprocessing.
+#: No file may import concurrent.futures.
 EXEMPT = {
+    "core/engine.py":
+        "hosts the shared backend, the one parallel executor",
     "testing/faults.py":
         "worker fault site probes multiprocessing.parent_process() only",
 }
@@ -84,23 +87,17 @@ def main(argv: list) -> int:
         print(f"{root}: no source files found", file=sys.stderr)
         return 2
     violations = []
-    checked = exempt = 0
     for path in files:
-        relative = path.relative_to(root).as_posix()
-        if relative == f"{CORE}" or relative.startswith(f"{CORE}/"):
-            continue
-        if relative in EXEMPT:
-            exempt += 1
-            continue
-        checked += 1
+        exempt = path.relative_to(root).as_posix() in EXEMPT
         for line, module in banned_imports(path):
-            violations.append((path, line, module))
+            if not (exempt and module.startswith("multiprocessing")):
+                violations.append((path, line, module))
     for path, line, module in violations:
-        print(f"{path}:{line}: imports {module} outside repro.core — "
-              "route the work through repro.core.scenario / "
-              "repro.core.engine instead", file=sys.stderr)
-    print(f"{checked} modules checked outside repro.core "
-          f"({exempt} exempt): {len(violations)} layering violations")
+        print(f"{path}:{line}: imports {module} — parallel dispatch "
+              "belongs to repro.core.engine; route the work through "
+              "repro.core.scenario instead", file=sys.stderr)
+    print(f"{len(files)} modules checked ({len(EXEMPT)} may import "
+          f"multiprocessing): {len(violations)} layering violations")
     return 1 if violations else 0
 
 

@@ -290,6 +290,9 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.engine import available_backends
+
+    backends = available_backends()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SAMURAI reproduction command-line interface")
@@ -316,12 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "flagged for SPICE verification")
     ensemble.add_argument("--verify", type=int, default=4,
                           help="max flagged cells to verify with SPICE")
-    ensemble.add_argument("--backend", default=None,
-                          choices=("serial", "process", "shared"),
+    ensemble.add_argument("--backend", default=None, choices=backends,
                           help="verification execution backend (default: "
-                               "process pool when --workers > 1, else "
-                               "serial; 'shared' runs a persistent pool "
-                               "over a shared-memory payload arena)")
+                               "shared when --workers > 1, else serial; "
+                               "'shared' runs a persistent pool over a "
+                               "shared-memory payload arena)")
     ensemble.add_argument("--workers", type=int, default=None,
                           help="processes for the verification passes")
     ensemble.add_argument("--margins", type=int, default=0,
@@ -373,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "demonstration configuration")
     scenario_run.add_argument("--seed", type=int, default=0,
                               help="root seed of the per-job RNG streams")
-    scenario_run.add_argument("--backend", default=None,
-                              choices=("serial", "process", "shared"),
-                              help="execution backend (default: process "
+    scenario_run.add_argument("--backend", default=None, choices=backends,
+                              help="execution backend (default: shared "
                                    "when --workers > 1, else serial)")
     scenario_run.add_argument("--workers", type=int, default=None,
                               help="worker processes for the parallel "

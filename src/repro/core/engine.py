@@ -1,26 +1,13 @@
 """Pluggable execution backends for ensemble-scale job fan-out.
 
-:func:`repro.core.resilience.run_jobs` historically knew two execution
-strategies — an in-process loop and a ``concurrent.futures`` process
-pool — hard-wired to the ``workers`` argument.  Both ship every job's
-payload through pickle, which is fine for scalar work but ruinous for
-the ensemble's verification jobs: each one carries six RTN current
-traces (hundreds of kilobytes of float64), and at array scale the
-pickling/transport of those buffers dominates the wall clock long
-before the hardware runs out of cores (see
-``benchmarks/bench_ensemble_scaling.py``).
-
-This module turns the execution strategy into a *backend* — a named,
-registered, swappable object — and adds the one the paper-scale sweeps
-need:
+Every fan-out in the package goes through
+:func:`repro.core.resilience.run_jobs`, which hands the job list to a
+*backend* — a named, registered, swappable object.  Two ship:
 
 ``serial``
     The in-process loop (single helper thread for timeout supervision).
-``process``
-    The resilient :class:`~concurrent.futures.ProcessPoolExecutor`
-    path (per-job pickling, pool respawn on breakage).
 ``shared``
-    A persistent worker pool over one
+    The one parallel executor: a persistent worker pool over one
     :mod:`multiprocessing.shared_memory` arena.  Every numpy array in
     every job payload — trace buffers, occupancy tables, bias grids —
     is written into the arena **once** (deduplicated across jobs), and
@@ -28,17 +15,26 @@ need:
     resolve to zero-copy read-only views of the arena.  Work is handed
     out in *adaptive chunks*: large while the queue is deep (amortising
     queue latency), shrinking toward single jobs near the tail so no
-    worker idles behind a straggler.
+    worker idles behind a straggler.  A worker that crashes or hangs
+    past its job's timeout is reaped (killed), its running job charged
+    an attempt, its unstarted chunk-mates requeued for free, and a
+    fresh worker respawned in its slot.
 
-All three backends speak the same contract as ``run_jobs``: retry with
+:func:`resolve_backend` is the single place a ``(backend, workers)``
+request becomes a backend: an explicit backend wins, otherwise
+``shared`` runs ``workers > 1`` and ``serial`` everything else.  The
+name ``process`` — the retired per-job-pickling process pool — still
+resolves, to ``shared``, with a deprecation warning.
+
+Both backends speak the same contract as ``run_jobs``: retry with
 backoff per :class:`~repro.core.resilience.RetryPolicy`, per-job
 wall-clock timeouts, worker-crash recovery with requeue accounting,
 deterministic fault-injection sites (:mod:`repro.testing.faults`), the
 ``on_result`` checkpoint hook, and one terminal
 :class:`~repro.core.resilience.JobResult` per job in job order.  The
-obs spans/metrics of the resilient executor (``jobs.completed``,
-``jobs.retries``, ``resilience.job`` spans, ...) carry over unchanged
-because all backends settle results through the same bookkeeping.
+obs spans/metrics (``jobs.completed``, ``jobs.retries``,
+``resilience.job`` spans, ...) are the same on both because both settle
+results through the same bookkeeping.
 
 The module also hosts :class:`PropensityTableCache` — a process-wide
 LRU for compiled trap-population propensity tables, keyed by content
@@ -65,19 +61,18 @@ from math import ceil
 import numpy as np
 
 from .. import obs
+from .._deprecation import warn_once
 from ..errors import SimulationError, WorkerCrashError, WorkerTimeoutError
 from .resilience import (
     JobResult,
     RetryPolicy,
     _execute_job,
     _finish,
-    _run_pool,
     _run_serial,
 )
 
 __all__ = [
     "ExecutionBackend",
-    "ProcessBackend",
     "PropensityTableCache",
     "SerialBackend",
     "SharedMemoryBackend",
@@ -86,6 +81,7 @@ __all__ = [
     "get_backend",
     "propensity_cache",
     "register_backend",
+    "resolve_backend",
 ]
 
 #: Parent supervision tick [s]: how long the scheduler blocks on the
@@ -111,7 +107,7 @@ class ExecutionBackend:
     :class:`~repro.core.resilience.JobResult` per job, in job order.
     """
 
-    #: Registry name (``serial`` / ``process`` / ``shared`` / ...).
+    #: Registry name (``serial`` / ``shared`` / ...).
     name: str = "?"
 
     def run(self, fn, jobs, *, keys, workers: int | None = None,
@@ -141,6 +137,9 @@ def available_backends() -> tuple:
 def get_backend(spec) -> ExecutionBackend:
     """Resolve a backend name / class / instance to an instance.
 
+    ``"process"`` is a deprecated alias of ``"shared"`` and is not
+    listed by :func:`available_backends`.
+
     Raises
     ------
     ValueError
@@ -150,6 +149,10 @@ def get_backend(spec) -> ExecutionBackend:
         return spec
     if isinstance(spec, type) and issubclass(spec, ExecutionBackend):
         return spec()
+    if spec == "process":
+        warn_once("execution backend 'process' is deprecated; it now "
+                  "runs on 'shared'")
+        spec = "shared"
     try:
         cls = _BACKENDS[spec]
     except (KeyError, TypeError):
@@ -157,6 +160,20 @@ def get_backend(spec) -> ExecutionBackend:
             f"unknown execution backend {spec!r}; available: "
             f"{', '.join(available_backends())}") from None
     return cls()
+
+
+def resolve_backend(backend=None, workers: int | None = None
+                    ) -> ExecutionBackend:
+    """The backend that runs a ``(backend, workers)`` request.
+
+    An explicit ``backend`` (name, class or instance) goes through
+    :func:`get_backend`; ``None`` picks ``shared`` for ``workers > 1``
+    and ``serial`` otherwise.  Callers read ``.name`` off the result
+    for telemetry.
+    """
+    if backend is None:
+        backend = "shared" if (workers or 0) > 1 else "serial"
+    return get_backend(backend)
 
 
 @register_backend
@@ -169,23 +186,6 @@ class SerialBackend(ExecutionBackend):
             on_result=None) -> list:
         policy = policy or RetryPolicy()
         return _run_serial(fn, list(jobs), list(keys), policy, on_result)
-
-
-@register_backend
-class ProcessBackend(ExecutionBackend):
-    """The resilient process-pool path (per-job pickled payloads)."""
-
-    name = "process"
-
-    def run(self, fn, jobs, *, keys, workers=None, policy=None,
-            on_result=None) -> list:
-        policy = policy or RetryPolicy()
-        jobs, keys = list(jobs), list(keys)
-        if not workers or workers <= 1:
-            # A one-worker "pool" has all the pickling costs and none of
-            # the parallelism; the serial loop is the honest equivalent.
-            return _run_serial(fn, jobs, keys, policy, on_result)
-        return _run_pool(fn, jobs, keys, int(workers), policy, on_result)
 
 
 # ======================================================================
@@ -346,7 +346,8 @@ def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
     has stopped answering — runs the job via the same
     :func:`~repro.core.resilience._execute_job` shim as every other
     backend (fault sites fire *here*, in the worker), and ships the
-    small result back over this worker's private pipe.  The pipe is
+    small result, with the start stamp, back over this worker's
+    private pipe.  The pipe is
     deliberately not a shared queue: queue feeder threads serialise
     under one cross-process lock, and a worker dying (crash fault,
     timeout SIGKILL) while its feeder holds that lock would wedge every
@@ -372,7 +373,8 @@ def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
             if chunk is None:
                 break
             for index, attempt, key_blob, payload_blob in chunk:
-                progress[base + 1] = time.monotonic()
+                started = time.monotonic()
+                progress[base + 1] = started
                 progress[base] = float(index)
                 key = pickle.loads(key_blob)
                 try:
@@ -381,14 +383,15 @@ def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
                     value = _execute_job(fn, payload, key, attempt, plan)
                 except BaseException as exc:  # noqa: B036 - relayed to parent
                     result_conn.send((index, attempt, False,
-                                      _dump_error(exc)))
+                                      _dump_error(exc), started))
                 else:
                     result_conn.send((index, attempt, True,
                                       pickle.dumps(
                                           value,
-                                          protocol=pickle.HIGHEST_PROTOCOL)))
+                                          protocol=pickle.HIGHEST_PROTOCOL),
+                                      started))
                 progress[base] = -1.0
-            result_conn.send((None, None, None, None))
+            result_conn.send((None, None, None, None, None))
     finally:
         try:
             result_conn.close()
@@ -520,6 +523,9 @@ class SharedMemoryBackend(ExecutionBackend):
                 for worker_id in range(n_workers)}
         results = {i: JobResult(key=keys[i]) for i in range(len(jobs))}
         first_started: list = [None] * len(jobs)
+        # Per job: time.monotonic() when its latest attempt was handed to
+        # a worker — the same clock as the worker's start stamp.
+        issued_at: list = [0.0] * len(jobs)
         terminal: set = set()
         pending: deque = deque((i, 1, 0.0) for i in range(len(jobs)))
         # One free (uncharged) requeue per (index, attempt) whose worker
@@ -578,7 +584,7 @@ class SharedMemoryBackend(ExecutionBackend):
             return chunk
 
         def handle_message(worker_id: int, message) -> None:
-            index, attempt, ok, blob = message
+            index, attempt, ok, blob, started = message
             handle = pool.get(worker_id)
             if index is None:  # chunk finished
                 if handle is not None and not handle.outstanding:
@@ -588,6 +594,8 @@ class SharedMemoryBackend(ExecutionBackend):
                 handle.outstanding.pop(index, None)
             if index in terminal:
                 return  # late duplicate (job was reaped and re-run)
+            if obs.enabled():
+                obs.observe("jobs.queue_wait_s", started - issued_at[index])
             drop_duplicates(index)
             if ok:
                 settle(index, attempt, None, value=pickle.loads(blob))
@@ -648,9 +656,11 @@ class SharedMemoryBackend(ExecutionBackend):
                     chunk = pop_ready_chunk(now)
                     if not chunk:
                         continue
+                    issued = time.monotonic()
                     for index, attempt in chunk:
                         if first_started[index] is None:
                             first_started[index] = now
+                        issued_at[index] = issued
                         handle.outstanding[index] = attempt
                     handle.idle = False
                     chunks_issued += 1

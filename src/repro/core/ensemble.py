@@ -58,6 +58,7 @@ from ..traps.propensity import (
     equilibrium_occupancy_population,
     population_propensity,
 )
+from .engine import get_backend, propensity_cache, resolve_backend
 from .methodology import MethodologyConfig
 from .resilience import JOB_STATUSES, RetryPolicy, RunCheckpoint
 from .scenario import Scenario, register_scenario, run_scenario
@@ -101,10 +102,10 @@ class EnsembleConfig:
         1 stays serial.
     backend:
         Execution backend for the verification jobs: ``"serial"``,
-        ``"process"``, ``"shared"`` (persistent workers over one
-        shared-memory payload arena — see :mod:`repro.core.engine`),
-        or ``None`` for the historical auto choice (process pool when
-        ``workers > 1``, else serial).
+        ``"shared"`` (persistent workers over one shared-memory payload
+        arena — see :mod:`repro.core.engine`), or ``None`` for
+        :func:`~repro.core.engine.resolve_backend`'s choice (``shared``
+        when ``workers > 1``, else ``serial``).
     cache_tables:
         Memoise compiled trap-population propensity tables in the
         process-wide :func:`~repro.core.engine.propensity_cache`, so
@@ -169,13 +170,8 @@ class EnsembleConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
-        if isinstance(self.backend, str):
-            from .engine import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; available: "
-                    f"{', '.join(available_backends())}")
+        if self.backend is not None:
+            get_backend(self.backend)  # ValueError for an unknown name
 
     def fingerprint(self) -> dict:
         """Identity of a run for checkpoint compatibility checks."""
@@ -282,7 +278,7 @@ class EnsembleResult:
         the run ({} when observability was disabled).
     backend:
         Name of the execution backend that ran the verification pass
-        (``serial`` / ``process`` / ``shared``).
+        (``serial`` / ``shared``).
     traces:
         Per-cell RTN traces (``traces[cell][transistor]``), populated
         only when :attr:`EnsembleConfig.keep_traces` is on; empty
@@ -470,12 +466,13 @@ def _simulate_population(batch, t_start: float, t_stop: float,
 
 
 def _verify_cell(job: tuple) -> tuple[int, int, list]:
-    """Injected SPICE pass for one flagged cell (process-pool friendly).
+    """Injected SPICE pass for one flagged cell (worker friendly).
 
-    Module-level and driven purely by its picklable argument tuple so a
-    :class:`~concurrent.futures.ProcessPoolExecutor` can shard the
-    verification passes; every randomness-bearing input (traces, trap
-    populations) is drawn before sharding, so workers are deterministic.
+    Module-level and driven purely by its picklable argument tuple so
+    the ``shared`` backend's workers can run the verification passes,
+    reading the trace arrays straight from its shared-memory arena;
+    every randomness-bearing input (traces, trap populations) is drawn
+    before sharding, so workers are deterministic.
     """
     from ..sram.cell import build_sram_cell
     from ..sram.detectors import OpOutcome, classify_operations
@@ -682,8 +679,6 @@ class EnsembleRunner:
             if not flat_traps or peak_i <= 0.0:
                 continue
             if config.cache_tables:
-                from .engine import propensity_cache
-
                 batch = propensity_cache().population(
                     flat_traps, tech, record.times, record.v_drive)
             else:
@@ -780,9 +775,10 @@ class EnsembleRunner:
         # are bit-identical to the pre-scenario dispatch), with the
         # runner keeping its own richer checkpoint records via
         # on_result rather than the scenario layer's generic ones.
+        backend = resolve_backend(config.backend, config.workers)
         run_scenario(VerifyScenario,
                      VerificationPlan(jobs=tuple(jobs), keys=tuple(pending)),
-                     backend=config.backend, workers=config.workers,
+                     backend=backend, workers=config.workers,
                      policy=config.retry or RetryPolicy(),
                      on_result=on_result)
         if checkpoint is not None:
@@ -790,19 +786,13 @@ class EnsembleRunner:
         phase_started = _phase_done("verification", phase_started)
 
         # Step 5: margins.
-        if config.backend is not None:
-            backend_name = str(getattr(config.backend, "name",
-                                       config.backend))
-        else:
-            backend_name = "process" if (config.workers or 0) > 1 \
-                else "serial"
         nominal_snm = static_noise_margin(spec, mode="hold")
         result = EnsembleResult(n_slots=len(pattern.operations),
                                 nominal_snm_hold=nominal_snm,
                                 clean_failures=clean_failures,
                                 kernel_stats=kernel_stats,
                                 kernel_fallbacks=kernel_fallbacks,
-                                backend=backend_name,
+                                backend=backend.name,
                                 traces=traces if config.keep_traces else [])
         for index in range(config.n_cells):
             record = verdicts.get(index, {})

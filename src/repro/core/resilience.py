@@ -1,16 +1,18 @@
 """Fault-tolerant job execution and run checkpointing.
 
 The ensemble's statistical value depends on *completing* large cell
-populations: one diverging Newton solve or one crashed pool worker must
-cost one cell (at worst), never the run.  This module provides the two
-pieces the engine threads through:
+populations: one diverging Newton solve or one crashed worker must
+cost one cell (at worst), never the run.  This module provides the
+pieces the execution backends thread through:
 
-- :func:`run_jobs` — an executor wrapper that retries transient
-  failures with exponential backoff, survives a broken process pool by
-  respawning it and requeueing the in-flight jobs, enforces a per-job
-  wall-clock timeout on hung workers, and always returns one
+- :func:`run_jobs` — the one entry point for fanning a job list out:
+  it retries transient failures with exponential backoff, enforces a
+  per-job wall-clock timeout, and always returns one
   :class:`JobResult` per job with a terminal ``status`` of
-  ``ok | recovered | failed | timeout``;
+  ``ok | recovered | failed | timeout``.  The work itself runs on a
+  :mod:`repro.core.engine` backend: the in-process loop below, or the
+  shared-memory worker pool, which reaps crashed or hung workers,
+  respawns them and requeues their unstarted jobs;
 - :class:`RunCheckpoint` — an atomic npz + JSON snapshot of completed
   job records, so a killed run can resume without recomputing finished
   cells.
@@ -24,9 +26,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -47,9 +46,6 @@ __all__ = [
     "RunCheckpoint",
     "run_jobs",
 ]
-
-#: Poll interval of the pool supervision loop [s].
-_TICK = 0.05
 
 #: Terminal job statuses, in "worst wins" order for summaries.
 JOB_STATUSES = ("ok", "recovered", "failed", "timeout")
@@ -212,8 +208,9 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
         Per-job identifiers for results and fault-site decisions;
         defaults to the job index.
     workers:
-        Process count; ``None``/``0``/``1`` runs in-process (a single
-        helper thread supervises the timeout when one is configured).
+        Worker-process count; ``None``/``0``/``1`` runs in-process (a
+        single helper thread supervises the timeout when one is
+        configured).
     policy:
         Retry/backoff/timeout policy; defaults to ``RetryPolicy()``.
     on_result:
@@ -221,11 +218,11 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
         terminal status, in completion order — the ensemble's
         incremental checkpoint hook.
     backend:
-        Execution backend — a name (``serial`` / ``process`` /
-        ``shared``), an :class:`~repro.core.engine.ExecutionBackend`
-        class or instance, or ``None`` for the historical behaviour
-        (``process`` when ``workers > 1``, else ``serial``).  See
-        :mod:`repro.core.engine` and ``docs/performance.md``.
+        Execution backend — a name (``serial`` / ``shared``), an
+        :class:`~repro.core.engine.ExecutionBackend` class or instance,
+        or ``None`` to let :func:`repro.core.engine.resolve_backend`
+        pick (``shared`` when ``workers > 1``, else ``serial``).  See
+        ``docs/performance.md``.
 
     Returns
     -------
@@ -236,21 +233,12 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
     keys = list(keys) if keys is not None else list(range(len(jobs)))
     if len(keys) != len(jobs):
         raise ValueError("keys must match jobs one-to-one")
-    policy = policy or RetryPolicy()
-    if backend is not None:
-        # Lazy import: engine builds on this module's primitives.
-        from .engine import get_backend
+    # Lazy import: engine builds on this module's primitives.
+    from .engine import resolve_backend
 
-        return get_backend(backend).run(fn, jobs, keys=keys,
-                                        workers=workers, policy=policy,
-                                        on_result=on_result)
-    if not jobs:
-        return []
-    if workers and workers > 1:
-        results = _run_pool(fn, jobs, keys, int(workers), policy, on_result)
-    else:
-        results = _run_serial(fn, jobs, keys, policy, on_result)
-    return results
+    return resolve_backend(backend, workers).run(
+        fn, jobs, keys=keys, workers=workers, policy=policy or RetryPolicy(),
+        on_result=on_result)
 
 
 # ----------------------------------------------------------------------
@@ -260,8 +248,8 @@ def _call_with_timeout(fn, payload, key, attempt, plan, timeout):
     """Run one job, enforcing ``timeout`` via a helper thread.
 
     A hung job's thread cannot be killed; it is abandoned (daemonised)
-    and the job reported as timed out — mirroring what the pool path
-    does by terminating the worker process.
+    and the job reported as timed out — mirroring what the shared
+    backend does by killing the worker process.
     """
     if timeout is None:
         return _execute_job(fn, payload, key, attempt, plan)
@@ -314,182 +302,6 @@ def _run_serial(fn, jobs, keys, policy, on_result) -> list:
         if on_result is not None:
             on_result(result)
     return results
-
-
-# ----------------------------------------------------------------------
-# Process-pool path.
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool, killing workers that ignore shutdown (hangs)."""
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_pool(fn, jobs, keys, workers, policy, on_result) -> list:
-    from ..testing import faults
-
-    plan = faults.active()
-    results = {i: JobResult(key=keys[i]) for i in range(len(jobs))}
-    first_started = {i: None for i in range(len(jobs))}
-    # (job index, attempt, earliest submit time)
-    queue: deque = deque((i, 1, 0.0) for i in range(len(jobs)))
-    terminal: set = set()
-    pool = ProcessPoolExecutor(max_workers=workers)
-    in_flight: dict = {}   # future -> (index, attempt)
-    running_since: dict = {}  # future -> monotonic time first seen running
-    submitted_at: dict = {}   # future -> monotonic time of submission
-    # (index, attempt) pairs already requeued for free after a pool
-    # break they provably did not cause (their future never ran).  One
-    # grant per attempt bounds the free rides: a crasher that slips
-    # through unobserved gets charged on the next break.
-    requeue_grants: set = set()
-
-    def crash_or_requeue(ran: bool, index: int, attempt: int,
-                         error: BaseException) -> None:
-        """Handle one in-flight job taken down by a pool break.
-
-        Jobs never observed running did no work and cannot have killed
-        the worker: requeue them at the same attempt, once.  Everything
-        else is charged an attempt — guaranteeing forward progress even
-        when the crashing job cannot be identified.
-        """
-        if not ran and (index, attempt) not in requeue_grants:
-            requeue_grants.add((index, attempt))
-            queue.append((index, attempt, 0.0))
-            obs.inc("jobs.requeues")
-            return
-        settle(index, attempt, error)
-
-    def settle(index: int, attempt: int,
-               error: BaseException | None, timed_out: bool = False,
-               value=None) -> None:
-        """Record one attempt's outcome; requeue or finalise."""
-        result = results[index]
-        now = obs.clock.monotonic()
-        if first_started[index] is None:
-            first_started[index] = now
-        if error is not None and attempt < policy.attempts \
-                and policy.retryable(error):
-            queue.append((index, attempt + 1,
-                          now + policy.delay(attempt + 1)))
-            return
-        if error is None:
-            result.value = value
-        _finish(result, error, attempt, first_started[index], timed_out)
-        terminal.add(index)
-        if on_result is not None:
-            on_result(result)
-
-    def respawn() -> ProcessPoolExecutor:
-        _terminate_pool(pool)
-        obs.inc("jobs.pool_respawns")
-        return ProcessPoolExecutor(max_workers=workers)
-
-    try:
-        while queue or in_flight:
-            now = obs.clock.monotonic()
-            # Submit whatever is ready (respect backoff timestamps).
-            for _ in range(len(queue)):
-                if len(in_flight) >= 2 * workers:
-                    break
-                index, attempt, ready_at = queue.popleft()
-                if ready_at > now:
-                    queue.append((index, attempt, ready_at))
-                    continue
-                if first_started[index] is None:
-                    first_started[index] = now
-                try:
-                    future = pool.submit(_execute_job, fn, jobs[index],
-                                         keys[index], attempt, plan)
-                except Exception:
-                    # Pool already broke; put the job back and respawn.
-                    queue.appendleft((index, attempt, ready_at))
-                    for other, (i, a) in list(in_flight.items()):
-                        crash_or_requeue(other in running_since, i, a,
-                                         WorkerCrashError(
-                                             f"worker pool broke under job "
-                                             f"{keys[i]!r}",
-                                             attempts=a))
-                    in_flight.clear()
-                    running_since.clear()
-                    submitted_at.clear()
-                    pool = respawn()
-                    break
-                in_flight[future] = (index, attempt)
-                submitted_at[future] = now
-            if not in_flight:
-                time.sleep(_TICK)
-                continue
-
-            done, _ = wait(list(in_flight), timeout=_TICK,
-                           return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                index, attempt = in_flight.pop(future)
-                submitted_at.pop(future, None)
-                ran = running_since.pop(future, None) is not None
-                error = future.exception()
-                if error is None:
-                    settle(index, attempt, None, value=future.result())
-                elif isinstance(error, BrokenProcessPool):
-                    # The break resolves *every* future, pending ones
-                    # included — only charge jobs that actually ran.
-                    broken = True
-                    crash_or_requeue(ran, index, attempt, WorkerCrashError(
-                        f"worker died while running job {keys[index]!r}",
-                        attempts=attempt))
-                else:
-                    settle(index, attempt, error)
-
-            # Timeout supervision: a hung worker can only be cleared by
-            # killing the pool, so one expired job costs a respawn.
-            now = obs.clock.monotonic()
-            expired: list = []
-            for future, (index, attempt) in list(in_flight.items()):
-                if future.running() and future not in running_since:
-                    running_since[future] = now
-                    if obs.enabled():
-                        obs.observe("jobs.queue_wait_s",
-                                    now - submitted_at.get(future, now))
-                since = running_since.get(future)
-                if policy.timeout is not None and since is not None \
-                        and now - since > policy.timeout:
-                    expired.append((future, index, attempt))
-            if expired:
-                broken = True
-                for future, index, attempt in expired:
-                    in_flight.pop(future, None)
-                    running_since.pop(future, None)
-                    submitted_at.pop(future, None)
-                    obs.inc("jobs.worker_timeouts")
-                    settle(index, attempt, WorkerTimeoutError(
-                        f"job {keys[index]!r} exceeded its "
-                        f"{policy.timeout:g}s budget",
-                        timeout=policy.timeout, attempts=attempt),
-                        timed_out=True)
-
-            if broken:
-                # A broken pool takes every in-flight job down with it.
-                # Jobs seen running are charged an attempt; the rest ride
-                # their one free requeue (see crash_or_requeue).
-                for future, (index, attempt) in list(in_flight.items()):
-                    crash_or_requeue(future in running_since, index,
-                                     attempt, WorkerCrashError(
-                                         f"worker pool broke under job "
-                                         f"{keys[index]!r}",
-                                         attempts=attempt))
-                in_flight.clear()
-                running_since.clear()
-                submitted_at.clear()
-                pool = respawn()
-    finally:
-        _terminate_pool(pool)
-    return [results[i] for i in range(len(jobs))]
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ A :class:`Scenario` is the declarative answer: a workload is
 :func:`run_scenario` executes any registered scenario on any
 :mod:`repro.core.engine` backend through
 :func:`~repro.core.resilience.run_jobs`, so every scenario inherits —
-for free — backend selection (``serial`` / ``process`` / ``shared``),
+for free — backend selection (``serial`` / ``shared``),
 retry/backoff/timeout policies, worker-crash recovery, deterministic
 fault-injection sites (:mod:`repro.testing.faults`, including the
 scenario-level ``scenario`` site), checkpoint/resume via
@@ -37,7 +37,7 @@ draws from its own generator regardless of which worker runs it, in
 which order, after how many retries.  Results are therefore
 order-independent and *backend-invariant by construction*: the tier-2
 invariance suite asserts identical ``(status, value, attempts)``
-triples for every migrated workload across all three backends.
+triples for every migrated workload across both backends.
 
 Registered scenarios ship with the package (``repro scenario list``):
 
@@ -63,6 +63,7 @@ from .. import obs
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
 from ..testing.seeding import derive_seed, spawn_rngs
+from .engine import resolve_backend
 from .resilience import (
     JOB_STATUSES,
     JobResult,
@@ -359,12 +360,6 @@ class ScenarioRun:
         )
 
 
-def _resolve_backend_name(backend, workers) -> str:
-    if backend is None:
-        return "process" if (workers or 0) > 1 else "serial"
-    return str(getattr(backend, "name", backend))
-
-
 def run_scenario(scenario, config=None, *, seed: int = 0,
                  backend=None, workers: int | None = None,
                  policy: RetryPolicy | None = None,
@@ -386,11 +381,11 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
         ``(seed, "scenario", name)`` and the job index, so any job is
         reproducible in isolation and the run is backend-invariant.
     backend:
-        Execution backend — a name (``serial`` / ``process`` /
-        ``shared``), an :class:`~repro.core.engine.ExecutionBackend`
-        class or instance, or ``None`` for ``process`` when
-        ``workers > 1``, else ``serial``.  Resolution always goes
-        through :func:`repro.core.engine.get_backend`.
+        Execution backend — a name (``serial`` / ``shared``), an
+        :class:`~repro.core.engine.ExecutionBackend` class or instance,
+        or ``None`` for ``shared`` when ``workers > 1``, else
+        ``serial``.  Resolution always goes through
+        :func:`repro.core.engine.resolve_backend`.
     workers:
         Worker-process count for the parallel backends.
     policy:
@@ -423,7 +418,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires checkpoint_dir")
     policy = policy or RetryPolicy()
-    backend_name = _resolve_backend_name(backend, workers)
+    backend = resolve_backend(backend, workers)
 
     timings: dict = {}
     run_started = clock.monotonic()
@@ -495,7 +490,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
         if on_result is not None:
             on_result(job_result)
 
-    # Phase 2: execute on the engine. run_jobs + get_backend carry the
+    # Phase 2: execute on the engine. run_jobs + the backend carry the
     # whole resilience/obs/faults contract; a partial run (kill, crash)
     # leaves its completed jobs in the checkpoint for the next resume.
     phase_started = clock.monotonic()
@@ -505,7 +500,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     try:
         run_jobs(execute_scenario_job, [jobs[p] for p in pending],
                  keys=[keys[p] for p in pending], workers=workers,
-                 policy=policy, on_result=settle, backend=backend_name)
+                 policy=policy, on_result=settle, backend=backend)
     finally:
         if checkpoint is not None and completed_since_save:
             checkpoint.save(fingerprint)
@@ -518,11 +513,11 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     timings["total"] = clock.monotonic() - run_started
 
     run = ScenarioRun(scenario=scenario.name, seed=int(seed),
-                      backend=backend_name, results=results, value=value,
+                      backend=backend.name, results=results, value=value,
                       resumed=resumed, timings=timings)
     if obs.enabled():
         run.metrics_snapshot = obs.metrics().snapshot()
         obs.complete_span("scenario.run", run_started, timings["total"],
                           scenario=scenario.name, jobs=len(plan),
-                          resumed=len(resumed), backend=backend_name)
+                          resumed=len(resumed), backend=backend.name)
     return run

@@ -45,7 +45,7 @@ class WorkerTimeoutError(SimulationError):
 
 
 class WorkerCrashError(SimulationError):
-    """A worker process died mid-job (broken process pool)."""
+    """A worker process died mid-job (it is reaped and respawned)."""
 
     def __init__(self, message: str, attempts: int | None = None) -> None:
         super().__init__(message)

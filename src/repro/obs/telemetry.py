@@ -39,7 +39,8 @@ class RunTelemetry:
         ``n_cells`` for their job count.
     backend:
         Execution backend of the verification pass (``serial`` /
-        ``process`` / ``shared``; empty for pre-engine documents).
+        ``shared``; older documents may say ``process``, and
+        pre-engine ones leave it empty).
     counts:
         Resilience status -> cell count (``ok/recovered/failed/timeout``).
     complete:

@@ -8,7 +8,7 @@ The ensemble engine and the fault-tolerant executor expose a handful of
     body runs (models a cell whose verification transient diverges).
 ``worker``
     Kill the hosting worker process with ``os._exit`` (models a crashed
-    pool worker; in-process execution raises
+    ``shared`` worker; in-process execution raises
     :class:`~repro.errors.WorkerCrashError` instead, since taking down
     the interpreter would take the test with it).
 ``hang``
@@ -34,8 +34,8 @@ The ensemble engine and the fault-tolerant executor expose a handful of
 
 Decisions are *deterministic*: each is a hash of
 ``(seed, site, key, attempt)``, so a given cell faults (or not)
-regardless of which worker picks it up, in which order, or whether the
-pool has been respawned — and a retry of the same job gets a fresh,
+regardless of which worker picks it up, in which order, or whether
+that worker has been respawned — and a retry of the same job gets a fresh,
 independent draw.  That is what makes "crash 20 % of verify workers"
 reproducible across runs and resumes.
 

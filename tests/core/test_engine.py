@@ -16,7 +16,6 @@ import pytest
 from repro.core.engine import (
     ExecutionBackend,
     PropensityTableCache,
-    ProcessBackend,
     SerialBackend,
     SharedMemoryBackend,
     _ArenaBuilder,
@@ -26,6 +25,7 @@ from repro.core.engine import (
     get_backend,
     propensity_cache,
     register_backend,
+    resolve_backend,
 )
 from repro.core.resilience import RetryPolicy, run_jobs
 from repro.devices.technology import TECH_45NM, TECH_90NM
@@ -37,14 +37,14 @@ from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
 
-BACKENDS = ("serial", "process", "shared")
+BACKENDS = ("serial", "shared")
 
 #: Shared payload array — interned once in the arena across all jobs.
 GRID = np.arange(4096, dtype=float)
 
 
 def scaled_sum(payload):
-    """Module-level job function (picklable for process workers)."""
+    """Module-level job function (picklable for worker processes)."""
     array, scale = payload
     return float(array.sum() * scale)
 
@@ -71,8 +71,28 @@ class TestRegistry:
         by_name = get_backend("shared")
         assert isinstance(by_name, SharedMemoryBackend)
         assert isinstance(get_backend(SerialBackend), SerialBackend)
-        instance = ProcessBackend()
+        instance = SharedMemoryBackend()
         assert get_backend(instance) is instance
+
+    def test_process_alias_resolves_to_shared_and_warns_once(self):
+        from repro.core.ensemble import EnsembleConfig
+
+        with pytest.warns(DeprecationWarning, match="'process'") as caught:
+            backends = [get_backend("process") for _ in range(3)]
+        assert all(isinstance(b, SharedMemoryBackend) for b in backends)
+        assert len(caught) == 1
+        assert "process" not in available_backends()
+        with pytest.warns(DeprecationWarning, match="'process'"):
+            assert EnsembleConfig(n_cells=1, backend="process").backend \
+                == "process"
+
+    def test_resolve_backend_maps_workers_to_a_backend(self):
+        assert resolve_backend(None, None).name == "serial"
+        assert resolve_backend(None, 1).name == "serial"
+        assert resolve_backend(None, 2).name == "shared"
+        assert resolve_backend("serial", 4).name == "serial"
+        instance = SharedMemoryBackend()
+        assert resolve_backend(instance, 1) is instance
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -166,7 +186,7 @@ class TestArena:
 
 
 # ======================================================================
-# Backend contract (all three)
+# Backend contract (both backends)
 # ======================================================================
 
 class TestBackendContract:
@@ -211,7 +231,7 @@ class TestBackendContract:
                     workers=3, policy=RetryPolicy(attempts=3))
             runs[name] = [(r.status, r.value, r.attempts)
                           for r in results]
-        assert runs["serial"] == runs["process"] == runs["shared"]
+        assert runs["serial"] == runs["shared"]
         statuses = {status for status, _, _ in runs["serial"]}
         assert "recovered" in statuses  # the drill actually exercised retries
 
@@ -271,7 +291,9 @@ class TestSharedBackendResilience:
 # ======================================================================
 
 class TestRunJobsBackendParam:
-    @pytest.mark.parametrize("name", BACKENDS)
+    # "process" is the deprecated alias of "shared"; it still dispatches.
+    @pytest.mark.filterwarnings("ignore:execution backend 'process'")
+    @pytest.mark.parametrize("name", BACKENDS + ("process",))
     def test_dispatches_to_named_backend(self, name):
         results = run_jobs(scaled_sum, make_jobs(6), workers=2,
                            backend=name)
@@ -286,10 +308,25 @@ class TestRunJobsBackendParam:
         with pytest.raises(ValueError, match="unknown execution backend"):
             run_jobs(scaled_sum, make_jobs(1), backend="warp")
 
+    def test_parallel_run_records_queue_wait_per_job(self):
+        from repro import obs
+
+        obs.enable()
+        try:
+            results = run_jobs(scaled_sum, make_jobs(6), workers=2)
+            snapshot = obs.metrics().snapshot()
+        finally:
+            obs.disable()
+            obs.metrics().clear()
+        assert all(r.status == "ok" for r in results)
+        wait = snapshot["histograms"]["jobs.queue_wait_s"]
+        assert wait["count"] == 6
+        assert wait["min"] >= 0.0
+
     def test_ensemble_config_validates_backend(self):
         from repro.core.ensemble import EnsembleConfig
 
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ValueError, match="unknown execution backend"):
             EnsembleConfig(n_cells=1, backend="warp")
         assert EnsembleConfig(n_cells=1, backend="shared").backend == \
             "shared"

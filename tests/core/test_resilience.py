@@ -2,7 +2,7 @@
 resilient ensemble (:mod:`repro.core.resilience`).
 
 This file doubles as the CI fault-injection smoke suite: every recovery
-path — retry, pool respawn, timeout reaping, batched-kernel
+path — retry, worker respawn, timeout reaping, batched-kernel
 degradation, NaN-trace isolation, checkpoint/resume — is proven here
 with deterministic injected faults.
 """
@@ -121,6 +121,8 @@ class TestRunJobsSerial:
 
 
 class TestRunJobsPool:
+    """``run_jobs(workers > 1)`` drills, which run on the shared backend."""
+
     def test_results_in_job_order(self):
         results = run_jobs(square, [5, 3, 1], workers=2)
         assert [r.value for r in results] == [25, 9, 1]
@@ -475,8 +477,9 @@ class TestAcceptance:
 
     def test_faulted_50_cell_ensemble_completes_and_recovers(self):
         # attempts=8: per-attempt fault decisions redraw independently,
-        # but a pool break can also charge innocent in-flight jobs, so
-        # the budget must absorb collateral attempts too.
+        # but a worker death can also charge a chunk-mate that already
+        # used its one free requeue, so the budget must absorb
+        # collateral attempts too.
         config = EnsembleConfig(
             n_cells=50, spec=SPEC, pattern=fig8_pattern(bits=(1,)),
             rtn_scale=30.0, screen_threshold=0.0, workers=2,

@@ -302,12 +302,12 @@ def _np_kernel(payload, rng):
 
 
 class TestBackendRouting:
-    def test_workers_defaults_to_process_backend(self):
+    def test_workers_defaults_to_shared_backend(self):
         class NpToy(ToyScenario):
             name = "test.nptoy"
             kernel = staticmethod(_np_kernel)
 
         serial = run_scenario(NpToy, 3, seed=6, backend="serial")
         auto = run_scenario(NpToy, 3, seed=6, workers=2)
-        assert auto.backend == "process"
+        assert auto.backend == "shared"
         assert auto.value == serial.value

@@ -168,9 +168,9 @@ class TestScenarioCommand:
 
     def test_run_honours_backend_and_workers(self, capsys):
         assert main(["scenario", "run", "oscillators.pll", "--n", "2",
-                     "--backend", "process", "--workers", "2"]) == 0
+                     "--backend", "shared", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "backend process" in out
+        assert "backend shared" in out
 
     def test_run_refuses_internal_scenarios(self, capsys):
         assert main(["scenario", "run", "sram.verify"]) == 2

@@ -1,4 +1,4 @@
-"""The layering gate: parallel dispatch stays inside ``repro.core``.
+"""The layering gate: parallel dispatch stays inside ``repro.core.engine``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -42,7 +42,16 @@ def test_checker_flags_direct_pool_imports(tmp_path, capsys):
     assert checker.main([str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "rogue.py" in err and "multiprocessing" in err
-    assert "engine.py" not in err  # core is allowed
+    assert "engine.py" not in err  # the engine is allowed
+
+
+def test_checker_flags_multiprocessing_elsewhere_in_core(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "scenario.py").write_text(
+        "import multiprocessing\n")
+    assert checker.main([str(tmp_path)]) == 1
+    assert "scenario.py" in capsys.readouterr().err
 
 
 def test_checker_catches_smuggled_futures(tmp_path):

@@ -5,7 +5,7 @@ Two layers of evidence, per the engine's contract:
 1. **Bit identity.**  With identical seeds, the full ensemble pipeline
    (and raw trap simulations fanned out through ``run_jobs``) must
    produce *bit-identical* RTN traces, occupancy trajectories and cell
-   verdicts on the ``serial``, ``process`` and ``shared`` backends —
+   verdicts on the ``serial`` and ``shared`` backends —
    the backend moves bytes, it must never touch the law.
 2. **Statistical law.**  The PR-5 oracles (stationary occupancy, dwell
    laws, batch/scalar Welch equivalence) must pass on trap populations
@@ -29,7 +29,7 @@ from repro.verify import (
 
 pytestmark = pytest.mark.tier2
 
-BACKENDS = ("serial", "process", "shared")
+BACKENDS = ("serial", "shared")
 
 #: One family-wise budget covers every statistical check in this module.
 BUDGET = AlphaBudget(1e-4)
@@ -98,7 +98,7 @@ def populations():
 class TestBitIdenticalTrajectories:
     def test_occupancy_traces_identical_across_backends(self, populations):
         reference = populations["serial"]
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             candidate = populations[name]
             assert len(candidate) == len(reference) \
                 == N_JOBS * TRAPS_PER_JOB
@@ -121,7 +121,7 @@ class TestBitIdenticalTrajectories:
 
         reference = run("serial")
         assert reference.traces, "keep_traces must expose the traces"
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             result = run(name)
             assert result.backend == name
             assert [o.status for o in result.outcomes] == \

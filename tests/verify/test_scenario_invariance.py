@@ -7,7 +7,7 @@ migrated workload to it:
 
 1. **Identical triples.**  The per-job ``(status, value, attempts)``
    triples must be identical — bit-for-bit for array/float values —
-   across the ``serial``, ``process`` and ``shared`` backends.
+   across the ``serial`` and ``shared`` backends.
 2. **Statistical reducers.**  The reduced distributions of the two
    statistical workloads (DRAM retention times, NBTI/RTN device
    metrics) must agree across backends under one family-wise
@@ -30,7 +30,7 @@ from repro.verify import AlphaBudget
 
 pytestmark = pytest.mark.tier2
 
-BACKENDS = ("serial", "process", "shared")
+BACKENDS = ("serial", "shared")
 
 #: One family-wise budget covers every statistical check in this module.
 BUDGET = AlphaBudget(1e-4)
@@ -64,7 +64,7 @@ def _values_equal(ours, theirs) -> None:
 def _assert_invariant(runs: dict) -> None:
     """Identical (status, value, attempts) triples vs the serial run."""
     reference = runs["serial"]
-    for name in ("process", "shared"):
+    for name in BACKENDS[1:]:
         candidate = runs[name]
         assert candidate.backend == name
         assert candidate.n_jobs == reference.n_jobs
@@ -102,7 +102,7 @@ class TestDramRetention:
     def test_reduced_distribution_identical(self, retention_runs):
         reference = retention_runs["serial"].value
         assert reference.shape == (8,)
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             np.testing.assert_array_equal(retention_runs[name].value,
                                           reference)
 
@@ -114,7 +114,7 @@ class TestNbtiPopulation:
     def test_reduced_devices_identical(self, nbti_runs):
         reference = nbti_runs["serial"].value
         assert len(reference) == 12
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             assert nbti_runs[name].value == reference
 
 
@@ -125,7 +125,7 @@ class TestSramArray:
                 for name in BACKENDS}
         _assert_invariant(runs)
         reference = runs["serial"].value
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             result = runs[name].value
             assert result.n_slots == reference.n_slots
             for ours, theirs in zip(result.outcomes, reference.outcomes):
@@ -144,7 +144,7 @@ class TestOscillatorSweeps:
                 for name in BACKENDS}
         _assert_invariant(runs)
         reference = runs["serial"].value
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             for ours, theirs in zip(runs[name].value, reference):
                 assert ours.n_stages == theirs.n_stages
                 np.testing.assert_array_equal(ours.periods, theirs.periods)
@@ -154,7 +154,7 @@ class TestOscillatorSweeps:
         runs = {name: _run("oscillators.pll", config, name)
                 for name in BACKENDS}
         _assert_invariant(runs)
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             np.testing.assert_array_equal(runs[name].value,
                                           runs["serial"].value)
 
@@ -174,7 +174,7 @@ class TestStatisticalReducersUnderBudget:
         reference = retention_runs["serial"].value
         finite = reference[np.isfinite(reference)]
         assert finite.size >= 2, "scan window too short to resolve VRT"
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             sample = retention_runs[name].value
             check = stats.ks_2samp(finite,
                                    sample[np.isfinite(sample)])
@@ -182,14 +182,14 @@ class TestStatisticalReducersUnderBudget:
 
     def test_nbti_shift_distribution_backend_agnostic(self, nbti_runs):
         reference = [d.nbti_shift for d in nbti_runs["serial"].value]
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             sample = [d.nbti_shift for d in nbti_runs[name].value]
             check = stats.ks_2samp(reference, sample)
             assert check.pvalue > self.ALPHA
 
     def test_rtn_rms_distribution_backend_agnostic(self, nbti_runs):
         reference = [d.rtn_rms for d in nbti_runs["serial"].value]
-        for name in ("process", "shared"):
+        for name in BACKENDS[1:]:
             sample = [d.rtn_rms for d in nbti_runs[name].value]
             check = stats.ks_2samp(reference, sample)
             assert check.pvalue > self.ALPHA
@@ -219,7 +219,7 @@ class TestCheckpointKillResume:
 
         executed = []
         resumed = run_scenario("dram.retention", config, seed=SEED,
-                               backend="process", workers=WORKERS,
+                               backend="shared", workers=WORKERS,
                                checkpoint_dir=tmp_path, resume=True,
                                on_result=lambda r: executed.append(
                                    int(r.key)))
