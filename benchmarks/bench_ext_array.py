@@ -18,7 +18,8 @@ import numpy as np
 from repro.core.methodology import MethodologyConfig
 from repro.core.experiments import fig8_cell_spec, fig8_config, fig8_pattern
 from repro.core.report import format_table, write_csv
-from repro.sram.array import ArrayConfig, simulate_array
+from repro.core.scenario import run_scenario
+from repro.sram.array import ArrayConfig
 
 N_CELLS = 8
 PATTERN = fig8_pattern(bits=(1, 0, 1))  # 3 slots keep the bench ~1 min
@@ -30,7 +31,9 @@ def run_array(rtn_scale: float, seed: int):
         rtn_scale=rtn_scale, avt=1.0e-9,
         methodology=MethodologyConfig(
             record_every=4, thresholds=fig8_config().thresholds))
-    return simulate_array(config, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    return run_scenario("sram.array", config,
+                        seed=int(rng.integers(2**63))).value
 
 
 def test_ext_array_failure_rates(benchmark, out_dir):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint: parallel dispatch belongs to ``repro.core.engine``, nowhere else.
+"""Lint: one parallel executor and one co-simulation loop.
 
 Usage::
 
@@ -27,6 +27,13 @@ Exemptions cover ``multiprocessing`` only and carry their rationale:
 - ``testing/faults.py`` — the ``worker`` fault site needs
   ``multiprocessing.parent_process()`` to decide whether killing the
   hosting process is survivable; it dispatches nothing.
+
+The same holds for RTN/circuit co-simulation: a transient ``pre_step``
+hook is how traps are coupled to a live circuit, and
+``cosim/engine.py`` (:func:`repro.cosim.run_trap_coupled`) is the one
+loop that does it.  A call passing ``pre_step=`` anywhere else is a
+second co-simulation loop and fails the check; circuit-specific
+co-simulators are adapters over the engine.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ EXEMPT = {
     "testing/faults.py":
         "worker fault site probes multiprocessing.parent_process() only",
 }
+
+
+#: The one module that may pass a transient ``pre_step=`` hook.
+PRE_STEP_HOME = "cosim/engine.py"
 
 
 def _banned(module: str | None) -> str | None:
@@ -79,6 +90,14 @@ def banned_imports(path: Path) -> list:
     return hits
 
 
+def pre_step_calls(path: Path) -> list:
+    """Lines of calls passing a ``pre_step=`` keyword."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(kw.arg == "pre_step" for kw in node.keywords)]
+
+
 def main(argv: list) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent \
         / "src" / "repro"
@@ -88,14 +107,22 @@ def main(argv: list) -> int:
         return 2
     violations = []
     for path in files:
-        exempt = path.relative_to(root).as_posix() in EXEMPT
+        relative = path.relative_to(root).as_posix()
         for line, module in banned_imports(path):
-            if not (exempt and module.startswith("multiprocessing")):
-                violations.append((path, line, module))
-    for path, line, module in violations:
-        print(f"{path}:{line}: imports {module} — parallel dispatch "
-              "belongs to repro.core.engine; route the work through "
-              "repro.core.scenario instead", file=sys.stderr)
+            if not (relative in EXEMPT
+                    and module.startswith("multiprocessing")):
+                violations.append((
+                    path, line, f"imports {module} — parallel dispatch "
+                    "belongs to repro.core.engine; route the work "
+                    "through repro.core.scenario instead"))
+        if relative != PRE_STEP_HOME:
+            for line in pre_step_calls(path):
+                violations.append((
+                    path, line, "passes pre_step= — co-simulation "
+                    "belongs to repro.cosim.engine; write an adapter "
+                    "over run_trap_coupled instead"))
+    for path, line, message in violations:
+        print(f"{path}:{line}: {message}", file=sys.stderr)
     print(f"{len(files)} modules checked ({len(EXEMPT)} may import "
           f"multiprocessing): {len(violations)} layering violations")
     return 1 if violations else 0

@@ -28,8 +28,7 @@ Cell & methodology (paper Fig. 8)
     :func:`get_technology`, :func:`static_noise_margin`
 Array-scale Monte-Carlo
     :class:`EnsembleRunner`, :class:`EnsembleConfig`,
-    :class:`EnsembleResult`, :func:`simulate_array`,
-    :func:`simulate_array_fast`
+    :class:`EnsembleResult`, :func:`simulate_array_fast`
 Scenarios (declarative workloads over the engine)
     :class:`Scenario`, :class:`ScenarioRun`, :func:`run_scenario`,
     :func:`register_scenario`, :func:`get_scenario`,
@@ -91,7 +90,6 @@ _EXPORTS = {
     "EnsembleRunner": "repro.core.ensemble:EnsembleRunner",
     "EnsembleConfig": "repro.core.ensemble:EnsembleConfig",
     "EnsembleResult": "repro.core.ensemble:EnsembleResult",
-    "simulate_array": "repro.sram.array:simulate_array",
     "simulate_array_fast": "repro.sram.array:simulate_array_fast",
     # Scenarios.
     "Scenario": "repro.core.scenario:Scenario",

@@ -7,18 +7,16 @@ both RTN and the circuit states evolve together, with RTN modulating the
 circuit voltages/currents and the circuit simultaneously modulating the
 stochastic processes governing RTN generation."
 
-This module closes the loop.  Before every transient step the
-co-simulator:
-
-1. reads the present node voltages and computes each transistor's
-   effective drive and channel current (same conventions as the one-way
-   bias extractor);
-2. advances every trap *exactly* over the step under rates frozen at
-   that bias (a first-order splitting of the continuous modulation —
-   exact as dt -> 0, and the uniformisation sum bound still holds since
-   the propensity sum is bias-independent);
-3. updates a held current source per transistor with the resulting
-   ``sign(i_d) * amplitude * N_filled`` value.
+This module closes the loop for the 6T cell.  It is an adapter over
+:func:`repro.cosim.engine.run_trap_coupled`, the package's one
+co-simulation loop: before every transient step the engine reads each
+transistor's live drive and channel current, advances its traps
+*exactly* over the step under rates frozen at that bias (a first-order
+splitting of the continuous modulation, exact as dt -> 0), and updates
+a held ``sign(i_d) * amplitude * N_filled`` opposing current source.
+The adapter adds what is specific to the cell: the pattern stimuli,
+one trap attachment per populated transistor, and the per-operation
+detector verdicts.
 
 The circuit step then sees the new RTN current, and the next trap update
 sees the circuit's response: the bi-directional coupling the paper calls
@@ -27,56 +25,16 @@ sees the circuit's response: the bi-directional coupling the paper calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..devices.ekv import drain_current
+from ..cosim.engine import TrapAttachment, run_trap_coupled
 from ..errors import SimulationError
-from ..markov.occupancy import OccupancyTrace
-from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
-from ..spice.elements import CurrentSource
-from ..spice.transient import TransientOptions, simulate_transient
+from ..rtn.current import RtnAmplitudeModel
 from ..sram.cell import SramCell
 from ..sram.detectors import DetectorThresholds, classify_operations
 from ..sram.patterns import TestPattern, build_pattern_waveforms
-from ..traps.propensity import equilibrium_occupancy, rates_for_population
-from ..traps.trap import Trap
-
-
-class _HeldValue:
-    """A stimulus whose value the co-simulation loop mutates per step."""
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def __call__(self, t):
-        return self.value
-
-
-@dataclass
-class _TrapState:
-    """One trap's live state during co-simulation."""
-
-    trap: Trap
-    state: int
-    flips: list = field(default_factory=list)
-
-    def advance(self, t: float, dt: float, lambda_c: float, lambda_e: float,
-                rng: np.random.Generator) -> None:
-        """Exact evolution over [t, t+dt] at frozen rates."""
-        rates = (lambda_c, lambda_e)
-        current = t
-        end = t + dt
-        while True:
-            rate_out = rates[self.state]
-            if rate_out <= 0.0:
-                break
-            current += rng.exponential(1.0 / rate_out)
-            if current >= end:
-                break
-            self.flips.append(current)
-            self.state = 1 - self.state
 
 
 @dataclass
@@ -131,97 +89,20 @@ def run_coupled(cell: SramCell, pattern: TestPattern,
     unknown = set(trap_populations) - set(cell.transistors)
     if unknown:
         raise SimulationError(f"unknown transistors: {unknown}")
-    model = amplitude_model or VanDerZielModel()
-    tech = cell.spec.technology
-
     waves = build_pattern_waveforms(pattern, cell.vdd)
     cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    step = dt if dt is not None else waves.suggested_dt
-
-    # Attach one held source per populated transistor (source -> drain,
-    # same opposing convention as the one-way injector).
-    held: dict[str, _HeldValue] = {}
-    created = []
-    for name, traps in trap_populations.items():
-        if not traps:
-            continue
-        drain, _, source, _ = cell.terminals[name]
-        held[name] = _HeldValue()
-        element_name = f"Irtn_coupled_{name}"
-        CurrentSource(element_name, cell.circuit, source, drain, held[name])
-        created.append(element_name)
-
-    # Live trap state, initialised at the pre-stimulus equilibrium.
-    live: dict[str, list[_TrapState]] = {}
-    for name, traps in trap_populations.items():
-        states = []
-        for trap in traps:
-            p_fill = equilibrium_occupancy(0.0, trap, tech)
-            states.append(_TrapState(trap=trap,
-                                     state=int(rng.random() < p_fill)))
-        live[name] = states
-
-    def bias_of(name: str, x: np.ndarray) -> tuple[float, float]:
-        drain, gate, source, bulk = cell.terminals[name]
-
-        def volt(node: str) -> float:
-            index = cell.circuit.node(node)
-            return 0.0 if index < 0 else float(x[index])
-
-        v_d, v_g, v_s, v_b = (volt(drain), volt(gate), volt(source),
-                              volt(bulk))
-        params = cell.transistors[name].params
-        if params.is_nmos:
-            v_drive = v_g - min(v_d, v_s)
-        else:
-            v_drive = max(v_d, v_s) - v_g
-        i_d = float(drain_current(params, v_g, v_d, v_s, v_b))
-        return v_drive, i_d
-
-    def pre_step(t: float, x: np.ndarray) -> None:
-        for name, states in live.items():
-            if not states:
-                continue
-            v_drive, i_d = bias_of(name, x)
-            params = cell.transistors[name].params
-            lam_c_all, lam_e_all = rates_for_population(
-                v_drive, [s.trap for s in states], tech)
-            n_filled = 0
-            for trap_state, lam_c, lam_e in zip(states, lam_c_all,
-                                                lam_e_all):
-                trap_state.advance(t, step, float(lam_c), float(lam_e), rng)
-                n_filled += trap_state.state
-            amplitude = float(np.asarray(
-                model.amplitude(params, v_drive, abs(i_d))))
-            # RTN can at most null the channel current (same physical
-            # clip as the one-way methodology applies to its traces).
-            magnitude = min(amplitude * n_filled * rtn_scale, abs(i_d))
-            held[name].value = np.sign(i_d) * magnitude
-
-    options = TransientOptions(record_every=record_every,
-                               pre_step=pre_step)
-    try:
-        waveform = simulate_transient(
-            cell.circuit, waves.duration, step,
-            initial_voltages=cell.initial_voltages(pattern.initial_bit),
-            options=options)
-    finally:
-        for name in created:
-            cell.circuit.remove(name)
-
-    occupancies = {}
-    for name, states in live.items():
-        traces = []
-        for trap_state in states:
-            flips = np.asarray(trap_state.flips, dtype=float)
-            initial = (trap_state.state + len(trap_state.flips)) % 2
-            keep = flips < waves.duration
-            traces.append(OccupancyTrace.from_transitions(
-                0.0, waves.duration, int(initial), flips[keep]))
-        occupancies[name] = traces
-
-    op_results = classify_operations(waveform, waves.schedule, cell.vdd,
+    attachments = [TrapAttachment(name, traps, rtn_scale)
+                   for name, traps in trap_populations.items() if traps]
+    coupled = run_trap_coupled(
+        cell.circuit, attachments, waves.duration,
+        dt if dt is not None else waves.suggested_dt, rng,
+        initial_voltages=cell.initial_voltages(pattern.initial_bit),
+        model=amplitude_model, record_every=record_every)
+    occupancies = {name: coupled.occupancies.get(name, [])
+                   for name in trap_populations}
+    op_results = classify_operations(coupled.waveform, waves.schedule,
+                                     cell.vdd,
                                      thresholds=thresholds
                                      or DetectorThresholds())
-    return CoupledResult(waveform=waveform, occupancies=occupancies,
-                         op_results=op_results)
+    return CoupledResult(waveform=coupled.waveform,
+                         occupancies=occupancies, op_results=op_results)

@@ -22,9 +22,7 @@ Every fan-out in the package goes through
 
 :func:`resolve_backend` is the single place a ``(backend, workers)``
 request becomes a backend: an explicit backend wins, otherwise
-``shared`` runs ``workers > 1`` and ``serial`` everything else.  The
-name ``process`` — the retired per-job-pickling process pool — still
-resolves, to ``shared``, with a deprecation warning.
+``shared`` runs ``workers > 1`` and ``serial`` everything else.
 
 Both backends speak the same contract as ``run_jobs``: retry with
 backoff per :class:`~repro.core.resilience.RetryPolicy`, per-job
@@ -61,7 +59,6 @@ from math import ceil
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_once
 from ..errors import SimulationError, WorkerCrashError, WorkerTimeoutError
 from .resilience import (
     JobResult,
@@ -137,9 +134,6 @@ def available_backends() -> tuple:
 def get_backend(spec) -> ExecutionBackend:
     """Resolve a backend name / class / instance to an instance.
 
-    ``"process"`` is a deprecated alias of ``"shared"`` and is not
-    listed by :func:`available_backends`.
-
     Raises
     ------
     ValueError
@@ -149,10 +143,6 @@ def get_backend(spec) -> ExecutionBackend:
         return spec
     if isinstance(spec, type) and issubclass(spec, ExecutionBackend):
         return spec()
-    if spec == "process":
-        warn_once("execution backend 'process' is deprecated; it now "
-                  "runs on 'shared'")
-        spec = "shared"
     try:
         cls = _BACKENDS[spec]
     except (KeyError, TypeError):

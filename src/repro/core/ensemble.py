@@ -1,11 +1,11 @@
 """Array-scale Monte-Carlo RTN prediction on the batched kernel.
 
-:func:`repro.sram.array.simulate_array` runs the full two-SPICE-pass
-methodology per cell — exact but linear in cells *and* dominated by
-transient solves.  This module is the scalable path the paper's outlook
-asks for ("predicting the bit-error impact of RTN on entire SRAM
-arrays"): it amortises the SPICE work across the whole ensemble and
-pushes every stochastic trap simulation through
+The ``sram.array`` scenario (:mod:`repro.sram.array`) runs the full
+two-SPICE-pass methodology per cell — exact but linear in cells *and*
+dominated by transient solves.  This module is the scalable path the
+paper's outlook asks for ("predicting the bit-error impact of RTN on
+entire SRAM arrays"): it amortises the SPICE work across the whole
+ensemble and pushes every stochastic trap simulation through
 :func:`repro.markov.batch.simulate_traps_batch`.
 
 The pipeline:
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_once
 from ..errors import ModelError, RecoveredWarning, SimulationError
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
@@ -399,22 +398,6 @@ class EnsembleResult:
             timings=dict(self.timings),
             metrics=dict(self.metrics_snapshot),
         )
-
-    def failure_summary(self) -> dict:
-        """Deprecated: the pre-telemetry diagnostics dictionary.
-
-        .. deprecated::
-            Use :attr:`telemetry` — the same counts live in
-            ``result.telemetry.counts`` / ``.complete`` / ``.errors``
-            and the kernel fallbacks in ``.kernel``.  This shim keeps
-            the old dictionary shape working and will be removed in a
-            future release.
-        """
-        warn_once(
-            "EnsembleResult.failure_summary() is deprecated; read "
-            "EnsembleResult.telemetry (a RunTelemetry) instead",
-            DeprecationWarning, stacklevel=2)
-        return self.telemetry.failure_summary_dict()
 
     def summary(self) -> dict:
         """Compact dictionary for reports and the CLI."""

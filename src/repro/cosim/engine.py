@@ -5,10 +5,11 @@ transient step each population advances exactly under rates frozen at
 its host's live bias, and a held current source injects the opposing
 RTN current (clipped at the live channel current, signed with it).
 
-This is the general form of the paper's future-work #1 coupling; the
-SRAM (:mod:`repro.core.coupled`) and ring
-(:mod:`repro.oscillators.ring`) co-simulators are specialised versions
-of the same scheme.
+This is the package's one implementation of the paper's future-work #1
+coupling; the SRAM (:mod:`repro.core.coupled`) and ring
+(:mod:`repro.oscillators.ring`) co-simulators are adapters over
+:func:`run_trap_coupled` that add only their circuit-specific set-up
+and read-out.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def run_trap_coupled(circuit: Circuit, attachments: list,
         Any circuit; held sources named ``Irtn_cosim_<mosfet>`` are
         attached for the run and removed afterwards.
     attachments:
-        :class:`TrapAttachment` list (one per host MOSFET).
+        :class:`TrapAttachment` list (one per host MOSFET); empty runs
+        the plain transient.
     t_stop, dt:
         Window and step [s]; ``dt`` is also the trap-update interval.
     rng:
@@ -159,8 +161,6 @@ def run_trap_coupled(circuit: Circuit, attachments: list,
     model:
         RTN amplitude model (default paper Eq. 3).
     """
-    if not attachments:
-        raise SimulationError("need at least one attachment")
     names = [a.mosfet_name for a in attachments]
     if len(set(names)) != len(names):
         raise SimulationError("duplicate attachment for one MOSFET")

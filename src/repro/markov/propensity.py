@@ -22,38 +22,9 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .._deprecation import warn_once
 from ..errors import ModelError
 
 ArrayLike = "float | np.ndarray"
-
-
-def _positional_shim(cls_name: str, names: tuple, args: tuple,
-                     kwargs: dict) -> dict:
-    """Map legacy positional constructor arguments onto keywords.
-
-    The propensity constructors are keyword-only since the `repro.api`
-    redesign (one spelling across :mod:`repro.markov` and
-    :mod:`repro.traps`); positional calls still work through this shim
-    but raise a :class:`DeprecationWarning`.
-    """
-    if not args:
-        return kwargs
-    warn_once(
-        f"positional arguments to {cls_name}(...) are deprecated; "
-        f"pass {', '.join(names[:len(args)])} as keywords",
-        DeprecationWarning, stacklevel=3)
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name}() takes at most {len(names)} arguments "
-            f"({len(args)} given)")
-    merged = dict(kwargs)
-    for name, value in zip(names, args):
-        if name in merged:
-            raise TypeError(
-                f"{cls_name}() got multiple values for argument {name!r}")
-        merged[name] = value
-    return merged
 
 
 @runtime_checkable
@@ -87,17 +58,10 @@ class ConstantTwoStatePropensity:
     lambda_e:
         Emission rate (1 -> 0 transitions) [1/s]; must be non-negative.
 
-    Arguments are keyword-only; positional calls are deprecated.
+    Arguments are keyword-only.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = _positional_shim("ConstantTwoStatePropensity",
-                                  ("lambda_c", "lambda_e"), args, kwargs)
-        lambda_c = kwargs.pop("lambda_c")
-        lambda_e = kwargs.pop("lambda_e")
-        if kwargs:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(kwargs)}")
+    def __init__(self, *, lambda_c: float, lambda_e: float) -> None:
         if lambda_c < 0.0 or lambda_e < 0.0:
             raise ModelError(
                 f"propensities must be non-negative, got "
@@ -136,19 +100,11 @@ class CallableTwoStatePropensity:
         simulated.  Uniformisation is exact for *any* valid bound; a
         loose bound only costs extra rejected candidates.
 
-    Arguments are keyword-only; positional calls are deprecated.
+    Arguments are keyword-only.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = _positional_shim(
-            "CallableTwoStatePropensity",
-            ("capture_fn", "emission_fn", "rate_bound"), args, kwargs)
-        capture_fn: Callable = kwargs.pop("capture_fn")
-        emission_fn: Callable = kwargs.pop("emission_fn")
-        rate_bound: float = kwargs.pop("rate_bound")
-        if kwargs:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(kwargs)}")
+    def __init__(self, *, capture_fn: Callable, emission_fn: Callable,
+                 rate_bound: float) -> None:
         if rate_bound <= 0.0 or not np.isfinite(rate_bound):
             raise ModelError(f"rate_bound must be positive finite, got {rate_bound}")
         self._capture_fn = capture_fn
@@ -189,21 +145,11 @@ class SampledTwoStatePropensity:
         interpolation of a *convex* underlying rate can undershoot but
         never overshoot its samples.
 
-    Arguments are keyword-only; positional calls are deprecated.
+    Arguments are keyword-only.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = _positional_shim(
-            "SampledTwoStatePropensity",
-            ("times", "capture_values", "emission_values", "bound_safety"),
-            args, kwargs)
-        times = kwargs.pop("times")
-        capture_values = kwargs.pop("capture_values")
-        emission_values = kwargs.pop("emission_values")
-        bound_safety = kwargs.pop("bound_safety", 1.0)
-        if kwargs:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(kwargs)}")
+    def __init__(self, *, times, capture_values, emission_values,
+                 bound_safety: float = 1.0) -> None:
         times = np.asarray(times, dtype=float)
         capture_values = np.asarray(capture_values, dtype=float)
         emission_values = np.asarray(emission_values, dtype=float)

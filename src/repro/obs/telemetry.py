@@ -2,10 +2,10 @@
 
 :class:`RunTelemetry` is the one JSON-serialisable object that replaces
 the ad-hoc diagnostics dictionaries the ensemble used to hand out
-(``failure_summary()`` internals, per-cell status fields read off the
-outcome list).  It is keyword-only by construction, versioned by a
-``schema`` tag, and round-trips through JSON losslessly — the contract
-the ``report`` CLI subcommand and downstream dashboards consume.
+(per-cell status fields read off the outcome list).  It is
+keyword-only by construction, versioned by a ``schema`` tag, and
+round-trips through JSON losslessly — the contract the ``report`` CLI
+subcommand and downstream dashboards consume.
 
 :func:`telemetry_report` renders a telemetry document (object, dict or
 file) as human-readable tables.
@@ -39,8 +39,7 @@ class RunTelemetry:
         ``n_cells`` for their job count.
     backend:
         Execution backend of the verification pass (``serial`` /
-        ``shared``; older documents may say ``process``, and
-        pre-engine ones leave it empty).
+        ``shared``; pre-engine documents leave it empty).
     counts:
         Resilience status -> cell count (``ok/recovered/failed/timeout``).
     complete:
@@ -101,20 +100,6 @@ class RunTelemetry:
     def load(cls, path) -> "RunTelemetry":
         return cls.from_dict(
             json.loads(Path(path).read_text(encoding="utf-8")))
-
-    # -- legacy views ---------------------------------------------------
-    def failure_summary_dict(self) -> dict:
-        """The pre-redesign ``failure_summary()`` dictionary shape."""
-        return {
-            "counts": dict(self.counts),
-            "complete": self.complete,
-            "kernel_fallbacks": {
-                name: entry["fallback"]
-                for name, entry in self.kernel.items()
-                if entry.get("fallback")
-            },
-            "errors": [dict(entry) for entry in self.errors],
-        }
 
 
 def load_telemetry(source) -> RunTelemetry:

@@ -6,11 +6,14 @@ drive current, so the period is longer while the trap is filled — RTN
 becomes period jitter (and, over many traps, phase noise / cycle
 slipping, the paper's PLL conjecture).
 
-The trap coupling reuses the bi-directional scheme of
-:mod:`repro.core.coupled`: before every transient step the trap rates
-are evaluated at the *live* gate bias of the host stage and the held
-opposing current is updated.  A ring never has a stationary bias, so a
-one-way (clean-pass) coupling would be meaningless here.
+:func:`run_ring_with_rtn` is an adapter over
+:func:`repro.cosim.engine.run_trap_coupled`, the package's one
+bi-directional co-simulation loop: before every transient step the trap
+rates are evaluated at the *live* bias of the host pull-down and the
+held opposing current is updated.  The adapter adds only the period
+measurement and its conditioning on the trap state.  A ring never has a
+stationary bias, so a one-way (clean-pass) coupling would be
+meaningless here.
 """
 
 from __future__ import annotations
@@ -19,24 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..devices.ekv import drain_current
+from ..cosim.engine import TrapAttachment, run_trap_coupled
 from ..devices.mosfet import MosfetParams
 from ..devices.technology import Technology
 from ..errors import SimulationError
 from ..markov.occupancy import OccupancyTrace
-from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
+from ..rtn.current import RtnAmplitudeModel
 from ..spice.circuit import Circuit
 from ..spice.elements import (
     Capacitor,
-    CurrentSource,
     Mosfet,
     VoltageSource,
     attach_mosfet_parasitics,
 )
 from ..spice.sources import DC
-from ..spice.transient import TransientOptions, simulate_transient
 from ..spice.waveform import Waveform
-from ..traps.propensity import equilibrium_occupancy, rates_from_bias
 from ..traps.trap import Trap
 
 
@@ -107,9 +107,9 @@ def build_ring_oscillator(technology: Technology, n_stages: int = 3,
     return ring
 
 
-def measure_periods(waveform: Waveform, node: str, level: float
-                    ) -> np.ndarray:
-    """Rising-edge periods of a node, skipping the start-up cycle."""
+def _cycles(waveform: Waveform, node: str, level: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Start times and periods of the rising-edge cycles after start-up."""
     crossings = []
     t = 0.0
     while True:
@@ -122,16 +122,14 @@ def measure_periods(waveform: Waveform, node: str, level: float
         raise SimulationError(
             f"only {len(crossings)} rising crossings found; the ring did "
             "not oscillate long enough")
-    periods = np.diff(crossings)
-    return periods[1:]  # drop the start-up cycle
+    crossings = np.asarray(crossings)
+    return crossings[1:-1], np.diff(crossings)[1:]  # drop start-up
 
 
-class _HeldValue:
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def __call__(self, t):
-        return self.value
+def measure_periods(waveform: Waveform, node: str, level: float
+                    ) -> np.ndarray:
+    """Rising-edge periods of a node, skipping the start-up cycle."""
+    return _cycles(waveform, node, level)[1]
 
 
 @dataclass(frozen=True)
@@ -166,86 +164,29 @@ def run_ring_with_rtn(ring: RingOscillator, trap: Trap, stage: int,
                       record_every: int = 1) -> RingRtnResult:
     """Co-simulate the ring with one trap in a stage's NMOS pull-down.
 
-    The trap's propensities follow the live gate voltage of the host
-    stage; the held opposing current follows its live channel current
-    (clipped at that current, as everywhere else in the package).
+    The trap's propensities follow the live drive of the host stage's
+    pull-down; the held opposing current follows its live channel
+    current (clipped at that current, as everywhere else in the
+    package).  The trap starts from its zero-drive equilibrium.
     """
     if stage not in ring.nmos:
         raise SimulationError(f"ring has no stage {stage}")
-    if rtn_scale < 0.0:
-        raise SimulationError("rtn_scale must be non-negative")
-    amplitude_model = model or VanDerZielModel()
-    host = ring.nmos[stage]
-    held = _HeldValue()
-    # Opposing source: source -> drain of the host NMOS.
-    input_node = ring.nodes[stage]
-    output_node = ring.nodes[(stage + 1) % ring.n_stages]
-    CurrentSource(f"Irtn_ring{stage}", ring.circuit, "0", output_node, held)
+    host = ring.nmos[stage].name
+    coupled = run_trap_coupled(
+        ring.circuit, [TrapAttachment(host, (trap,), rtn_scale)], t_stop,
+        dt, rng, initial_voltages=ring.initial_voltages(), model=model,
+        record_every=record_every)
+    occupancy = coupled.occupancies[host][0]
 
-    tech = ring.technology
-    state = int(rng.random()
-                < equilibrium_occupancy(0.5 * ring.vdd, trap, tech))
-    flips: list = []
-    state_box = [state]
-
-    def volt(x, index):
-        return 0.0 if index < 0 else float(x[index])
-
-    def pre_step(t: float, x: np.ndarray) -> None:
-        v_in = volt(x, ring.circuit.node(input_node))
-        v_out = volt(x, ring.circuit.node(output_node))
-        i_d = float(drain_current(host.params, v_in, v_out, 0.0, 0.0))
-        lam_c, lam_e = rates_from_bias(v_in, trap, tech)
-        rates = (lam_c, lam_e)
-        current_t = t
-        end = t + dt
-        s = state_box[0]
-        while True:
-            rate_out = rates[s]
-            if rate_out <= 0.0:
-                break
-            current_t += rng.exponential(1.0 / rate_out)
-            if current_t >= end:
-                break
-            flips.append(current_t)
-            s = 1 - s
-        state_box[0] = s
-        amplitude = float(np.asarray(
-            amplitude_model.amplitude(host.params, v_in, abs(i_d))))
-        magnitude = min(amplitude * s * rtn_scale, abs(i_d))
-        held.value = np.sign(i_d) * magnitude
-
-    options = TransientOptions(record_every=record_every,
-                               pre_step=pre_step)
-    try:
-        waveform = simulate_transient(ring.circuit, t_stop, dt,
-                                      initial_voltages=ring.initial_voltages(),
-                                      options=options)
-    finally:
-        ring.circuit.remove(f"Irtn_ring{stage}")
-
-    flip_times = np.asarray(flips, dtype=float)
-    initial = (state_box[0] + len(flips)) % 2
-    occupancy = OccupancyTrace.from_transitions(
-        0.0, t_stop, int(initial), flip_times[flip_times < t_stop])
-
-    observed = observe if observe is not None else output_node
-    periods = measure_periods(waveform, observed, 0.5 * ring.vdd)
+    observed = (observe if observe is not None
+                else ring.nodes[(stage + 1) % ring.n_stages])
+    starts, periods = _cycles(coupled.waveform, observed, 0.5 * ring.vdd)
     # Condition each period on the trap state at the cycle start.
-    starts = []
-    t = 0.0
-    while True:
-        t = waveform.crossing_time(observed, 0.5 * ring.vdd, rising=True,
-                                   after=t + 1e-15)
-        if t is None:
-            break
-        starts.append(t)
-    starts = np.asarray(starts[1:-1])  # align with `periods`
     states = occupancy.state_at(np.clip(starts, 0.0, t_stop))
     filled = periods[states == 1]
     empty = periods[states == 0]
     return RingRtnResult(
-        waveform=waveform, occupancy=occupancy, periods=periods,
+        waveform=coupled.waveform, occupancy=occupancy, periods=periods,
         period_when_filled=float(filled.mean()) if filled.size else
         float("nan"),
         period_when_empty=float(empty.mean()) if empty.size else

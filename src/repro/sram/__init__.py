@@ -21,7 +21,6 @@ Implements the circuit side of the paper's methodology (Fig. 8):
 from .array import (
     ArrayConfig,
     ArrayResult,
-    simulate_array,
     simulate_array_fast,
 )
 from .biases import BiasRecord, extract_biases
@@ -47,7 +46,6 @@ __all__ = [
     "build_sram_cell",
     "classify_operations",
     "extract_biases",
-    "simulate_array",
     "simulate_array_fast",
     "static_noise_margin",
     "wordline_write_margin",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._deprecation import warn_once
 from ..core import scenario
 from ..core.methodology import MethodologyConfig, run_methodology
 from ..errors import SimulationError
@@ -227,45 +226,12 @@ class ArrayScenario(scenario.Scenario):
 scenario.register_scenario(ArrayScenario)
 
 
-def simulate_array(config: ArrayConfig, rng: np.random.Generator,
-                   profiler: TrapProfiler | None = None) -> ArrayResult:
-    """Run the per-cell methodology across a sampled array.
-
-    .. deprecated::
-        The scalar loop now routes through the ``sram.array`` scenario
-        on the serial backend; call
-        ``run_scenario("sram.array", config, seed=...)`` directly to
-        pick a backend, workers, retries and checkpointing — or
-        :func:`simulate_array_fast` for the batched screened pipeline.
-
-    Each cell draws its mismatch and traps from its own spawned
-    generator (seeded by one draw from ``rng``), so one seed still
-    reproduces the whole array, and the result is bit-identical to the
-    scenario path by construction.
-    """
-    warn_once(
-        "simulate_array is deprecated: use "
-        "repro.core.scenario.run_scenario('sram.array', config, seed=...) "
-        "(any backend) or simulate_array_fast (batched screened pipeline)")
-    if profiler is not None \
-            and profiler.technology is not config.base_spec.technology:
-        # The scenario plan derives the profiler from the spec; a
-        # custom one for a *different* card cannot ride the plan.
-        raise SimulationError(
-            "simulate_array's profiler must match the cell technology; "
-            "build the scenario plan directly for custom profilers")
-    run = scenario.run_scenario(ArrayScenario, config,
-                                seed=int(rng.integers(2**63)),
-                                backend="serial")
-    return run.value
-
-
 def simulate_array_fast(config: ArrayConfig, rng: np.random.Generator,
                         profiler: TrapProfiler | None = None,
                         screen_threshold: float = 0.02,
                         max_verified_cells: int | None = None,
                         workers: int | None = None):
-    """Batched counterpart of :func:`simulate_array`.
+    """Batched counterpart of the per-cell ``sram.array`` scenario.
 
     Delegates to :class:`repro.core.ensemble.EnsembleRunner`: one shared
     clean SPICE pass, a single vectorised trap sweep per transistor for

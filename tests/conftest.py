@@ -5,21 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._deprecation import reset_registry
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Isolate the warn-once registry so each test sees its warning.
-
-    Deprecation shims warn once per call site per process; without a
-    reset, a test exercising the same site as an earlier test would see
-    no warning and ``pytest.warns`` assertions would become
-    order-dependent.
-    """
-    reset_registry()
-    yield
-
 
 @pytest.fixture
 def rng() -> np.random.Generator:

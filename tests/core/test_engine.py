@@ -74,17 +74,14 @@ class TestRegistry:
         instance = SharedMemoryBackend()
         assert get_backend(instance) is instance
 
-    def test_process_alias_resolves_to_shared_and_warns_once(self):
+    def test_process_is_an_unknown_backend(self):
         from repro.core.ensemble import EnsembleConfig
 
-        with pytest.warns(DeprecationWarning, match="'process'") as caught:
-            backends = [get_backend("process") for _ in range(3)]
-        assert all(isinstance(b, SharedMemoryBackend) for b in backends)
-        assert len(caught) == 1
         assert "process" not in available_backends()
-        with pytest.warns(DeprecationWarning, match="'process'"):
-            assert EnsembleConfig(n_cells=1, backend="process").backend \
-                == "process"
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            get_backend("process")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            EnsembleConfig(n_cells=1, backend="process")
 
     def test_resolve_backend_maps_workers_to_a_backend(self):
         assert resolve_backend(None, None).name == "serial"
@@ -291,9 +288,7 @@ class TestSharedBackendResilience:
 # ======================================================================
 
 class TestRunJobsBackendParam:
-    # "process" is the deprecated alias of "shared"; it still dispatches.
-    @pytest.mark.filterwarnings("ignore:execution backend 'process'")
-    @pytest.mark.parametrize("name", BACKENDS + ("process",))
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_dispatches_to_named_backend(self, name):
         results = run_jobs(scaled_sum, make_jobs(6), workers=2,
                            backend=name)

@@ -3,9 +3,8 @@ redesigned diagnostics surface it feeds.
 
 Covers span nesting and the Chrome ``trace_event`` round-trip, metrics
 merging across forked worker processes, the disabled-mode no-op
-contract, the deprecation shims (``failure_summary()`` and the old
-``repro.analysis`` estimator names), the Newton success-path
-observability record, and the :class:`RunTelemetry` serialisation
+contract, the ``compute_*`` estimator names in ``repro.analysis``,
+the Newton success-path observability record, and the :class:`RunTelemetry` serialisation
 contract.
 """
 
@@ -328,7 +327,7 @@ class TestNewtonInfo:
 
 
 # ---------------------------------------------------------------------------
-# RunTelemetry: contract + deprecation shims.
+# RunTelemetry: contract.
 
 class TestRunTelemetry:
     def test_keyword_only(self):
@@ -363,36 +362,13 @@ class TestRunTelemetry:
         assert "M1" in report
         assert "boom" in report
 
-    def test_failure_summary_dict_shape(self):
-        telemetry = RunTelemetry(
-            counts={"ok": 3}, complete=True,
-            kernel={"M1": {"fallback": "degraded"},
-                    "M2": {"fallback": None}})
-        legacy = telemetry.failure_summary_dict()
-        assert set(legacy) == {"counts", "complete", "kernel_fallbacks",
-                               "errors"}
-        assert legacy["kernel_fallbacks"] == {"M1": "degraded"}
-
-    def test_ensemble_failure_summary_shim_warns(self):
-        from repro.core.ensemble import EnsembleResult
-
-        result = EnsembleResult(n_slots=0, nominal_snm_hold=0.0)
-        with pytest.warns(DeprecationWarning, match="telemetry"):
-            legacy = result.failure_summary()
-        assert legacy == result.telemetry.failure_summary_dict()
-
-    def test_analysis_rename_shims_warn(self):
+    def test_analysis_old_names_are_gone(self):
         import repro.analysis as analysis
 
-        with pytest.warns(DeprecationWarning, match="compute_welch_psd"):
-            old = analysis.welch_psd
-        assert old is analysis.compute_welch_psd
-        with pytest.warns(DeprecationWarning,
-                          match="compute_dwell_summary"):
-            assert analysis.summarise_dwells \
-                is analysis.compute_dwell_summary
-        with pytest.raises(AttributeError):
-            analysis.does_not_exist
+        assert analysis.compute_welch_psd is not None
+        for name in ("welch_psd", "summarise_dwells", "does_not_exist"):
+            with pytest.raises(AttributeError):
+                getattr(analysis, name)
 
     def test_api_exports_observability_surface(self):
         from repro import api

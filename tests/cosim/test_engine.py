@@ -1,4 +1,11 @@
-"""Tests for the circuit-agnostic trap-coupled engine."""
+"""Tests for the circuit-agnostic trap-coupled engine.
+
+The SRAM and ring co-simulators are adapters over this one loop, so the
+consistency oracle below covers all three: with the host bias pinned by
+DC sources, the coupled occupancies must match the analytic two-state
+chain — stationary at the start bias, relaxing from the engine's
+zero-drive equilibrium otherwise.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +19,15 @@ from repro.errors import SimulationError
 from repro.spice.circuit import Circuit
 from repro.spice.elements import Capacitor, Mosfet, Resistor, VoltageSource
 from repro.spice.sources import DC
+from repro.spice.transient import TransientOptions, simulate_transient
 from repro.traps.band import crossing_energy
+from repro.traps.propensity import equilibrium_occupancy, rates_from_bias
 from repro.traps.trap import Trap
+from repro.verify.harness import AlphaBudget
+from repro.verify.oracles import (
+    check_stationary_occupancy,
+    check_transient_occupancy,
+)
 
 pytestmark = pytest.mark.tier1
 
@@ -43,9 +57,19 @@ class TestValidation:
         with pytest.raises(SimulationError):
             TrapAttachment("M1", traps=(fast_trap(),), rtn_scale=-1.0)
 
-    def test_needs_attachments(self, rng):
-        with pytest.raises(SimulationError):
-            run_trap_coupled(common_source_amp(), [], 1e-8, 1e-11, rng)
+    def test_empty_attachments_match_plain_transient(self, rng):
+        uic = {"vdd": 1.0, "d": 0.6}
+        coupled = run_trap_coupled(common_source_amp(), [], 5e-9, 1e-11,
+                                   rng, initial_voltages=uic,
+                                   record_every=2)
+        plain = simulate_transient(common_source_amp(), 5e-9, 1e-11,
+                                   initial_voltages=uic,
+                                   options=TransientOptions(record_every=2))
+        assert coupled.occupancies == {}
+        assert coupled.waveform.signals == plain.signals
+        assert np.array_equal(coupled.waveform.times, plain.times)
+        for name in plain.signals:
+            assert np.array_equal(coupled.waveform[name], plain[name])
 
     def test_duplicate_attachment(self, rng):
         atts = [TrapAttachment("M1", (fast_trap(),)),
@@ -93,7 +117,6 @@ class TestAmplifierRtn:
             assert v_filled > v_empty + 0.001
 
     def test_zero_scale_leaves_circuit_untouched(self, rng_factory):
-        from repro.spice.transient import TransientOptions, simulate_transient
         circuit_a = common_source_amp()
         atts = [TrapAttachment("M1", (fast_trap(),), rtn_scale=0.0)]
         coupled = run_trap_coupled(
@@ -114,3 +137,54 @@ class TestAmplifierRtn:
             initial_voltages={"vdd": 1.0, "d": 0.6}, record_every=4)
         assert result.total_transitions() == sum(
             t.n_transitions for t in result.occupancies["M1"])
+
+
+# ---------------------------------------------------------------------------
+# Consistency oracle: the one co-simulation loop against the analytic chain.
+
+#: Crosses the Fermi level at zero drive: half-filled at the engine's start.
+ORACLE_TRAP = Trap(y_tr=0.2e-9,
+                   e_tr=crossing_energy(0.0, 0.2e-9, TECH_90NM))
+ORACLE_BUDGET = AlphaBudget(1e-3)
+ORACLE_ALPHA = ORACLE_BUDGET.split(2)  # stationary + transient
+
+
+def pinned_nmos(v_gate: float) -> Circuit:
+    """One NMOS whose gate and drain are held by DC sources."""
+    circuit = Circuit("pinned-nmos")
+    VoltageSource("VD", circuit, "d", "0", DC(0.5))
+    VoltageSource("VG", circuit, "g", "0", DC(v_gate))
+    Mosfet("M1", circuit, "d", "g", "0", "0",
+           MosfetParams.nominal(TECH_90NM, "n"))
+    return circuit
+
+
+def pinned_traces(v_gate: float, seed: int, n_traps: int = 96) -> list:
+    """Occupancies of ``n_traps`` copies of the oracle trap over 3 ns."""
+    result = run_trap_coupled(
+        pinned_nmos(v_gate), [TrapAttachment("M1", (ORACLE_TRAP,) * n_traps)],
+        3e-9, 1e-11, np.random.default_rng(seed), record_every=50)
+    return result.occupancies["M1"]
+
+
+class TestConsistencyOracle:
+    def test_zero_drive_is_stationary(self):
+        lam_c, lam_e = rates_from_bias(0.0, ORACLE_TRAP, TECH_90NM)
+        check = check_stationary_occupancy(pinned_traces(0.0, seed=11),
+                                           lam_c, lam_e, ORACLE_ALPHA)
+        assert check.passed, check.detail
+
+    def test_relaxes_from_the_zero_drive_equilibrium(self):
+        lam_c, lam_e = rates_from_bias(0.05, ORACLE_TRAP, TECH_90NM)
+        traces = pinned_traces(0.05, seed=12)
+        grid = np.linspace(0.1e-9, 2.9e-9, 15)
+        start = equilibrium_occupancy(0.0, ORACLE_TRAP, TECH_90NM)
+        check = check_transient_occupancy(
+            traces, lambda t: lam_c, lambda t: lam_e, grid,
+            p1_initial=start, alpha=ORACLE_ALPHA)
+        assert check.passed, check.detail
+        # Power: the same traces reject a start from the filled state.
+        wrong = check_transient_occupancy(
+            traces, lambda t: lam_c, lambda t: lam_e, grid,
+            p1_initial=1.0, alpha=ORACLE_ALPHA)
+        assert not wrong.passed

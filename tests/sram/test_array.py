@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.methodology import MethodologyConfig
+from repro.core.scenario import run_scenario
 from repro.errors import SimulationError
 from repro.sram.array import (
     ArrayConfig,
     sample_vt_shifts,
-    simulate_array,
 )
 from repro.sram.cell import SramCellSpec, TRANSISTOR_NAMES
 from repro.sram.patterns import write_pattern
@@ -19,6 +19,12 @@ pytestmark = pytest.mark.tier1
 
 TINY_PATTERN = write_pattern([1, 0], cycle=5e-9, wl_delay=1e-9,
                              wl_width=2e-9)
+
+
+def simulate(config: ArrayConfig, rng: np.random.Generator):
+    """One seeded ``sram.array`` run, its root seed drawn from ``rng``."""
+    return run_scenario("sram.array", config,
+                        seed=int(rng.integers(2**63))).value
 
 
 class TestConfig:
@@ -63,7 +69,7 @@ class TestArraySimulation:
             n_cells=2, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             rtn_scale=1.0,
             methodology=MethodologyConfig(record_every=4))
-        result = simulate_array(config, rng)
+        result = simulate(config, rng)
         assert result.n_cells == 2
         assert result.n_slots == 2
         assert 0.0 <= result.cell_failure_rate <= 1.0
@@ -79,7 +85,7 @@ class TestArraySimulation:
             n_cells=3, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             rtn_scale=1.0, avt=1e-9,
             methodology=MethodologyConfig(record_every=4))
-        result = simulate_array(config, rng)
+        result = simulate(config, rng)
         assert result.cell_failure_rate == 0.0
         assert result.baseline_failure_rate == 0.0
 
@@ -87,8 +93,8 @@ class TestArraySimulation:
         config = ArrayConfig(
             n_cells=2, base_spec=SramCellSpec(), pattern=TINY_PATTERN,
             methodology=MethodologyConfig(record_every=4))
-        a = simulate_array(config, rng_factory(9))
-        b = simulate_array(config, rng_factory(9))
+        a = simulate(config, rng_factory(9))
+        b = simulate(config, rng_factory(9))
         assert [o.vt_shifts for o in a.outcomes] == \
             [o.vt_shifts for o in b.outcomes]
         assert [o.trap_count for o in a.outcomes] == \

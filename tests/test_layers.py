@@ -1,4 +1,5 @@
-"""The layering gate: parallel dispatch stays inside ``repro.core.engine``.
+"""The layering gate: parallel dispatch stays inside ``repro.core.engine``
+and transient ``pre_step`` coupling inside ``repro.cosim.engine``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -52,6 +53,19 @@ def test_checker_flags_multiprocessing_elsewhere_in_core(tmp_path, capsys):
         "import multiprocessing\n")
     assert checker.main([str(tmp_path)]) == 1
     assert "scenario.py" in capsys.readouterr().err
+
+
+def test_checker_flags_pre_step_outside_the_cosim_engine(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "cosim").mkdir()
+    (tmp_path / "cosim" / "engine.py").write_text(
+        "options = TransientOptions(pre_step=hook)\n")
+    (tmp_path / "ring.py").write_text(
+        "options = TransientOptions(record_every=2, pre_step=hook)\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ring.py:1" in err and "pre_step" in err
+    assert "engine.py" not in err  # the engine is the loop's home
 
 
 def test_checker_catches_smuggled_futures(tmp_path):
