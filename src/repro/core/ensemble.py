@@ -173,14 +173,33 @@ class EnsembleConfig:
             get_backend(self.backend)  # ValueError for an unknown name
 
     def fingerprint(self) -> dict:
-        """Identity of a run for checkpoint compatibility checks."""
-        spec = self.spec
-        node = getattr(getattr(spec, "technology", None), "node", None)
+        """Identity of a run for checkpoint compatibility checks.
+
+        Covers the inputs that change a cell's screen or verdict: the
+        cell count, scale, threshold, Pelgrom coefficient, the whole
+        cell spec and pattern, and the methodology's transient step,
+        output thinning, detector thresholds and clipping.  Fields left
+        at ``None`` (the runner's defaults) fingerprint as ``None``.
+        Every value is JSON-native, so a fingerprint read back from a
+        checkpoint compares equal to a fresh one.
+        """
+        pattern = self.pattern
+        method = self.methodology
         return {
             "n_cells": int(self.n_cells),
             "rtn_scale": float(self.rtn_scale),
             "screen_threshold": float(self.screen_threshold),
-            "technology": node,
+            "avt": self.avt,
+            "spec": None if self.spec is None
+            else dataclasses.asdict(self.spec),
+            "pattern": None if pattern is None else {
+                **dataclasses.asdict(pattern),
+                "operations": [dataclasses.asdict(op)
+                               for op in pattern.operations]},
+            "dt": method.dt,
+            "record_every": method.record_every,
+            "thresholds": dataclasses.asdict(method.thresholds),
+            "clip_to_nominal": method.clip_to_nominal,
         }
 
 

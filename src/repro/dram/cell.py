@@ -21,7 +21,7 @@ instant the node crosses the sense threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -219,9 +219,11 @@ class RetentionScanScenario(scenario.Scenario):
         return np.array([float(r.value) for r in results])
 
     def fingerprint(self, config: RetentionScanConfig) -> dict:
+        trap = config.trap
         return {"n_trials": config.n_trials, "t_max": config.t_max,
-                "leakage_factor": config.spec.leakage_factor,
-                "y_tr": config.trap.y_tr, "e_tr": config.trap.e_tr}
+                "spec": asdict(config.spec),
+                "y_tr": trap.y_tr, "e_tr": trap.e_tr,
+                "degeneracy": trap.degeneracy}
 
     def default_config(self, n: int | None = None, **options):
         spec, trap = default_vrt_cell()

@@ -237,10 +237,20 @@ def number_filled(traces: list[OccupancyTrace], grid: np.ndarray) -> np.ndarray:
     """Return ``N_filled(t)`` on a grid: how many of the traces are filled.
 
     This is the multi-trap occupancy count that enters paper Eq. (3).
-    An empty trace list yields all-zeros (a trap-free device).
+    An empty trace list yields all-zeros (a trap-free device).  One array
+    pass: each pooled flip adds +-1 from its time on (right-open, as
+    :meth:`OccupancyTrace.state_at`), so ``t_stop`` sees the final states.
     """
     grid = np.asarray(grid, dtype=float)
-    total = np.zeros(grid.shape, dtype=float)
-    for trace in traces:
-        total += trace.sample(grid)
-    return total
+    if not traces:
+        return np.zeros(grid.shape, dtype=float)
+    lo = max(trace.t_start for trace in traces)
+    hi = min(trace.t_stop for trace in traces)
+    if np.any(grid < lo) or np.any(grid > hi):
+        raise AnalysisError(f"query times must lie in [{lo:g}, {hi:g}]")
+    flips = np.concatenate([trace.times[1:-1] for trace in traces])
+    order = np.argsort(flips, kind="stable")
+    left = np.concatenate([trace.states[:-1] for trace in traces])[order]
+    initial = sum(trace.initial_state for trace in traces)
+    counts = np.cumsum(np.concatenate(([initial], 1 - 2 * left.astype(np.int64))))
+    return counts[np.searchsorted(flips[order], grid, side="right")].astype(float)

@@ -107,12 +107,13 @@ class TrapProfiler:
         """Return the active energy window [eV] for a trap at depth ``y_tr``.
 
         The window spans the Fermi-crossing energies at ``v_gs = 0`` and
-        ``v_gs = V_dd``, widened by ``energy_margin`` on each side.
+        ``v_gs = V_dd``, widened by ``energy_margin`` on each side.  An
+        array of depths gives arrays of bounds.
         """
         tech = self.technology
-        if not 0.0 < y_tr <= tech.t_ox:
+        if not np.all((0.0 < y_tr) & (y_tr <= tech.t_ox)):
             raise ModelError(
-                f"trap depth must lie in (0, t_ox], got {y_tr:g} m")
+                f"trap depth must lie in (0, t_ox], got {y_tr} m")
         psi_low, vox_low, psi_high, vox_high = _band_points(tech)
         fraction = y_tr / tech.t_ox
         e_low = psi_low + fraction * vox_low - self.energy_margin
@@ -136,14 +137,14 @@ class TrapProfiler:
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
         y_min, y_max = self.depth_bounds()
-        traps = []
-        for index in range(count):
-            y_tr = float(rng.uniform(y_min, y_max))
-            e_low, e_high = self.energy_bounds(y_tr)
-            e_tr = float(rng.uniform(e_low, e_high))
-            traps.append(Trap(y_tr=y_tr, e_tr=e_tr,
-                              label=f"{label_prefix}{index}"))
-        return traps
+        # Interleaved (depth, energy) draws: the same stream and float64
+        # `low + (high - low) * u` as one rng.uniform per value.
+        u = rng.random(2 * count)
+        y_tr = y_min + (y_max - y_min) * u[0::2]
+        e_low, e_high = self.energy_bounds(y_tr)
+        e_tr = e_low + (e_high - e_low) * u[1::2]
+        return [Trap(y_tr=float(y), e_tr=float(e), label=f"{label_prefix}{i}")
+                for i, (y, e) in enumerate(zip(y_tr, e_tr))]
 
     def initial_states(self, rng: np.random.Generator, traps: list[Trap],
                        v_gs: float) -> list[int]:

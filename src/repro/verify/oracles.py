@@ -35,6 +35,7 @@ from scipy import stats
 from ..errors import AnalysisError
 from ..markov.analytic import occupancy_probability, stationary_occupancy
 from ..markov.batch import BatchPropensity, simulate_traps_batch
+from ..markov.occupancy import number_filled
 from ..markov.uniformization import simulate_trap
 from ..testing.seeding import spawn_rngs
 from .result import CheckResult
@@ -166,9 +167,7 @@ def check_transient_occupancy(traces, capture_fn, emission_fn,
         else np.concatenate(([t_initial], grid))
     expected = occupancy_probability(ode_times, capture_fn, emission_fn,
                                      p1_initial)[-grid.size:]
-    filled = np.zeros(grid.size, dtype=np.int64)
-    for trace in traces:
-        filled += trace.sample(grid).astype(np.int64)
+    filled = number_filled(traces, grid).astype(np.int64)
     per_point = alpha / grid.size
     worst_p = 1.0
     worst_at = 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,41 @@ class TestArrayFacade:
         assert isinstance(result, EnsembleResult)
         assert result.n_cells == 2
         assert result.verified_cells == 0
+
+
+def ensemble_digest(result: EnsembleResult) -> str:
+    """BLAKE2b over every outcome, screen metric, kernel statistic and
+    trace current of a run."""
+    digest = hashlib.blake2b(digest_size=16)
+    for o in result.outcomes:
+        digest.update(repr((o.index, o.trap_count, o.transitions, o.flagged,
+                            o.verified, o.rtn_failures, list(o.error_slots),
+                            o.status)).encode())
+        digest.update(np.array([o.vt_shifts[k] for k in sorted(o.vt_shifts)],
+                               dtype=float).tobytes())
+    digest.update(result.screen_metrics().tobytes())
+    for name in sorted(result.kernel_stats):
+        stats = result.kernel_stats[name]
+        digest.update(repr((name, int(stats.n_candidates),
+                            int(stats.n_accepted),
+                            float(stats.rate_bound))).encode())
+    for cell in result.traces:
+        for name in sorted(cell):
+            digest.update(name.encode())
+            digest.update(cell[name].current.tobytes())
+    return digest.hexdigest()
+
+
+class TestSeedCompatibility:
+    def test_seeded_output_is_pinned(self):
+        """Any change to the RNG order or the arithmetic of the screen
+        (trap sampling, batched kernel, N_filled, Eq.-3 currents) changes
+        this digest; a deliberate change must re-pin it with a
+        seed-compat note."""
+        config = EnsembleConfig(
+            n_cells=8, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=2, keep_traces=True)
+        result = EnsembleRunner(config).run(np.random.default_rng(0))
+        assert result.verified_cells == 2
+        assert ensemble_digest(result) == "20bcea4007877b2fe61484d572682e9b"

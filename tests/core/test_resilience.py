@@ -9,6 +9,7 @@ with deterministic injected faults.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import repro.core.ensemble as ensemble_module
 from repro.core.ensemble import EnsembleConfig, EnsembleRunner
 from repro.core.experiments import fig8_cell_spec, fig8_pattern
+from repro.core.methodology import MethodologyConfig
 from repro.core.resilience import (
     JobResult,
     RetryPolicy,
@@ -26,6 +28,7 @@ from repro.core.resilience import (
     run_jobs,
 )
 from repro.errors import ConvergenceError, RecoveredWarning
+from repro.sram.detectors import DetectorThresholds
 from repro.testing.faults import inject_faults
 
 pytestmark = pytest.mark.tier1
@@ -327,6 +330,28 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="different run"):
             EnsembleRunner(EnsembleConfig(
                 n_cells=3, **base, resume=True)).run(
+                np.random.default_rng(1))
+
+    @pytest.mark.parametrize("changes", [
+        {"avt": 3e-9},
+        {"spec": dataclasses.replace(SPEC, pass_factor=0.9)},
+        {"pattern": fig8_pattern(bits=(0,))},
+        {"methodology": MethodologyConfig(dt=2e-12)},
+        {"methodology": MethodologyConfig(record_every=2)},
+        {"methodology": MethodologyConfig(
+            thresholds=DetectorThresholds(valid_fraction=0.8))},
+    ], ids=["avt", "spec", "pattern", "dt", "record_every", "thresholds"])
+    def test_resume_rejects_a_changed_input(self, tmp_path, changes):
+        # Each of these changes a cell's screen or verdict, so resuming
+        # into it must refuse the checkpoint.
+        directory = tmp_path / "run"
+        base = dict(n_cells=2, spec=SPEC, pattern=fig8_pattern(bits=(1,)),
+                    rtn_scale=30.0, max_verified_cells=0,
+                    checkpoint_dir=directory)
+        EnsembleRunner(EnsembleConfig(**base)).run(np.random.default_rng(1))
+        base.update(changes)
+        with pytest.raises(ValueError, match="different run"):
+            EnsembleRunner(EnsembleConfig(**base, resume=True)).run(
                 np.random.default_rng(1))
 
     def test_same_seed_resume_matches_uninterrupted_run(self, tmp_path):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.devices.technology import TECH_90NM
+from repro.core.scenario import run_scenario
+from repro.devices.technology import TECH_22NM, TECH_90NM
 from repro.dram.cell import (
     DramCellSpec,
+    RetentionScanConfig,
+    default_vrt_cell,
     retention_distribution,
     simulate_retention,
     vrt_levels,
@@ -149,3 +154,37 @@ class TestVrtDistribution:
         with pytest.raises(SimulationError):
             retention_distribution(DramCellSpec(), slow_defect(
                 DramCellSpec()), rng, 0)
+
+
+def _changed_spec(**changes):
+    def change(config):
+        return dataclasses.replace(
+            config, spec=dataclasses.replace(config.spec, **changes))
+    return change
+
+
+class TestCheckpointFingerprint:
+    """A resume into a scan with a different cell or defect must refuse
+    the checkpoint instead of mixing its retention times in."""
+
+    @pytest.mark.parametrize("change", [
+        _changed_spec(storage_capacitance=30e-15),
+        _changed_spec(v_write=0.9),
+        _changed_spec(sense_threshold=0.3),
+        _changed_spec(technology=TECH_22NM),
+        lambda config: dataclasses.replace(
+            config, trap=dataclasses.replace(config.trap, degeneracy=2.0)),
+    ], ids=["storage_capacitance", "v_write", "sense_threshold",
+            "technology", "degeneracy"])
+    def test_resume_rejects_a_changed_input(self, tmp_path, change):
+        spec, trap = default_vrt_cell()
+        config = RetentionScanConfig(spec=spec, trap=trap, n_trials=2,
+                                     t_max=1e-4)
+        run_scenario("dram.retention", config, seed=3,
+                     checkpoint_dir=tmp_path)
+        resumed = run_scenario("dram.retention", config, seed=3,
+                               checkpoint_dir=tmp_path, resume=True)
+        assert sorted(resumed.resumed) == [0, 1]
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario("dram.retention", change(config), seed=3,
+                         checkpoint_dir=tmp_path, resume=True)

@@ -165,6 +165,90 @@ class TestNumberFilled:
         assert np.array_equal(number_filled([], grid), np.zeros(5))
 
 
+def per_trace_sum(traces, grid) -> np.ndarray:
+    """The per-trace definition of N_filled(t): sum every trace's samples."""
+    grid = np.asarray(grid, dtype=float)
+    total = np.zeros(grid.shape, dtype=float)
+    for trace in traces:
+        total += trace.sample(grid)
+    return total
+
+
+class TestNumberFilledMatchesPerTraceSum:
+    """The flip-event pass equals the per-trace sum bit for bit."""
+
+    @staticmethod
+    def assert_matches(traces, grid):
+        counted = number_filled(traces, grid)
+        expected = per_trace_sum(traces, grid)
+        assert counted.dtype == expected.dtype
+        assert counted.shape == np.shape(grid)
+        assert np.array_equal(counted, expected)
+
+    def test_batched_kernel_traces(self, rng):
+        from repro.markov.batch import BatchPropensity, simulate_traps_batch
+
+        times = np.linspace(0.0, 1e-3, 50)
+        capture = rng.uniform(1e3, 2e4, size=(40, times.size))
+        emission = rng.uniform(1e3, 2e4, size=(40, times.size))
+        traces, _ = simulate_traps_batch(
+            BatchPropensity(times=times, capture=capture, emission=emission),
+            0.0, 1e-3, rng, initial_states=rng.integers(0, 2, 40))
+        assert sum(t.n_transitions for t in traces) > 100
+        self.assert_matches(traces, times)
+        self.assert_matches(traces, np.linspace(0.0, 1e-3, 2001))
+
+    def test_scalar_kernel_traces(self, rng):
+        from repro.markov.propensity import ConstantTwoStatePropensity
+        from repro.markov.uniformization import simulate_trap
+
+        prop = ConstantTwoStatePropensity(lambda_c=300.0, lambda_e=500.0)
+        traces = [simulate_trap(prop, 0.0, 0.05, rng, initial_state=k % 2)
+                  for k in range(12)]
+        self.assert_matches(traces, np.linspace(0.0, 0.05, 777))
+
+    def test_grid_on_flips_and_window_ends(self):
+        a = make_trace()                                    # flips 1, 3
+        b = OccupancyTrace.from_transitions(0.0, 4.0, 1, np.array([1.0, 2.5]))
+        c = OccupancyTrace.from_transitions(0.0, 4.0, 0, np.array([3.0]))
+        traces = [a, b, c]
+        grid = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
+        self.assert_matches(traces, grid)
+        # Right-open at the flips, final states at t_stop.
+        assert number_filled(traces, grid).tolist() == [1.0, 1.0, 2.0, 2.0, 2.0]
+
+    def test_traces_without_flips(self):
+        traces = [OccupancyTrace.constant(0.0, 2.0, state)
+                  for state in (1, 0, 1)]
+        self.assert_matches(traces, np.linspace(0.0, 2.0, 9))
+        self.assert_matches(traces + [make_trace().restricted(0.0, 2.0)],
+                            np.linspace(0.0, 2.0, 9))
+
+    def test_empty_list_and_empty_grid(self):
+        self.assert_matches([], np.linspace(0.0, 1.0, 5))
+        self.assert_matches([make_trace()], np.array([]))
+
+    def test_two_dimensional_grid(self):
+        traces = [make_trace(), OccupancyTrace.constant(0.0, 4.0, 1)]
+        grid = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+        self.assert_matches(traces, grid)
+        self.assert_matches([], grid)
+
+    def test_unequal_windows_share_the_overlap(self):
+        late = OccupancyTrace.from_transitions(1.5, 6.0, 1, np.array([2.0, 5.0]))
+        traces = [make_trace(), late]
+        self.assert_matches(traces, np.linspace(1.5, 4.0, 11))
+
+    @pytest.mark.parametrize("t", [-0.1, 4.1, 1.4])
+    def test_grid_outside_one_window_raises(self, t):
+        late = OccupancyTrace.from_transitions(1.5, 6.0, 1, np.array([2.0]))
+        grid = np.array([2.0, t])
+        with pytest.raises(AnalysisError):
+            per_trace_sum([make_trace(), late], grid)
+        with pytest.raises(AnalysisError):
+            number_filled([make_trace(), late], grid)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     flips=st.lists(

@@ -13,6 +13,7 @@ from repro.errors import ModelError
 from repro.traps.band import crossing_energy
 from repro.traps.profiling import TrapProfiler
 from repro.traps.propensity import propensity_sum
+from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
 
@@ -96,6 +97,40 @@ class TestSampling:
         traps = profiler.sample_fixed_count(rng, 500)
         rates = np.array([propensity_sum(t, TECH_180NM) for t in traps])
         assert np.log10(rates.max() / rates.min()) > 6.0
+
+
+def scalar_loop_sample(profiler: TrapProfiler, rng: np.random.Generator,
+                       count: int, label_prefix: str = "trap") -> list:
+    """The per-trap reference: one rng.uniform for the depth, one for the
+    energy, trap after trap."""
+    y_min, y_max = profiler.depth_bounds()
+    traps = []
+    for index in range(count):
+        y_tr = float(rng.uniform(y_min, y_max))
+        e_low, e_high = profiler.energy_bounds(y_tr)
+        e_tr = float(rng.uniform(e_low, e_high))
+        traps.append(Trap(y_tr=y_tr, e_tr=e_tr,
+                          label=f"{label_prefix}{index}"))
+    return traps
+
+
+class TestFixedCountMatchesScalarLoop:
+    """The one-call draw is bit-identical to the scalar loop, and leaves
+    the generator in the same state, so every later draw of a seeded run
+    (initial states, trap dynamics) is unchanged too."""
+
+    @pytest.mark.parametrize("max_rate", [None, 1e6])
+    @pytest.mark.parametrize("count", [0, 1, 7, 200])
+    def test_traps_and_generator_state(self, count, max_rate):
+        profiler = TrapProfiler(TECH_90NM, max_rate=max_rate)
+        fast_rng = np.random.default_rng(20110314 + count)
+        loop_rng = np.random.default_rng(20110314 + count)
+        fast = profiler.sample_fixed_count(fast_rng, count, label_prefix="m3_t")
+        loop = scalar_loop_sample(profiler, loop_rng, count, label_prefix="m3_t")
+        assert fast == loop
+        assert all(type(t.y_tr) is float and type(t.e_tr) is float
+                   for t in fast)
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestInitialStates:
