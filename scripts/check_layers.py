@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint: one parallel executor and one co-simulation loop.
+"""Lint: one parallel executor, one co-simulation loop, one injection home.
 
 Usage::
 
@@ -34,6 +34,12 @@ hook is how traps are coupled to a live circuit, and
 loop that does it.  A call passing ``pre_step=`` anywhere else is a
 second co-simulation loop and fails the check; circuit-specific
 co-simulators are adapters over the engine.
+
+Likewise for the Fig.-8 injected SPICE pass: ``core/methodology.py``
+(:class:`repro.core.methodology.PatternBench`) is the one place that
+calls ``attach_rtn_sources(``.  A call anywhere else is a second copy of
+the methodology's step 3 and fails the check; array paths run the
+bench instead.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ EXEMPT = {
 
 #: The one module that may pass a transient ``pre_step=`` hook.
 PRE_STEP_HOME = "cosim/engine.py"
+
+#: The one module that may call ``attach_rtn_sources``.
+INJECTION_HOME = "core/methodology.py"
 
 
 def _banned(module: str | None) -> str | None:
@@ -98,6 +107,16 @@ def pre_step_calls(path: Path) -> list:
             and any(kw.arg == "pre_step" for kw in node.keywords)]
 
 
+def injection_calls(path: Path) -> list:
+    """Lines of calls to ``attach_rtn_sources`` (bare or attribute)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id",
+                        getattr(node.func, "attr", None))
+            == "attach_rtn_sources"]
+
+
 def main(argv: list) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent \
         / "src" / "repro"
@@ -121,6 +140,12 @@ def main(argv: list) -> int:
                     path, line, "passes pre_step= — co-simulation "
                     "belongs to repro.cosim.engine; write an adapter "
                     "over run_trap_coupled instead"))
+        if relative != INJECTION_HOME:
+            for line in injection_calls(path):
+                violations.append((
+                    path, line, "calls attach_rtn_sources — the injected "
+                    "SPICE pass belongs to repro.core.methodology; run a "
+                    "PatternBench instead"))
     for path, line, message in violations:
         print(f"{path}:{line}: {message}", file=sys.stderr)
     print(f"{len(files)} modules checked ({len(EXEMPT)} may import "

@@ -20,15 +20,14 @@ Trap physics (paper Eqs. 1-2)
     :class:`Trap`, :class:`TrapProfiler`, :func:`population_propensity`,
     :func:`trap_propensity`
 RTN synthesis (paper Eq. 3)
-    :func:`generate_device_rtn`, :func:`generate_device_rtn_batch`,
-    :class:`RTNTrace`
+    :func:`generate_device_rtn`, :class:`RTNTrace`
 Cell & methodology (paper Fig. 8)
     :func:`run_methodology`, :class:`MethodologyConfig`,
     :class:`Samurai`, :class:`SramCellSpec`, :func:`write_pattern`,
     :func:`get_technology`, :func:`static_noise_margin`
 Array-scale Monte-Carlo
     :class:`EnsembleRunner`, :class:`EnsembleConfig`,
-    :class:`EnsembleResult`, :func:`simulate_array_fast`
+    :class:`EnsembleResult`
 Scenarios (declarative workloads over the engine)
     :class:`Scenario`, :class:`ScenarioRun`, :func:`run_scenario`,
     :func:`register_scenario`, :func:`get_scenario`,
@@ -75,8 +74,6 @@ _EXPORTS = {
     "population_propensity": "repro.traps.propensity:population_propensity",
     # RTN synthesis.
     "generate_device_rtn": "repro.rtn.generator:generate_device_rtn",
-    "generate_device_rtn_batch":
-        "repro.rtn.generator:generate_device_rtn_batch",
     "RTNTrace": "repro.rtn.trace:RTNTrace",
     # Cell & methodology.
     "get_technology": "repro.devices.technology:get_technology",
@@ -90,7 +87,6 @@ _EXPORTS = {
     "EnsembleRunner": "repro.core.ensemble:EnsembleRunner",
     "EnsembleConfig": "repro.core.ensemble:EnsembleConfig",
     "EnsembleResult": "repro.core.ensemble:EnsembleResult",
-    "simulate_array_fast": "repro.sram.array:simulate_array_fast",
     # Scenarios.
     "Scenario": "repro.core.scenario:Scenario",
     "ScenarioRun": "repro.core.scenario:ScenarioRun",

@@ -28,12 +28,15 @@ The pipeline:
 4. **Verification**: cells whose metric clears ``screen_threshold`` are
    re-simulated through the real injected SPICE pass (with their own
    ``vt_shifts``) and classified into write errors exactly like the
-   per-cell methodology.  The fan-out is the ``sram.verify`` scenario —
-   a prepared-plan :class:`~repro.core.scenario.Scenario` executed on
-   the configured :mod:`repro.core.engine` backend — so the runner no
-   longer carries its own dispatch code.
+   per-cell methodology.  The fan-out is the ``sram.verify`` scenario,
+   executed on the configured :mod:`repro.core.engine` backend.
 5. **Margins**: the nominal static noise margin is computed once;
    ``margin_samples`` adds a per-cell hold-SNM distribution.
+
+Steps 1 and 4 are the methodology's own SPICE passes
+(:class:`~repro.core.methodology.PatternBench`), and each screened trace
+is shaped by the methodology's step 3
+(:func:`~repro.core.methodology.injection_trace`).
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ from ..obs import clock
 from ..obs.telemetry import RunTelemetry
 from ..markov.batch import _scalar_fallback, simulate_traps_batch
 from ..markov.occupancy import number_filled
-from ..rtn.current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
-from ..rtn.trace import RTNTrace
-from ..spice.transient import TransientOptions, simulate_transient
-from ..traps.propensity import (
-    equilibrium_occupancy_population,
-    population_propensity,
-)
+from ..rtn.current import rtn_current_samples
+# Unused here since the SPICE passes moved to PatternBench; still bound
+# because benchmarks/perf/test_perf_harness.py checks that the layer
+# probes rewrite this alias.
+from ..spice.transient import simulate_transient  # noqa: F401
+from ..sram.detectors import OpOutcome
+from ..traps.propensity import equilibrium_occupancy_population
 from .engine import get_backend, propensity_cache, resolve_backend
-from .methodology import MethodologyConfig
+from .methodology import (
+    MethodologyConfig,
+    PatternBench,
+    injection_trace,
+    run_fingerprint,
+)
 from .resilience import JOB_STATUSES, RetryPolicy, RunCheckpoint
 from .scenario import Scenario, register_scenario, run_scenario
 
@@ -67,7 +75,6 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
     "EnsembleRunner",
-    "VerificationPlan",
 ]
 
 
@@ -95,7 +102,7 @@ class EnsembleConfig:
     max_verified_cells:
         Cap on how many flagged cells get the (expensive) verification
         pass; the highest-metric cells go first.  ``None`` verifies all
-        flagged cells.
+        flagged cells; a negative cap is rejected.
     workers:
         Process count for sharding the verification passes; ``None`` or
         1 stays serial.
@@ -105,11 +112,6 @@ class EnsembleConfig:
         arena — see :mod:`repro.core.engine`), or ``None`` for
         :func:`~repro.core.engine.resolve_backend`'s choice (``shared``
         when ``workers > 1``, else ``serial``).
-    cache_tables:
-        Memoise compiled trap-population propensity tables in the
-        process-wide :func:`~repro.core.engine.propensity_cache`, so
-        identical populations across a sweep (same technology card,
-        same seed) skip the surface-potential solve.
     keep_traces:
         Keep the synthesised per-cell RTN traces on the result
         (``result.traces[cell][transistor]``) — off by default because
@@ -120,7 +122,8 @@ class EnsembleConfig:
         How many cells also get a per-cell hold-SNM solve (0 disables).
     methodology:
         Knobs shared with the per-cell methodology (dt, amplitude model,
-        thresholds, nominal-current clipping).
+        thresholds, nominal-current clipping); its ``rtn_scale`` is
+        ignored in favour of this config's.
     retry:
         Retry/backoff/timeout policy for the verification jobs;
         ``None`` uses :class:`~repro.core.resilience.RetryPolicy`
@@ -144,7 +147,6 @@ class EnsembleConfig:
     max_verified_cells: int | None = None
     workers: int | None = None
     backend: str | None = None
-    cache_tables: bool = True
     keep_traces: bool = False
     margin_samples: int = 0
     methodology: MethodologyConfig = field(default_factory=MethodologyConfig)
@@ -163,6 +165,8 @@ class EnsembleConfig:
             raise ValueError("rtn_scale must be non-negative")
         if not (0.0 <= self.screen_threshold):
             raise ValueError("screen_threshold must be non-negative")
+        if self.max_verified_cells is not None and self.max_verified_cells < 0:
+            raise ValueError("max_verified_cells must be non-negative")
         if self.margin_samples < 0:
             raise ValueError("margin_samples must be non-negative")
         if self.checkpoint_every < 1:
@@ -176,30 +180,19 @@ class EnsembleConfig:
         """Identity of a run for checkpoint compatibility checks.
 
         Covers the inputs that change a cell's screen or verdict: the
-        cell count, scale, threshold, Pelgrom coefficient, the whole
-        cell spec and pattern, and the methodology's transient step,
-        output thinning, detector thresholds and clipping.  Fields left
+        cell count, scale, threshold, Pelgrom coefficient, and the cell,
+        pattern and methodology
+        (:func:`~repro.core.methodology.run_fingerprint`).  Fields left
         at ``None`` (the runner's defaults) fingerprint as ``None``.
         Every value is JSON-native, so a fingerprint read back from a
         checkpoint compares equal to a fresh one.
         """
-        pattern = self.pattern
-        method = self.methodology
         return {
             "n_cells": int(self.n_cells),
             "rtn_scale": float(self.rtn_scale),
             "screen_threshold": float(self.screen_threshold),
             "avt": self.avt,
-            "spec": None if self.spec is None
-            else dataclasses.asdict(self.spec),
-            "pattern": None if pattern is None else {
-                **dataclasses.asdict(pattern),
-                "operations": [dataclasses.asdict(op)
-                               for op in pattern.operations]},
-            "dt": method.dt,
-            "record_every": method.record_every,
-            "thresholds": dataclasses.asdict(method.thresholds),
-            "clip_to_nominal": method.clip_to_nominal,
+            **run_fingerprint(self.spec, self.pattern, self.methodology),
         }
 
 
@@ -467,100 +460,45 @@ def _simulate_population(batch, t_start: float, t_stop: float,
                                 init, None)
 
 
-def _verify_cell(job: tuple) -> tuple[int, int, list]:
-    """Injected SPICE pass for one flagged cell (worker friendly).
+def _verify_cell(payload, rng: np.random.Generator) -> tuple[int, list]:
+    """Scenario kernel: the injected SPICE pass of one flagged cell.
 
-    Module-level and driven purely by its picklable argument tuple so
-    the ``shared`` backend's workers can run the verification passes,
-    reading the trace arrays straight from its shared-memory arena;
-    every randomness-bearing input (traces, trap populations) is drawn
-    before sharding, so workers are deterministic.
+    ``payload`` is ``(spec, pattern, traces, methodology)``.  Every
+    randomness-bearing input (traces, trap populations, mismatch) was
+    drawn during screening, so the job generator is deliberately unused
+    and the shared backend's workers, reading the trace arrays from its
+    arena, are deterministic.  Returns ``(failures, error_slots)``.
     """
-    from ..sram.cell import build_sram_cell
-    from ..sram.detectors import OpOutcome, classify_operations
-    from ..sram.injection import attach_rtn_sources
-    from ..sram.patterns import build_pattern_waveforms
-
-    index, spec, pattern, traces, dt, record_every, thresholds = job
-    cell = build_sram_cell(spec)
-    waves = build_pattern_waveforms(pattern, cell.vdd)
-    cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    attach_rtn_sources(cell, traces, scale=1.0)
-    waveform = simulate_transient(
-        cell.circuit, waves.duration,
-        dt if dt is not None else waves.suggested_dt,
-        initial_voltages=cell.initial_voltages(pattern.initial_bit),
-        options=TransientOptions(record_every=record_every))
-    results = classify_operations(waveform, waves.schedule, cell.vdd,
-                                  thresholds=thresholds)
+    spec, pattern, traces, method = payload
+    _, results = PatternBench.build(spec, pattern, method).simulate(traces)
     failures = sum(1 for r in results if r.outcome is not OpOutcome.OK)
     errors = [r.index for r in results if r.outcome is OpOutcome.ERROR]
-    return index, failures, errors
-
-
-@dataclass(frozen=True)
-class VerificationPlan:
-    """The ensemble's prepared verification fan-out, as scenario input.
-
-    The runner screens the population first, so the plan arrives fully
-    materialised: one prepared ``_verify_cell`` job tuple per pending
-    cell, keyed by its cell index.  Keeping the cell indices as job
-    keys preserves the fault-site decision hashes and checkpoint record
-    indices of the pre-scenario dispatch bit-for-bit.
-    """
-
-    jobs: tuple
-    keys: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.jobs) != len(self.keys):
-            raise ValueError("jobs and keys must match one-to-one")
-
-
-def _verify_job(payload, rng: np.random.Generator):
-    """Scenario kernel: one prepared verification job.
-
-    The randomness-bearing inputs (traces, populations, mismatch) were
-    drawn during screening, so the job generator is deliberately unused
-    — verification is a deterministic function of its payload.
-    """
-    return _verify_cell(payload)
+    return failures, errors
 
 
 class VerifyScenario(Scenario):
     """``sram.verify`` — the ensemble's screened SPICE verification.
 
-    Unlike the standalone scenarios this one takes a *prepared*
-    :class:`VerificationPlan` (built by :class:`EnsembleRunner` after
-    screening); it exists so the runner's fan-out rides the same
-    scenario -> engine path as every other workload instead of private
-    dispatch code.  It has no standalone CLI configuration.
+    Its config is the runner's ``{cell index: payload}`` mapping, built
+    after screening; the cell indices are the job keys, so fault-site
+    decisions and checkpoint records name cells.  It exists so the
+    runner's fan-out rides the same scenario -> engine path as every
+    other workload; it has no standalone CLI configuration.
     """
 
     name = "sram.verify"
     description = ("SRAM ensemble verification fan-out "
                    "(internal: driven by EnsembleRunner)")
-    kernel = staticmethod(_verify_job)
+    kernel = staticmethod(_verify_cell)
 
-    def plan(self, config: VerificationPlan) -> list:
-        return list(config.jobs)
+    def plan(self, config: dict) -> list:
+        return list(config.values())
 
-    def keys(self, config: VerificationPlan, plan: list) -> list:
-        return [int(key) for key in config.keys]
+    def keys(self, config: dict, plan: list) -> list:
+        return list(config)
 
-    def reduce(self, config: VerificationPlan, results) -> list:
+    def reduce(self, config: dict, results) -> list:
         return results
-
-    def fingerprint(self, config: VerificationPlan) -> dict:
-        return {"keys": [int(key) for key in config.keys]}
-
-    def encode_value(self, value):
-        index, failures, errors = value
-        return [int(index), int(failures), [int(e) for e in errors]]
-
-    def decode_value(self, encoded):
-        index, failures, errors = encoded
-        return int(index), int(failures), [int(e) for e in errors]
 
 
 register_scenario(VerifyScenario)
@@ -574,32 +512,24 @@ class EnsembleRunner:
     ----------
     config:
         The run configuration.
-    amplitude_model:
-        RTN current amplitude model (default paper Eq. 3); kept here so
-        a runner can be re-used across runs with different models.
     """
 
     config: EnsembleConfig
-    amplitude_model: RtnAmplitudeModel | None = None
 
-    def run(self, rng: np.random.Generator, profiler=None) -> EnsembleResult:
+    def run(self, rng: np.random.Generator) -> EnsembleResult:
         """Execute the ensemble pipeline (see the module docstring).
 
-        Parameters
-        ----------
-        rng:
-            NumPy random generator; one seed reproduces the whole
-            ensemble (mismatch, trap populations, trap dynamics).
-        profiler:
-            Trap profiler; defaults to the cell technology's standard
-            :class:`~repro.traps.profiling.TrapProfiler`.
+        ``rng`` is a NumPy random generator; one seed reproduces the
+        whole ensemble (mismatch, trap populations, trap dynamics).
+        Traps are sampled by the cell technology's standard
+        :class:`~repro.traps.profiling.TrapProfiler`, and currents use
+        the methodology's amplitude model.
         """
         from ..sram.array import PELGROM_AVT, sample_vt_shifts
         from ..sram.biases import extract_biases
-        from ..sram.cell import SramCellSpec, build_sram_cell
-        from ..sram.detectors import OpOutcome, classify_operations
+        from ..sram.cell import SramCellSpec
         from ..sram.margins import static_noise_margin
-        from ..sram.patterns import build_pattern_waveforms
+        from ..testing import faults
         from ..traps.profiling import TrapProfiler
 
         config = self.config
@@ -610,10 +540,9 @@ class EnsembleRunner:
             from .experiments import fig8_pattern
             pattern = fig8_pattern()
         avt = PELGROM_AVT if config.avt is None else config.avt
-        profiler = profiler or TrapProfiler(spec.technology)
-        model = self.amplitude_model or config.methodology.amplitude_model \
-            or VanDerZielModel()
-        method = config.methodology
+        profiler = TrapProfiler(spec.technology)
+        method = dataclasses.replace(config.methodology,
+                                     rtn_scale=config.rtn_scale)
 
         # Phase timings are recorded unconditionally (cheap: one clock
         # read per pipeline stage) so `result.telemetry.timings` is
@@ -632,19 +561,11 @@ class EnsembleRunner:
         phase_started = run_started
 
         # Step 1: one clean SPICE pass on the nominal cell.
-        cell = build_sram_cell(spec)
-        waves = build_pattern_waveforms(pattern, cell.vdd)
-        cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-        dt = method.dt if method.dt is not None else waves.suggested_dt
-        initial = cell.initial_voltages(pattern.initial_bit)
-        clean = simulate_transient(cell.circuit, waves.duration, dt,
-                                   initial_voltages=initial,
-                                   options=TransientOptions(
-                                       record_every=method.record_every))
-        clean_results = classify_operations(clean, waves.schedule, cell.vdd,
-                                            thresholds=method.thresholds)
+        bench = PatternBench.build(spec, pattern, method)
+        clean, clean_results = bench.simulate()
         clean_failures = sum(1 for r in clean_results
                              if r.outcome is not OpOutcome.OK)
+        cell = bench.cell
         biases = extract_biases(cell, clean)
         phase_started = _phase_done("clean_pass", phase_started)
 
@@ -662,9 +583,8 @@ class EnsembleRunner:
         phase_started = _phase_done("sampling", phase_started)
 
         # Step 3: one batched kernel call per transistor name, spanning
-        # every cell's population; split and synthesise Eq.-3 currents.
-        from ..testing import faults
-
+        # every cell's population; split, synthesise Eq.-3 currents and
+        # shape each into its step-3 trace.
         tech = spec.technology
         metrics = np.zeros(config.n_cells)
         transitions = np.zeros(config.n_cells, dtype=np.int64)
@@ -680,12 +600,8 @@ class EnsembleRunner:
             peak_i = record.peak_current()
             if not flat_traps or peak_i <= 0.0:
                 continue
-            if config.cache_tables:
-                batch = propensity_cache().population(
-                    flat_traps, tech, record.times, record.v_drive)
-            else:
-                batch = population_propensity(flat_traps, tech,
-                                              record.times, record.v_drive)
+            batch = propensity_cache().population(
+                flat_traps, tech, record.times, record.v_drive)
             filled_p = equilibrium_occupancy_population(
                 float(record.v_drive[0]), flat_traps, tech)
             init = (rng.random(len(flat_traps)) < filled_p).astype(np.int8)
@@ -694,7 +610,6 @@ class EnsembleRunner:
                 rng, init, name, kernel_fallbacks)
             kernel_stats[name] = stats.aggregate
             params = cell.transistors[name].params
-            limit = np.abs(record.i_d)
             offsets = np.concatenate(([0], np.cumsum(counts)))
             for cell_index in range(config.n_cells):
                 cell_occ = occupancies[offsets[cell_index]:
@@ -704,16 +619,14 @@ class EnsembleRunner:
                 transitions[cell_index] += sum(o.n_transitions
                                                for o in cell_occ)
                 n_filled = number_filled(cell_occ, record.times)
-                current = rtn_current_samples(model, params, record.v_drive,
-                                              record.i_d, n_filled)
-                current = current * np.sign(record.i_d) * config.rtn_scale
-                if method.clip_to_nominal:
-                    current = np.clip(current, -limit, limit)
+                current = rtn_current_samples(
+                    method.amplitude_model, params, record.v_drive,
+                    record.i_d, n_filled) * np.sign(record.i_d)
                 if faults.should("nan", (name, cell_index)):
                     current = current + np.nan
                 try:
-                    trace = RTNTrace(times=record.times, current=current,
-                                     label=name)
+                    trace = injection_trace(record, current, method,
+                                            label=name)
                 except ModelError as exc:
                     # A corrupted trace costs one cell, never the run:
                     # the cell is excluded from verification and carries
@@ -721,7 +634,7 @@ class EnsembleRunner:
                     cell_errors[cell_index] = (
                         f"RTN trace for {name} rejected: {exc}")
                     continue
-                metric = float(np.max(np.abs(current))) / peak_i
+                metric = float(np.max(np.abs(trace.current))) / peak_i
                 if metric > metrics[cell_index]:
                     metrics[cell_index] = metric
                 traces[cell_index][name] = trace
@@ -744,10 +657,9 @@ class EnsembleRunner:
                 for index, record in checkpoint.load(
                         config.fingerprint()).items():
                     verdicts[int(index)] = record
-        pending = [i for i in verify if i not in verdicts]
-        jobs = [(i, dataclasses.replace(spec, vt_shifts=shifts[i]),
-                 pattern, traces[i], method.dt, method.record_every,
-                 method.thresholds) for i in pending]
+        pending = {i: (dataclasses.replace(spec, vt_shifts=shifts[i]),
+                       pattern, traces[i], method)
+                   for i in verify if i not in verdicts}
 
         completed_since_save = 0
 
@@ -755,7 +667,7 @@ class EnsembleRunner:
             nonlocal completed_since_save
             index = int(job_result.key)
             if job_result.succeeded:
-                _, failures, errors = job_result.value
+                failures, errors = job_result.value
                 record = {"status": job_result.status, "failures": failures,
                           "error_slots": list(errors)}
             else:
@@ -772,15 +684,12 @@ class EnsembleRunner:
                     checkpoint.save(config.fingerprint())
                     completed_since_save = 0
 
-        # The fan-out rides the sram.verify scenario: same jobs, same
-        # cell-index keys (so fault decisions and checkpoint records
-        # are bit-identical to the pre-scenario dispatch), with the
-        # runner keeping its own richer checkpoint records via
+        # The fan-out rides the sram.verify scenario, keyed by cell
+        # index; the runner keeps its own richer checkpoint records via
         # on_result rather than the scenario layer's generic ones.
         backend = resolve_backend(config.backend, config.workers)
-        run_scenario(VerifyScenario,
-                     VerificationPlan(jobs=tuple(jobs), keys=tuple(pending)),
-                     backend=backend, workers=config.workers,
+        run_scenario(VerifyScenario, pending, backend=backend,
+                     workers=config.workers,
                      policy=config.retry or RetryPolicy(),
                      on_result=on_result)
         if checkpoint is not None:

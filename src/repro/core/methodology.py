@@ -15,10 +15,18 @@ The flowchart:
 The paper scales the generated traces by a factor (30 in its Fig. 8
 illustration) to make the rare-event failure visible; ``rtn_scale``
 exposes that knob.
+
+Steps 1 and 3 are the same SPICE pass with and without injected
+sources, so both run through one :class:`PatternBench`, and step 3's
+trace shaping is :func:`injection_trace`.  :func:`run_methodology`
+uses both for the per-cell flow; the array ensemble
+(:mod:`repro.core.ensemble`) uses them for its shared clean pass and
+its per-cell verification.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +35,7 @@ from ..errors import SimulationError
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
 from ..rtn.trace import RTNTrace
 from ..spice.transient import TransientOptions, simulate_transient
-from ..sram.biases import extract_biases
+from ..sram.biases import BiasRecord, extract_biases
 from ..sram.cell import SramCell, SramCellSpec, build_sram_cell
 from ..sram.detectors import (
     DetectorThresholds,
@@ -36,7 +44,11 @@ from ..sram.detectors import (
     count_outcomes,
 )
 from ..sram.injection import attach_rtn_sources, detach_rtn_sources
-from ..sram.patterns import TestPattern, build_pattern_waveforms
+from ..sram.patterns import (
+    PatternWaveforms,
+    TestPattern,
+    build_pattern_waveforms,
+)
 from ..traps.profiling import TrapProfiler
 from .samurai import Samurai
 
@@ -125,6 +137,117 @@ class MethodologyResult:
                 if result.outcome is OpOutcome.ERROR]
 
 
+@dataclass(frozen=True)
+class PatternBench:
+    """One cell driven by one test pattern: the Fig.-8 SPICE passes.
+
+    :meth:`build` does the setup once (cell, pattern stimuli, transient
+    step and options, initial voltages); :meth:`simulate` runs one
+    transient pass — the clean step 1, or step 3 with RTN sources
+    attached — and classifies its operations (step 4).
+
+    Attributes
+    ----------
+    cell:
+        The built cell with the pattern stimuli installed.
+    waves:
+        The pattern's stimuli and operation schedule.
+    dt:
+        Transient step [s].
+    initial:
+        UIC node voltages holding the pattern's initial bit.
+    options:
+        Transient engine options.
+    thresholds:
+        Failure-classification thresholds.
+    """
+
+    cell: SramCell
+    waves: PatternWaveforms
+    dt: float
+    initial: dict
+    options: TransientOptions
+    thresholds: DetectorThresholds
+
+    @classmethod
+    def build(cls, spec: SramCellSpec | None, pattern: TestPattern,
+              config: MethodologyConfig) -> "PatternBench":
+        """Build ``spec``'s cell and drive it with ``pattern``."""
+        cell = build_sram_cell(spec)
+        waves = build_pattern_waveforms(pattern, cell.vdd)
+        cell.set_stimuli(waves.wl, waves.bl, waves.blb)
+        return cls(
+            cell=cell, waves=waves,
+            dt=config.dt if config.dt is not None else waves.suggested_dt,
+            initial=cell.initial_voltages(pattern.initial_bit),
+            options=TransientOptions(record_every=config.record_every),
+            thresholds=config.thresholds)
+
+    def simulate(self, traces: dict | None = None) -> tuple:
+        """One transient pass and its per-operation verdicts.
+
+        ``traces`` (transistor name -> :class:`RTNTrace`) are attached
+        as opposing current sources for the pass and detached after it,
+        so the bench can run again; ``None`` runs the clean pass.
+        Returns ``(waveform, verdicts)``.
+        """
+        if traces is not None:
+            attach_rtn_sources(self.cell, traces, scale=1.0)
+        try:
+            waveform = simulate_transient(
+                self.cell.circuit, self.waves.duration, self.dt,
+                initial_voltages=self.initial, options=self.options)
+        finally:
+            if traces is not None:
+                detach_rtn_sources(self.cell)
+        return waveform, classify_operations(
+            waveform, self.waves.schedule, self.cell.vdd,
+            thresholds=self.thresholds)
+
+
+def injection_trace(record: BiasRecord, current: np.ndarray,
+                    config: MethodologyConfig, label: str = "") -> RTNTrace:
+    """Step 3's trace for one transistor, ready to inject.
+
+    Multiplies a generated RTN current (sampled on ``record``'s grid)
+    by ``config.rtn_scale`` and, with ``config.clip_to_nominal``,
+    clamps it to the nominal current ``|record.i_d|``.
+    """
+    current = current * config.rtn_scale
+    if config.clip_to_nominal:
+        limit = np.abs(record.i_d)
+        current = np.clip(current, -limit, limit)
+    return RTNTrace(times=record.times, current=current, label=label)
+
+
+def run_fingerprint(spec: SramCellSpec | None, pattern: TestPattern | None,
+                    config: MethodologyConfig) -> dict:
+    """JSON-native identity of a cell, pattern and methodology.
+
+    The checkpoint fingerprint shared by the array scenarios: the whole
+    cell spec and pattern (``None`` stays ``None``) and the
+    methodology's transient step, output thinning, detector
+    thresholds, clipping and amplitude model (type and fields).  The
+    RTN scale is left to the caller, which knows which scale it applies.
+    """
+    model = config.amplitude_model
+    return {
+        "spec": None if spec is None else dataclasses.asdict(spec),
+        "pattern": None if pattern is None else {
+            **dataclasses.asdict(pattern),
+            "operations": [dataclasses.asdict(op)
+                           for op in pattern.operations]},
+        "dt": config.dt,
+        "record_every": config.record_every,
+        "thresholds": dataclasses.asdict(config.thresholds),
+        "clip_to_nominal": config.clip_to_nominal,
+        "amplitude_model": {
+            "type": type(model).__qualname__,
+            "fields": dataclasses.asdict(model)
+            if dataclasses.is_dataclass(model) else {}},
+    }
+
+
 def run_methodology(pattern: TestPattern, rng: np.random.Generator,
                     spec: SramCellSpec | None = None,
                     profiler: TrapProfiler | None = None,
@@ -155,22 +278,12 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
     if config.rtn_scale < 0.0:
         raise SimulationError("rtn_scale must be non-negative")
 
-    cell = build_sram_cell(spec)
-    waves = build_pattern_waveforms(pattern, cell.vdd)
-    cell.set_stimuli(waves.wl, waves.bl, waves.blb)
-    dt = config.dt if config.dt is not None else waves.suggested_dt
-    options = TransientOptions(record_every=config.record_every)
-    initial = cell.initial_voltages(pattern.initial_bit)
-
     # Step 1: clean pass.
-    clean_waveform = simulate_transient(cell.circuit, waves.duration, dt,
-                                        initial_voltages=initial,
-                                        options=options)
-    clean_results = classify_operations(clean_waveform, waves.schedule,
-                                        cell.vdd,
-                                        thresholds=config.thresholds)
+    bench = PatternBench.build(spec, pattern, config)
+    clean_waveform, clean_results = bench.simulate()
 
     # Step 2: SAMURAI under the extracted biases.
+    cell = bench.cell
     biases = extract_biases(cell, clean_waveform)
     if trap_populations is not None:
         engine = Samurai(cell=cell, trap_populations=trap_populations,
@@ -181,28 +294,11 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
             amplitude_model=config.amplitude_model)
     rtn = engine.generate(biases, rng)
 
-    # Step 3: inject and re-simulate.
-    traces = {}
-    for name, result in rtn.items():
-        trace = result.trace.scaled(config.rtn_scale)
-        if config.clip_to_nominal:
-            limit = np.abs(biases[name].i_d)
-            clipped = np.clip(trace.current, -limit, limit)
-            trace = RTNTrace(times=trace.times, current=clipped,
-                             label=trace.label)
-        traces[name] = trace
-    attach_rtn_sources(cell, traces, scale=1.0)
-    try:
-        rtn_waveform = simulate_transient(cell.circuit, waves.duration, dt,
-                                          initial_voltages=initial,
-                                          options=options)
-    finally:
-        detach_rtn_sources(cell)
-
-    # Step 4: verdicts.
-    rtn_results = classify_operations(rtn_waveform, waves.schedule,
-                                      cell.vdd,
-                                      thresholds=config.thresholds)
+    # Steps 3 and 4: inject, re-simulate and classify.
+    traces = {name: injection_trace(biases[name], result.trace.current,
+                                    config, label=result.trace.label)
+              for name, result in rtn.items()}
+    rtn_waveform, rtn_results = bench.simulate(traces)
     return MethodologyResult(
         cell=cell, pattern=pattern,
         clean_waveform=clean_waveform, rtn_waveform=rtn_waveform,

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
-from ..rtn.generator import generate_device_rtn, generate_device_rtn_batch
+from ..rtn.generator import generate_device_rtn
 from ..traps.profiling import TrapProfiler
 from ..sram.biases import BiasRecord
 from ..sram.cell import SramCell
@@ -31,17 +31,11 @@ class Samurai:
         Transistor name -> list of :class:`repro.traps.trap.Trap`.
     amplitude_model:
         RTN current amplitude model (default: paper Eq. 3).
-    batched:
-        Use the vectorised population kernel
-        (:func:`repro.rtn.generator.generate_device_rtn_batch`) instead
-        of the per-trap loop.  Same distribution, different RNG draw
-        order — off by default so seeded legacy runs stay bit-stable.
     """
 
     cell: SramCell
     trap_populations: dict = field(default_factory=dict)
     amplitude_model: RtnAmplitudeModel = field(default_factory=VanDerZielModel)
-    batched: bool = False
 
     def __post_init__(self) -> None:
         unknown = set(self.trap_populations) - set(self.cell.transistors)
@@ -105,9 +99,7 @@ class Samurai:
                 raise SimulationError(
                     f"bias entry for {name!r} is not a BiasRecord")
             traps = self.trap_populations.get(name, [])
-            generate = (generate_device_rtn_batch if self.batched
-                        else generate_device_rtn)
-            results[name] = generate(
+            results[name] = generate_device_rtn(
                 mosfet.params, traps, record.times, record.v_drive,
                 record.i_d, rng, model=self.amplitude_model, label=name)
         return results

@@ -13,11 +13,7 @@ Implements paper §II-C and the per-device driver around Algorithm 1:
 """
 
 from .current import HungModel, RtnAmplitudeModel, VanDerZielModel
-from .generator import (
-    DeviceRtnResult,
-    generate_device_rtn,
-    generate_device_rtn_batch,
-)
+from .generator import DeviceRtnResult, generate_device_rtn
 from .multilevel import (
     MultiLevelTrapModel,
     anomalous_rtn_model,
@@ -36,6 +32,5 @@ __all__ = [
     "YeBaselineGenerator",
     "anomalous_rtn_model",
     "generate_device_rtn",
-    "generate_device_rtn_batch",
     "simulate_multilevel_rtn",
 ]

@@ -14,15 +14,9 @@ import numpy as np
 
 from ..devices.mosfet import MosfetParams
 from ..errors import SimulationError
-from ..markov.batch import simulate_traps_batch
 from ..markov.occupancy import OccupancyTrace, number_filled
-from ..markov.uniformization import UniformizationStats, simulate_trap
-from ..traps.propensity import (
-    equilibrium_occupancy,
-    equilibrium_occupancy_population,
-    population_propensity,
-    trap_propensity,
-)
+from ..markov.uniformization import simulate_trap
+from ..traps.propensity import equilibrium_occupancy, trap_propensity
 from ..traps.trap import Trap
 from .current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
 from .trace import RTNTrace
@@ -43,16 +37,12 @@ class DeviceRtnResult:
         of Eq. 3).
     trace:
         The RTN current waveform (paper Fig. 8 plot d).
-    stats:
-        Aggregate uniformisation bookkeeping, when the batched kernel
-        produced this result (``None`` from the scalar path).
     """
 
     traps: list[Trap]
     occupancies: list[OccupancyTrace]
     n_filled: np.ndarray
     trace: RTNTrace
-    stats: UniformizationStats | None = None
 
     @property
     def total_transitions(self) -> int:
@@ -131,63 +121,6 @@ def generate_device_rtn(params: MosfetParams, traps: list[Trap],
     trace = RTNTrace(times=times, current=current, label=label)
     return DeviceRtnResult(traps=list(traps), occupancies=occupancies,
                            n_filled=n_filled, trace=trace)
-
-
-def generate_device_rtn_batch(params: MosfetParams, traps: list[Trap],
-                              times: np.ndarray, v_gs: np.ndarray,
-                              i_d: np.ndarray, rng: np.random.Generator,
-                              model: RtnAmplitudeModel | None = None,
-                              initial_states: list[int] | None = None,
-                              label: str = "") -> DeviceRtnResult:
-    """Batched counterpart of :func:`generate_device_rtn`.
-
-    Identical contract and output distribution, but the whole trap
-    population is simulated in one vectorised sweep
-    (:func:`repro.markov.batch.simulate_traps_batch` over the
-    :func:`repro.traps.propensity.population_propensity` rates) instead
-    of a Python loop over traps.  Draws are consumed in a different
-    order, so results match the scalar path in distribution, not
-    draw-for-draw; ``result.stats`` carries the kernel bookkeeping.
-    """
-    times = np.asarray(times, dtype=float)
-    v_gs = np.asarray(v_gs, dtype=float)
-    i_d = np.asarray(i_d, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise SimulationError("times must be 1-D with >= 2 samples")
-    if v_gs.shape != times.shape or i_d.shape != times.shape:
-        raise SimulationError("v_gs and i_d must match the time grid")
-    if model is None:
-        model = VanDerZielModel()
-    tech = params.technology
-
-    if initial_states is None:
-        filled_p = equilibrium_occupancy_population(float(v_gs[0]), traps, tech)
-        init = (rng.random(len(traps)) < filled_p).astype(np.int8)
-    else:
-        if len(initial_states) != len(traps):
-            raise SimulationError(
-                f"initial_states has {len(initial_states)} entries for "
-                f"{len(traps)} traps"
-            )
-        init = np.asarray(initial_states, dtype=np.int8)
-
-    if traps:
-        batch = population_propensity(traps, tech, times, v_gs)
-        occupancies, batch_stats = simulate_traps_batch(
-            batch, float(times[0]), float(times[-1]), rng,
-            initial_states=init)
-        stats = batch_stats.aggregate
-    else:
-        occupancies = []
-        stats = UniformizationStats(n_candidates=0, n_accepted=0,
-                                    rate_bound=0.0)
-
-    n_filled = number_filled(occupancies, times)
-    current = rtn_current_samples(model, params, v_gs, i_d, n_filled)
-    current = current * np.sign(i_d)  # oppose the instantaneous direction
-    trace = RTNTrace(times=times, current=current, label=label)
-    return DeviceRtnResult(traps=list(traps), occupancies=occupancies,
-                           n_filled=n_filled, trace=trace, stats=stats)
 
 
 def generate_constant_bias_rtn(params: MosfetParams, traps: list[Trap],

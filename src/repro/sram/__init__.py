@@ -18,11 +18,7 @@ Implements the circuit side of the paper's methodology (Fig. 8):
   (paper future-work #3).
 """
 
-from .array import (
-    ArrayConfig,
-    ArrayResult,
-    simulate_array_fast,
-)
+from .array import ArrayConfig, ArrayResult
 from .biases import BiasRecord, extract_biases
 from .cell import SramCell, SramCellSpec, TRANSISTOR_NAMES, build_sram_cell
 from .detectors import OpOutcome, OpResult, classify_operations
@@ -46,7 +42,6 @@ __all__ = [
     "build_sram_cell",
     "classify_operations",
     "extract_biases",
-    "simulate_array_fast",
     "static_noise_margin",
     "wordline_write_margin",
     "write_pattern",

@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import scenario
-from ..core.methodology import MethodologyConfig, run_methodology
+from ..core.methodology import (
+    MethodologyConfig,
+    run_fingerprint,
+    run_methodology,
+)
 from ..errors import SimulationError
 from ..traps.profiling import TrapProfiler
 from .cell import SramCellSpec, TRANSISTOR_NAMES
@@ -208,7 +212,8 @@ class ArrayScenario(scenario.Scenario):
     def fingerprint(self, config: ArrayConfig) -> dict:
         return {"n_cells": config.n_cells, "rtn_scale": config.rtn_scale,
                 "avt": config.avt,
-                "n_slots": len(config.pattern.operations)}
+                **run_fingerprint(config.base_spec, config.pattern,
+                                  config.methodology or MethodologyConfig())}
 
     def default_config(self, n: int | None = None, **options):
         from ..core.experiments import fig8_cell_spec, fig8_pattern
@@ -225,27 +230,3 @@ class ArrayScenario(scenario.Scenario):
 
 scenario.register_scenario(ArrayScenario)
 
-
-def simulate_array_fast(config: ArrayConfig, rng: np.random.Generator,
-                        profiler: TrapProfiler | None = None,
-                        screen_threshold: float = 0.02,
-                        max_verified_cells: int | None = None,
-                        workers: int | None = None):
-    """Batched counterpart of the per-cell ``sram.array`` scenario.
-
-    Delegates to :class:`repro.core.ensemble.EnsembleRunner`: one shared
-    clean SPICE pass, a single vectorised trap sweep per transistor for
-    the whole array, and injected SPICE verification only for the cells
-    the screening metric flags (optionally sharded across ``workers``
-    processes).  Returns an
-    :class:`~repro.core.ensemble.EnsembleResult`.
-    """
-    from ..core.ensemble import EnsembleConfig, EnsembleRunner
-
-    ensemble = EnsembleConfig(
-        n_cells=config.n_cells, spec=config.base_spec,
-        pattern=config.pattern, rtn_scale=config.rtn_scale,
-        avt=config.avt, screen_threshold=screen_threshold,
-        max_verified_cells=max_verified_cells, workers=workers,
-        methodology=config.methodology or MethodologyConfig())
-    return EnsembleRunner(ensemble).run(rng, profiler=profiler)

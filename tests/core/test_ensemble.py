@@ -50,6 +50,8 @@ class TestConfigValidation:
             EnsembleConfig(n_cells=1, checkpoint_every=0)
         with pytest.raises(ValueError):
             EnsembleConfig(n_cells=1, resume=True)
+        with pytest.raises(ValueError):
+            EnsembleConfig(n_cells=1, max_verified_cells=-1)
 
     def test_value_error_not_simulation_error(self):
         # The switch must not silently widen: bad config is NOT a
@@ -100,22 +102,6 @@ class TestRun:
         assert summary["cells"] == N_CELLS
         assert result.screen_metrics().shape == (N_CELLS,)
         assert 0.0 <= result.cell_failure_rate <= 1.0
-
-
-class TestArrayFacade:
-    def test_simulate_array_fast_delegates(self):
-        from repro.core.methodology import MethodologyConfig
-        from repro.sram.array import ArrayConfig, simulate_array_fast
-
-        config = ArrayConfig(
-            n_cells=2, base_spec=fig8_cell_spec(),
-            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
-            methodology=MethodologyConfig(rtn_scale=30.0))
-        result = simulate_array_fast(config, np.random.default_rng(5),
-                                     max_verified_cells=0)
-        assert isinstance(result, EnsembleResult)
-        assert result.n_cells == 2
-        assert result.verified_cells == 0
 
 
 def ensemble_digest(result: EnsembleResult) -> str:

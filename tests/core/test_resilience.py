@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.ensemble as ensemble_module
+import repro.core.methodology as methodology_module
 from repro.core.ensemble import EnsembleConfig, EnsembleRunner
 from repro.core.experiments import fig8_cell_spec, fig8_pattern
 from repro.core.methodology import MethodologyConfig
@@ -28,6 +29,7 @@ from repro.core.resilience import (
     run_jobs,
 )
 from repro.errors import ConvergenceError, RecoveredWarning
+from repro.rtn.current import HungModel
 from repro.sram.detectors import DetectorThresholds
 from repro.testing.faults import inject_faults
 
@@ -255,7 +257,7 @@ class TestEnsembleFaultTolerance:
         from repro.spice.transient import TransientOptions
         from repro.sram.injection import RTN_SOURCE_PREFIX
 
-        real = ensemble_module.simulate_transient
+        real = methodology_module.simulate_transient
 
         def stalling(circuit, t_stop, dt, **kwargs):
             injected = any(el.name.startswith(RTN_SOURCE_PREFIX)
@@ -266,7 +268,8 @@ class TestEnsembleFaultTolerance:
                     newton=NewtonOptions(max_iterations=0))
             return real(circuit, t_stop, dt, **kwargs)
 
-        monkeypatch.setattr(ensemble_module, "simulate_transient", stalling)
+        monkeypatch.setattr(methodology_module, "simulate_transient",
+                            stalling)
         result = EnsembleRunner(small_config(
             max_verified_cells=1, retry=RetryPolicy(attempts=1),
         )).run(np.random.default_rng(11))
@@ -299,21 +302,27 @@ class TestCheckpointResume:
         assert (directory / RunCheckpoint.MANIFEST).is_file()
         assert (directory / RunCheckpoint.OUTCOMES).is_file()
 
-        recomputed = []
-        real = ensemble_module._verify_cell
+        # The verification payload names its cell by its mismatch.
+        recomputed_shifts = []
+        real = ensemble_module.VerifyScenario.kernel
 
-        def counting(job):
-            recomputed.append(job[0])
-            return real(job)
+        def counting(payload, rng):
+            recomputed_shifts.append(payload[0].vt_shifts)
+            return real(payload, rng)
 
-        monkeypatch.setattr(ensemble_module, "_verify_cell", counting)
+        monkeypatch.setattr(ensemble_module.VerifyScenario, "kernel",
+                            staticmethod(counting))
         second = EnsembleRunner(EnsembleConfig(
             **base, resume=True)).run(np.random.default_rng(11))
         done_second = {o.index for o in second.outcomes if o.verified}
+        recomputed = {o.index for o in second.outcomes
+                      if o.vt_shifts in recomputed_shifts}
 
         # Finished cells were not recomputed, their verdicts carried
         # over verbatim, and the resumed run completed the rest.
-        assert set(recomputed).isdisjoint(done_first)
+        assert recomputed, "the resumed run must verify the rest"
+        assert len(recomputed) == len(recomputed_shifts)
+        assert recomputed.isdisjoint(done_first)
         assert done_first <= done_second
         for index in done_first:
             before, after = first.outcomes[index], second.outcomes[index]
@@ -340,7 +349,9 @@ class TestCheckpointResume:
         {"methodology": MethodologyConfig(record_every=2)},
         {"methodology": MethodologyConfig(
             thresholds=DetectorThresholds(valid_fraction=0.8))},
-    ], ids=["avt", "spec", "pattern", "dt", "record_every", "thresholds"])
+        {"methodology": MethodologyConfig(amplitude_model=HungModel())},
+    ], ids=["avt", "spec", "pattern", "dt", "record_every", "thresholds",
+            "amplitude_model"])
     def test_resume_rejects_a_changed_input(self, tmp_path, changes):
         # Each of these changes a cell's screen or verdict, so resuming
         # into it must refuse the checkpoint.

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.experiments import fig8_cell_spec, fig8_pattern
 from repro.core.methodology import MethodologyConfig
 from repro.core.scenario import run_scenario
 from repro.errors import SimulationError
+from repro.rtn.current import HungModel
 from repro.sram.array import (
     ArrayConfig,
     sample_vt_shifts,
 )
 from repro.sram.cell import SramCellSpec, TRANSISTOR_NAMES
+from repro.sram.detectors import DetectorThresholds
 from repro.sram.patterns import write_pattern
 
 pytestmark = pytest.mark.tier1
@@ -99,3 +105,61 @@ class TestArraySimulation:
             [o.vt_shifts for o in b.outcomes]
         assert [o.trap_count for o in a.outcomes] == \
             [o.trap_count for o in b.outcomes]
+
+
+class TestSeedCompatibility:
+    def test_seeded_output_is_pinned(self):
+        """Any change to the RNG order or the arithmetic of the per-cell
+        methodology changes this digest; a deliberate change must re-pin
+        it with a seed-compat note."""
+        config = ArrayConfig(
+            n_cells=2, base_spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            methodology=MethodologyConfig(record_every=4))
+        run = run_scenario("sram.array", config, seed=3)
+        records = repr([(r.status, r.value, r.attempts)
+                        for r in run.results])
+        digest = hashlib.blake2b(records.encode(), digest_size=16)
+        assert digest.hexdigest() == "bef7dd9f9e2930c976f68292fdb3ae4f"
+
+
+class TestCheckpointFingerprint:
+    """A resume into an array with a different cell, pattern or
+    methodology must refuse the checkpoint instead of mixing its cells
+    in."""
+
+    BASE = ArrayConfig(n_cells=1, base_spec=SramCellSpec(),
+                       pattern=TINY_PATTERN,
+                       methodology=MethodologyConfig(record_every=4))
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("array")
+        run_scenario("sram.array", self.BASE, seed=3,
+                     checkpoint_dir=directory)
+        resumed = run_scenario("sram.array", self.BASE, seed=3,
+                               checkpoint_dir=directory, resume=True)
+        assert resumed.resumed == [0]
+        return directory
+
+    @pytest.mark.parametrize("changes", [
+        {"base_spec": SramCellSpec(vdd=0.9)},
+        {"pattern": write_pattern([1, 1], cycle=5e-9, wl_delay=1e-9,
+                                  wl_width=2e-9)},
+        {"pattern": write_pattern([1, 0], cycle=6e-9, wl_delay=1e-9,
+                                  wl_width=2e-9)},
+        {"methodology": MethodologyConfig(record_every=4, dt=2e-12)},
+        {"methodology": MethodologyConfig(
+            record_every=4,
+            thresholds=DetectorThresholds(valid_fraction=0.8))},
+        {"methodology": MethodologyConfig(record_every=4,
+                                          clip_to_nominal=False)},
+        {"methodology": MethodologyConfig(record_every=4,
+                                          amplitude_model=HungModel())},
+    ], ids=["base_spec", "operations", "timing", "dt", "thresholds",
+            "clip_to_nominal", "amplitude_model"])
+    def test_resume_rejects_a_changed_input(self, checkpoint, changes):
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario("sram.array",
+                         dataclasses.replace(self.BASE, **changes), seed=3,
+                         checkpoint_dir=checkpoint, resume=True)

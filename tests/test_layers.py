@@ -1,5 +1,6 @@
-"""The layering gate: parallel dispatch stays inside ``repro.core.engine``
-and transient ``pre_step`` coupling inside ``repro.cosim.engine``.
+"""The layering gate: parallel dispatch stays inside ``repro.core.engine``,
+transient ``pre_step`` coupling inside ``repro.cosim.engine`` and RTN
+source injection inside ``repro.core.methodology``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -66,6 +67,22 @@ def test_checker_flags_pre_step_outside_the_cosim_engine(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ring.py:1" in err and "pre_step" in err
     assert "engine.py" not in err  # the engine is the loop's home
+
+
+def test_checker_flags_injection_outside_the_methodology(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "methodology.py").write_text(
+        "attach_rtn_sources(cell, traces, scale=1.0)\n")
+    (tmp_path / "core" / "ensemble.py").write_text(
+        "import x\nx.attach_rtn_sources(cell, traces)\n")
+    (tmp_path / "rogue.py").write_text(
+        "from x import attach_rtn_sources\nattach_rtn_sources(cell, t)\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.py:2" in err and "rogue.py:2" in err
+    assert "attach_rtn_sources" in err
+    assert "methodology.py" not in err  # the injected pass's home
 
 
 def test_checker_catches_smuggled_futures(tmp_path):
