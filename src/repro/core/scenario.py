@@ -54,7 +54,8 @@ stack and the migration guide for adding a workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,7 @@ __all__ = [
     "ScenarioRegistry",
     "ScenarioRun",
     "available_scenarios",
+    "config_fingerprint",
     "get_scenario",
     "register_scenario",
     "run_scenario",
@@ -176,7 +178,12 @@ class Scenario:
         return list(range(len(plan)))
 
     def fingerprint(self, config) -> dict:
-        """Run identity for checkpoint compatibility checks."""
+        """Run identity for checkpoint compatibility checks.
+
+        Scenarios whose frozen-dataclass config names the whole run
+        return :func:`config_fingerprint` of it.  That is not the
+        default: some configs carry trace arrays.
+        """
         return {}
 
     def encode_value(self, value):
@@ -200,6 +207,17 @@ class Scenario:
     def format_value(self, config, value) -> str:
         """Human-readable one-liner of the reduced value (CLI)."""
         return repr(value)
+
+
+def config_fingerprint(config) -> dict:
+    """A frozen-dataclass config as JSON-native values.
+
+    The config goes through the same JSON round trip as a checkpoint
+    (nested dataclasses become dicts, tuples become lists), so a
+    fingerprint read back from a checkpoint compares equal to a fresh
+    one and any changed field refuses the resume.
+    """
+    return json.loads(json.dumps(asdict(config)))
 
 
 class ScenarioRegistry:

@@ -11,6 +11,7 @@ cell jump between two discrete values — the VRT signature.
 
 from .cell import (
     DramCellSpec,
+    RetentionModel,
     RetentionResult,
     RetentionScanConfig,
     default_vrt_cell,
@@ -20,6 +21,7 @@ from .cell import (
 
 __all__ = [
     "DramCellSpec",
+    "RetentionModel",
     "RetentionResult",
     "RetentionScanConfig",
     "default_vrt_cell",

@@ -14,14 +14,16 @@ Model:
   bias, simulated exactly with the Gillespie kernel (the bias is
   constant during retention, so uniformisation and SSA coincide).
 
-The storage voltage then obeys a piecewise-smooth ODE between trap
-transitions, integrated segment by segment; the retention time is the
-instant the node crosses the sense threshold.
+Because the factor multiplies the whole right-hand side, the node
+follows the defect-free decay ``V0`` in the clock ``tau(t) = int m ds``
+(``m`` = ``leakage_factor`` while filled, 1 while empty).  A trial is
+therefore the occupancy trace alone: the bit is lost when ``tau``
+reaches ``T_slow``, the defect-free retention time.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,7 +53,7 @@ class DramCellSpec:
         Stored "1" level [V] (a full write-back; pass-gate V_T loss is
         the writer's problem, not the retention model's).
     sense_threshold:
-        Voltage below which the stored 1 is lost [V].
+        Voltage below which the stored 1 is lost [V], in (0, v_write).
     leakage_factor:
         Multiplier on the leakage while the defect is filled (> 1;
         trap-assisted leakage steps of 2-10x are reported).
@@ -68,6 +70,8 @@ class DramCellSpec:
             raise SimulationError("storage_capacitance must be positive")
         if self.leakage_factor < 1.0:
             raise SimulationError("leakage_factor must be >= 1")
+        if not 0.0 < self.threshold < self.stored_level:
+            raise SimulationError("sense_threshold must lie in (0, v_write)")
 
     @property
     def stored_level(self) -> float:
@@ -111,63 +115,71 @@ def _leakage(spec: DramCellSpec, v_sn: float) -> float:
     return float(abs(drain_current(params, 0.0, 0.0, v_sn, 0.0)))
 
 
-def simulate_retention(spec: DramCellSpec, trap: Trap,
-                       rng: np.random.Generator, t_max: float = 1e-3,
-                       initial_trap_state: int | None = None,
-                       samples_per_segment: int = 64) -> RetentionResult:
-    """Run one retention trial of a written "1"."""
-    if t_max <= 0.0:
-        raise SimulationError("t_max must be positive")
-    tech = spec.technology
-    # Defect kinetics at the retention bias (gate at 0): constant rates.
-    lam_c, lam_e = rates_from_bias(0.0, trap, tech)
-    if initial_trap_state is None:
-        p_filled = lam_c / (lam_c + lam_e)
-        initial_trap_state = int(rng.random() < p_filled)
+def _decay(spec: DramCellSpec):
+    """The defect-free decay from the stored level to the threshold.
+
+    Returns ``(T_slow, V0)``: the crossing time [s] and the dense
+    solution ``V0(tau)`` on ``[0, T_slow]``.
+    """
+    def rhs(t, y):
+        return [-_leakage(spec, float(y[0])) / spec.storage_capacitance]
+
+    def crossing(t, y):
+        return y[0] - spec.threshold
+    crossing.terminal = True
+    crossing.direction = -1
+    solution = solve_ivp(rhs, (0.0, 1.0), [spec.stored_level],
+                         events=crossing, rtol=1e-8, atol=1e-12,
+                         dense_output=True)
+    if solution.t_events[0].size == 0:
+        raise SimulationError("cell never discharged within 1 s")
+    return float(solution.t_events[0][0]), solution.sol
+
+
+@dataclass(frozen=True)
+class RetentionModel:
+    """Per-scan constants of one cell's retention trials: the leakage
+    factor, the defect's rates at the retention bias (gate at 0) [1/s],
+    ``T_slow`` [s] and ``V0`` tabulated on a uniform clock grid ``tau``."""
+
+    leakage_factor: float
+    capture_rate: float
+    emission_rate: float
+    slow: float
+    tau: np.ndarray
+    voltage: np.ndarray
+
+    @classmethod
+    def build(cls, spec: DramCellSpec, trap: Trap) -> "RetentionModel":
+        lam_c, lam_e = rates_from_bias(0.0, trap, spec.technology)
+        slow, decay = _decay(spec)
+        tau = np.linspace(0.0, slow, 129)
+        return cls(leakage_factor=spec.leakage_factor,
+                   capture_rate=float(lam_c), emission_rate=float(lam_e),
+                   slow=slow, tau=tau, voltage=decay(tau)[0])
+
+
+def simulate_retention(model: RetentionModel, rng: np.random.Generator,
+                       t_max: float = 1e-3) -> RetentionResult:
+    """Run one retention trial of a written "1".
+
+    The defect starts from its stationary law and runs for ``t_max``;
+    the bit is lost when the clock ``tau`` reaches ``model.slow``.
+    """
+    lam_c, lam_e = model.capture_rate, model.emission_rate
+    state = int(rng.random() < lam_c / (lam_c + lam_e))
     occupancy = simulate_constant(lam_c, lam_e, 0.0, t_max, rng,
-                                  initial_state=initial_trap_state)
-
-    c_s = spec.storage_capacitance
-    threshold = spec.threshold
-
-    def rhs_factory(multiplier: float):
-        def rhs(t, y):
-            return [-multiplier * _leakage(spec, float(y[0])) / c_s]
-        return rhs
-
-    def crossing_event(t, y):
-        return y[0] - threshold
-    crossing_event.terminal = True
-    crossing_event.direction = -1
-
-    times = [0.0]
-    voltages = [spec.stored_level]
-    v = spec.stored_level
-    retention = float("inf")
+                                  initial_state=state)
     boundaries = occupancy.times
-    for segment in range(occupancy.states.size):
-        t_lo = float(boundaries[segment])
-        t_hi = float(boundaries[segment + 1])
-        multiplier = spec.leakage_factor \
-            if occupancy.states[segment] == 1 else 1.0
-        solution = solve_ivp(
-            rhs_factory(multiplier), (t_lo, t_hi), [v],
-            events=crossing_event, rtol=1e-8, atol=1e-12, max_step=t_max,
-            dense_output=False,
-            t_eval=np.linspace(t_lo, t_hi, samples_per_segment),
-        )
-        if not solution.success:
-            raise SimulationError(
-                f"retention integration failed: {solution.message}")
-        times.extend(solution.t[1:].tolist())
-        voltages.extend(solution.y[0][1:].tolist())
-        if solution.t_events[0].size:
-            retention = float(solution.t_events[0][0])
-            break
-        v = float(solution.y[0][-1])
-    return RetentionResult(
-        retention_time=retention, occupancy=occupancy,
-        times=np.asarray(times), voltage=np.asarray(voltages))
+    rates = np.where(occupancy.states == 1, model.leakage_factor, 1.0)
+    tau = np.concatenate(([0.0], np.cumsum(rates * np.diff(boundaries))))
+    retention = float(np.interp(model.slow, tau, boundaries)) \
+        if tau[-1] >= model.slow else float("inf")
+    times = np.linspace(0.0, min(retention, t_max), 129)
+    voltage = np.interp(np.interp(times, boundaries, tau),
+                        model.tau, model.voltage)
+    return RetentionResult(retention_time=retention, occupancy=occupancy,
+                           times=times, voltage=voltage)
 
 
 @dataclass(frozen=True)
@@ -184,22 +196,25 @@ class RetentionScanConfig:
     def __post_init__(self) -> None:
         if self.n_trials <= 0:
             raise SimulationError("n_trials must be positive")
+        if not 0.0 < self.t_max < float("inf"):
+            raise SimulationError("t_max must be positive and finite")
 
 
 def _retention_trial(payload, rng: np.random.Generator) -> float:
     """Scenario kernel: one retention trial -> retention time [s]."""
-    spec, trap, t_max = payload
-    return simulate_retention(spec, trap, rng, t_max=t_max).retention_time
+    model, t_max = payload
+    return simulate_retention(model, rng, t_max).retention_time
 
 
 class RetentionScanScenario(scenario.Scenario):
     """``dram.retention`` — repeated retention trials of one DRAM cell.
 
-    Each job re-writes the cell and measures one retention time with
-    its own spawned generator, so trial *k* is reproducible in
-    isolation and the scan parallelises across any backend.  The
-    reducer returns the retention-time array (``inf`` = survived the
-    window), matching :func:`retention_distribution`.
+    The plan builds the cell's :class:`RetentionModel` once; each job
+    re-writes the cell and measures one retention time with its own
+    spawned generator, so trial *k* is reproducible in isolation and
+    the scan parallelises across any backend.  The reducer returns the
+    retention-time array (``inf`` = survived the window), matching
+    :func:`retention_distribution`.
     """
 
     name = "dram.retention"
@@ -207,7 +222,8 @@ class RetentionScanScenario(scenario.Scenario):
     kernel = staticmethod(_retention_trial)
 
     def plan(self, config: RetentionScanConfig) -> list:
-        payload = (config.spec, config.trap, config.t_max)
+        payload = (RetentionModel.build(config.spec, config.trap),
+                   config.t_max)
         return [payload] * config.n_trials
 
     def reduce(self, config: RetentionScanConfig, results) -> np.ndarray:
@@ -219,16 +235,11 @@ class RetentionScanScenario(scenario.Scenario):
         return np.array([float(r.value) for r in results])
 
     def fingerprint(self, config: RetentionScanConfig) -> dict:
-        trap = config.trap
-        return {"n_trials": config.n_trials, "t_max": config.t_max,
-                "spec": asdict(config.spec),
-                "y_tr": trap.y_tr, "e_tr": trap.e_tr,
-                "degeneracy": trap.degeneracy}
+        return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
         spec, trap = default_vrt_cell()
-        slow, _ = vrt_levels(spec)
-        options.setdefault("t_max", 3.0 * slow)
+        options.setdefault("t_max", 3.0 * vrt_levels(spec)[0])
         return RetentionScanConfig(spec=spec, trap=trap,
                                    n_trials=n or 16, **options)
 
@@ -287,24 +298,10 @@ def default_vrt_cell(leakage_factor: float = 3.0) \
 def vrt_levels(spec: DramCellSpec) -> tuple[float, float]:
     """The two frozen-state retention times (slow, fast) [s].
 
-    Closed-bound estimates obtained by integrating the decay with the
-    defect pinned empty and pinned filled; actual trials fall between
-    (or jump mid-trial).  ``fast = slow / leakage_factor`` only holds
-    approximately because the leakage is voltage-dependent.
+    ``slow`` is the crossing of the defect-free decay.  A pinned-filled
+    defect multiplies the whole leakage, so it runs the same decay
+    ``leakage_factor`` times faster: ``fast = slow / leakage_factor``
+    exactly.  Actual trials fall between (or jump mid-trial).
     """
-    results = []
-    for multiplier in (1.0, spec.leakage_factor):
-        def rhs(t, y, m=multiplier):
-            return [-m * _leakage(spec, float(y[0]))
-                    / spec.storage_capacitance]
-
-        def event(t, y):
-            return y[0] - spec.threshold
-        event.terminal = True
-        event.direction = -1
-        solution = solve_ivp(rhs, (0.0, 1.0), [spec.stored_level],
-                             events=event, rtol=1e-8, atol=1e-12)
-        if solution.t_events[0].size == 0:
-            raise SimulationError("cell never discharged within 1 s")
-        results.append(float(solution.t_events[0][0]))
-    return results[0], results[1]
+    slow, __ = _decay(spec)
+    return slow, slow / spec.leakage_factor

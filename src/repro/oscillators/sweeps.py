@@ -146,9 +146,7 @@ class RingSweepScenario(scenario.Scenario):
             for r in results]
 
     def fingerprint(self, config: RingPeriodSweepConfig) -> dict:
-        return {"stage_counts": list(config.stage_counts),
-                "t_stop": config.t_stop, "dt": config.dt,
-                "rtn": config.trap is not None}
+        return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
         counts = tuple(3 + 2 * k for k in range(n or 2))
@@ -219,8 +217,7 @@ class PllSweepScenario(scenario.Scenario):
         return np.array([float(r.value) for r in results])
 
     def fingerprint(self, config: PllPulloutSweepConfig) -> dict:
-        return {"n_specs": len(config.specs),
-                "tolerance": config.tolerance}
+        return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
         points = n or 3

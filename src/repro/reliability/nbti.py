@@ -158,10 +158,7 @@ class ReliabilityPopulationScenario(scenario.Scenario):
                 for r in results]
 
     def fingerprint(self, config: ReliabilityPopulationConfig) -> dict:
-        return {"n_devices": config.n_devices,
-                "width": config.params.width,
-                "length": config.params.length,
-                "stress": config.stress, "operating": config.operating}
+        return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
         from ..devices.technology import TECH_90NM

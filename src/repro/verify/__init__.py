@@ -48,9 +48,11 @@ from .oracles import (
     check_batch_scalar_equivalence,
     check_dwell_times,
     check_propensity_sum_invariant,
+    check_retention_law,
     check_stationary_occupancy,
     check_transient_occupancy,
     pooled_dwell_times,
+    retention_probability,
     sample_stationary_population,
 )
 from .result import CheckResult, VerificationReport
@@ -73,6 +75,7 @@ __all__ = [
     "check_dcop_kcl",
     "check_dwell_times",
     "check_propensity_sum_invariant",
+    "check_retention_law",
     "check_sram_bistability",
     "check_stationary_occupancy",
     "check_transient_charge_conservation",
@@ -82,6 +85,7 @@ __all__ = [
     "compute_golden_statistics",
     "load_golden",
     "pooled_dwell_times",
+    "retention_probability",
     "run_property",
     "run_suite",
     "sample_stationary_population",

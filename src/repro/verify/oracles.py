@@ -13,7 +13,10 @@ closed forms the law implies:
   SAMURAI sum constraint ``lambda_c + lambda_e = 1/(tau0 e^{gamma
   y_tr})`` (paper Eq. 1) tying both means to the trap depth;
 - the batched and scalar kernels implement the same law, so their
-  outputs are statistically indistinguishable.
+  outputs are statistically indistinguishable;
+- a DRAM retention trial is a time change of one decay curve, so its
+  retention time has an exact law: the occupation-time law of the
+  defect's two-state chain (:func:`retention_probability`).
 
 Each oracle reduces simulated trajectories to a test statistic with a
 known null distribution and returns a :class:`CheckResult` whose
@@ -44,9 +47,11 @@ __all__ = [
     "check_batch_scalar_equivalence",
     "check_dwell_times",
     "check_propensity_sum_invariant",
+    "check_retention_law",
     "check_stationary_occupancy",
     "check_transient_occupancy",
     "pooled_dwell_times",
+    "retention_probability",
     "sample_stationary_population",
 ]
 
@@ -267,3 +272,86 @@ def check_batch_scalar_equivalence(batch: BatchPropensity, t_start: float,
         p_occupancy=float(p_frac), p_transitions=float(p_hops),
         mean_occupancy_batch=float(frac_b.mean()),
         mean_occupancy_scalar=float(frac_s.mean()))
+
+
+def retention_probability(t, slow: float, leakage_factor: float,
+                          lambda_c: float, lambda_e: float) -> np.ndarray:
+    """Exact ``P(retention <= t)`` of a DRAM trial with a stationary start.
+
+    The defect multiplies the leakage by ``m = leakage_factor`` while
+    filled, so the node runs the defect-free decay in the clock
+    ``tau(t) = t + (m - 1) F(t)``, ``F`` the filled time over
+    ``[0, t]``: retention is at most ``t`` exactly when
+    ``F(t) >= (slow - t)/(m - 1)``.  Uniformised at
+    ``Lambda = lambda_c + lambda_e``, every one of the ``N + 1``
+    intervals between ``N ~ Poisson(Lambda t)`` candidate events holds
+    an i.i.d. ``Bernoulli(lambda_c/Lambda)`` state, and ``K`` filled
+    intervals fill a ``Beta(K, N + 1 - K)`` fraction of the window.
+    Summing over ``N`` and ``K`` gives the law, with atoms at
+    ``slow / m`` (filled throughout) and ``slow`` (empty throughout).
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    rate = lambda_c + lambda_e
+    p_fill = lambda_c / rate
+    out = (t >= slow).astype(float)
+    for index, t_i in enumerate(t):
+        if t_i >= slow or leakage_factor == 1.0:
+            continue
+        fraction = (slow - t_i) / ((leakage_factor - 1.0) * t_i)
+        if fraction > 1.0:
+            continue
+        n = np.arange(int(stats.poisson.isf(1e-16, rate * t_i)) + 2)
+        k = np.arange(n.size + 1)
+        n_grid, k_grid = np.meshgrid(n, k, indexing="ij")
+        inside = (k_grid >= 1) & (k_grid <= n_grid)
+        tail = np.where(k_grid > n_grid, 1.0, 0.0)
+        tail[inside] = stats.beta.sf(fraction, k_grid[inside],
+                                     n_grid[inside] + 1 - k_grid[inside])
+        weight = stats.poisson.pmf(n_grid, rate * t_i) \
+            * stats.binom.pmf(k_grid, n_grid + 1, p_fill)
+        out[index] = float(np.sum(weight * tail))
+    return out
+
+
+def check_retention_law(times, model, t_max: float,
+                        alpha: float) -> CheckResult:
+    """DRAM retention times vs their exact law.
+
+    ``times`` are the retention times of independent trials over a
+    ``t_max`` window (``inf`` = survived), ``model`` the
+    :class:`~repro.dram.cell.RetentionModel` whose nominal law they
+    should follow.  The law has atoms at ``slow/m`` and ``slow``, so a
+    KS test does not apply; instead the count of trials lost by each
+    grid time is ``Binomial(n, P(retention <= t))`` with the exact
+    probability of :func:`retention_probability`.  Each grid point gets
+    an exact binomial test, Bonferroni-corrected across points.  The
+    grid brackets both atoms (just below and just above the fast level,
+    just below the slow one; never on an atom, where rounding decides
+    the count) and samples the continuous part between them.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size < 8:
+        raise AnalysisError(f"need >= 8 trials, got {times.size}")
+    slow, factor = model.slow, model.leakage_factor
+    fast = slow / factor
+    grid = np.concatenate(([0.99 * fast, 1.01 * fast],
+                           np.linspace(fast, slow, 6)[1:-1], [0.999 * slow]))
+    if np.any(grid > t_max):
+        raise AnalysisError(
+            f"window t_max={t_max:g}s ends before the slow level {slow:g}s")
+    expected = retention_probability(grid, slow, factor, model.capture_rate,
+                                     model.emission_rate)
+    per_point = alpha / grid.size
+    worst_p, worst_at = 1.0, 0.0
+    for t, p_model in zip(grid, expected):
+        lost = int(np.count_nonzero(times <= t))
+        p_val = stats.binomtest(lost, times.size,
+                                min(max(float(p_model), 0.0), 1.0)).pvalue
+        if p_val < worst_p:
+            worst_p, worst_at = float(p_val), float(t)
+    return CheckResult.from_pvalue(
+        "dram.retention_law", worst_p, per_point,
+        detail=(f"{times.size} trials x {grid.size} grid points, "
+                f"worst at t={worst_at:.3g}s"),
+        grid_points=int(grid.size), worst_time=worst_at,
+        alpha_per_point=per_point)

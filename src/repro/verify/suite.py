@@ -8,7 +8,8 @@ Two tiers mirror the CI split:
   safe on every push;
 - the **statistical suite** (tier 2) simulates populations and tests
   their law against the analytic oracles — stationary and transient
-  occupancy, dwell exponentiality, batch/scalar equivalence — under
+  occupancy, dwell exponentiality, batch/scalar equivalence, the
+  exact DRAM retention law — under
   one Bonferroni :class:`~repro.verify.harness.AlphaBudget`, so a
   correct kernel fails a whole run with probability at most
   ``alpha_total``.
@@ -25,6 +26,7 @@ from .oracles import (
     check_batch_scalar_equivalence,
     check_dwell_times,
     check_propensity_sum_invariant,
+    check_retention_law,
     check_stationary_occupancy,
     check_transient_occupancy,
     sample_stationary_population,
@@ -42,6 +44,7 @@ __all__ = ["run_suite"]
 #: Statistical-suite scenario sizing (kept cheap enough for CI).
 _N_TRAPS = 256
 _WINDOW_SUMS = 50.0
+_N_RETENTION_TRIALS = 2000
 
 
 def _deterministic_checks() -> list:
@@ -66,8 +69,8 @@ def _deterministic_checks() -> list:
 def _statistical_checks(seed: int, budget: AlphaBudget) -> list:
     from ..testing.seeding import derive_seed
 
-    # Five statistical checks share the budget.
-    alpha = budget.split(5)
+    # Six statistical checks share the budget.
+    alpha = budget.split(6)
     checks = []
 
     # Stationary marginal + dwell laws on one asymmetric population.
@@ -107,6 +110,17 @@ def _statistical_checks(seed: int, budget: AlphaBudget) -> list:
         emission=np.tile(rates_e[:, None], (1, 2)))
     checks.append(check_batch_scalar_equivalence(
         hetero, 0.0, 20.0, derive_seed(seed, "equivalence"), alpha))
+
+    # The dram.retention scenario vs its exact time-change law.
+    from ..core.scenario import get_scenario, run_scenario
+    from ..dram.cell import RetentionModel
+
+    scan = get_scenario("dram.retention").default_config(_N_RETENTION_TRIALS)
+    times = run_scenario("dram.retention", scan, backend="serial",
+                         seed=derive_seed(seed, "retention")).value
+    checks.append(check_retention_law(
+        times, RetentionModel.build(scan.spec, scan.trap), scan.t_max,
+        alpha))
     return checks
 
 

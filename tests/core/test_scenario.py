@@ -7,6 +7,9 @@ tier-2 invariance suite (``tests/verify/test_scenario_invariance.py``).
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.scenario import (
     Scenario,
     ScenarioRegistry,
     available_scenarios,
+    config_fingerprint,
     get_scenario,
     run_scenario,
 )
@@ -280,6 +284,31 @@ class TestCheckpointResume:
         assert resumed.counts["failed"] == 3
         assert all(r.error_type == "SimulationError"
                    for r in resumed.results)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    values: tuple = (1.0, 2.0)
+    label: str | None = None
+
+
+@dataclass(frozen=True)
+class _Config:
+    leaf: _Leaf
+    leaves: tuple
+    count: int
+
+
+class TestConfigFingerprint:
+    def test_nested_dataclasses_and_tuples_become_json_native(self):
+        config = _Config(leaf=_Leaf(), leaves=(_Leaf((3.0,), "x"),),
+                         count=2)
+        expected = {"leaf": {"values": [1.0, 2.0], "label": None},
+                    "leaves": [{"values": [3.0], "label": "x"}],
+                    "count": 2}
+        fingerprint = config_fingerprint(config)
+        assert fingerprint == expected
+        assert json.loads(json.dumps(fingerprint)) == fingerprint
 
 
 class TestObservability:

@@ -7,17 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.scenario import run_scenario
+from repro.core.scenario import get_scenario, run_scenario
 from repro.devices.technology import TECH_22NM, TECH_90NM
 from repro.dram.cell import (
     DramCellSpec,
+    RetentionModel,
     RetentionScanConfig,
     default_vrt_cell,
     retention_distribution,
     simulate_retention,
     vrt_levels,
 )
-from repro.errors import SimulationError
+from repro.errors import ModelError, SimulationError
 from repro.traps.band import crossing_energy
 from repro.traps.propensity import rates_from_bias
 from repro.traps.trap import Trap
@@ -35,12 +36,40 @@ def slow_defect(spec: DramCellSpec) -> Trap:
     return Trap(y_tr=y, e_tr=crossing_energy(0.0, y, tech))
 
 
+def _integrate_crossing(spec: DramCellSpec, segments) -> float:
+    """Reference: integrate ``dV/dt = -m I_leak(V) / C`` over
+    ``(t_lo, t_hi, m)`` segments; the threshold crossing or ``inf``."""
+    from scipy.integrate import solve_ivp
+
+    from repro.dram.cell import _leakage
+
+    def crossing(t, y):
+        return y[0] - spec.threshold
+    crossing.terminal = True
+    v = spec.stored_level
+    for t_lo, t_hi, m in segments:
+        solution = solve_ivp(
+            lambda t, y: [-m * _leakage(spec, float(y[0]))
+                          / spec.storage_capacitance],
+            (t_lo, t_hi), [v], events=crossing, rtol=1e-10, atol=1e-14)
+        if solution.t_events[0].size:
+            return float(solution.t_events[0][0])
+        v = float(solution.y[0][-1])
+    return float("inf")
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(SimulationError):
             DramCellSpec(storage_capacitance=0.0)
         with pytest.raises(SimulationError):
             DramCellSpec(leakage_factor=0.5)
+        # The bit is lost at t = 0 at or above the stored level, and
+        # never at or below 0 V.
+        stored = DramCellSpec().stored_level
+        for threshold in (1.2 * stored, stored, 0.0, -0.1):
+            with pytest.raises(SimulationError, match="sense_threshold"):
+                DramCellSpec(sense_threshold=threshold)
 
     def test_defaults(self):
         spec = DramCellSpec()
@@ -54,6 +83,15 @@ class TestVrtLevels:
         slow, fast = vrt_levels(spec)
         assert slow > fast > 0.0
         assert slow / fast == pytest.approx(3.0, rel=0.05)
+
+    def test_fast_level_is_the_time_changed_slow_level(self):
+        """Integrating the decay with the leakage scaled by the factor
+        crosses at ``slow / factor``: the factor is a change of clock."""
+        spec = DramCellSpec(leakage_factor=3.0)
+        slow, fast = vrt_levels(spec)
+        assert fast == slow / 3.0
+        assert _integrate_crossing(spec, [(0.0, 1.0, 3.0)]) \
+            == pytest.approx(fast, rel=1e-6)
 
     def test_unity_factor_degenerate(self):
         slow, fast = vrt_levels(DramCellSpec(leakage_factor=1.0))
@@ -82,13 +120,15 @@ class TestRetentionTrial:
         spec = DramCellSpec()
         trap = slow_defect(spec)
         with pytest.raises(SimulationError):
-            simulate_retention(spec, trap, rng, t_max=0.0)
+            simulate_retention(RetentionModel.build(spec, trap), rng,
+                               t_max=0.0)
 
     def test_decay_is_monotone(self, rng):
         spec = DramCellSpec()
         trap = slow_defect(spec)
         slow, __ = vrt_levels(spec)
-        result = simulate_retention(spec, trap, rng, t_max=2 * slow)
+        result = simulate_retention(RetentionModel.build(spec, trap), rng,
+                                    t_max=2 * slow)
         assert np.all(np.diff(result.voltage) <= 1e-12)
         assert result.voltage[0] == pytest.approx(spec.stored_level)
 
@@ -96,15 +136,33 @@ class TestRetentionTrial:
         spec = DramCellSpec()
         trap = slow_defect(spec)
         slow, fast = vrt_levels(spec)
-        result = simulate_retention(spec, trap, rng, t_max=2 * slow)
+        result = simulate_retention(RetentionModel.build(spec, trap), rng,
+                                    t_max=2 * slow)
         assert fast * 0.95 <= result.retention_time <= slow * 1.05
 
     def test_survives_when_window_short(self, rng):
         spec = DramCellSpec()
         trap = slow_defect(spec)
         __, fast = vrt_levels(spec)
-        result = simulate_retention(spec, trap, rng, t_max=0.1 * fast)
+        result = simulate_retention(RetentionModel.build(spec, trap), rng,
+                                    t_max=0.1 * fast)
         assert result.retention_time == float("inf")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_segment_by_segment_integration(self, seed,
+                                                        rng_factory):
+        """The time change reproduces the piecewise ODE along the same
+        occupancy trace."""
+        spec, trap = default_vrt_cell()
+        slow, __ = vrt_levels(spec)
+        result = simulate_retention(RetentionModel.build(spec, trap),
+                                    rng_factory(seed), t_max=1.5 * slow)
+        trace = result.occupancy
+        segments = [(trace.times[k], trace.times[k + 1],
+                     spec.leakage_factor if trace.states[k] else 1.0)
+                    for k in range(trace.states.size)]
+        assert result.retention_time == pytest.approx(
+            _integrate_crossing(spec, segments), rel=1e-6)
 
     def test_frozen_states_hit_the_levels(self, rng_factory):
         """With the defect pinned (enormous asymmetry), each trial sits
@@ -117,10 +175,12 @@ class TestRetentionTrial:
                             e_tr=crossing_energy(0.0, y, tech) + 0.4)
         always_filled = Trap(y_tr=y,
                              e_tr=crossing_energy(0.0, y, tech) - 0.4)
-        r_empty = simulate_retention(spec, always_empty, rng_factory(1),
-                                     t_max=2 * slow)
-        r_filled = simulate_retention(spec, always_filled, rng_factory(2),
-                                      t_max=2 * slow)
+        r_empty = simulate_retention(
+            RetentionModel.build(spec, always_empty), rng_factory(1),
+            t_max=2 * slow)
+        r_filled = simulate_retention(
+            RetentionModel.build(spec, always_filled), rng_factory(2),
+            t_max=2 * slow)
         assert r_empty.retention_time == pytest.approx(slow, rel=0.02)
         assert r_filled.retention_time == pytest.approx(fast, rel=0.02)
 
@@ -171,7 +231,8 @@ class TestCheckpointFingerprint:
         _changed_spec(storage_capacitance=30e-15),
         _changed_spec(v_write=0.9),
         _changed_spec(sense_threshold=0.3),
-        _changed_spec(technology=TECH_22NM),
+        _changed_spec(technology=dataclasses.replace(TECH_90NM,
+                                                     temperature=350.0)),
         lambda config: dataclasses.replace(
             config, trap=dataclasses.replace(config.trap, degeneracy=2.0)),
     ], ids=["storage_capacitance", "v_write", "sense_threshold",
@@ -188,3 +249,23 @@ class TestCheckpointFingerprint:
         with pytest.raises(ValueError, match="different run"):
             run_scenario("dram.retention", change(config), seed=3,
                          checkpoint_dir=tmp_path, resume=True)
+
+
+class TestScanConfig:
+    @pytest.mark.parametrize("t_max", [0.0, -1e-4, float("nan"),
+                                       float("inf")])
+    def test_window_must_be_positive_and_finite(self, t_max):
+        spec, trap = default_vrt_cell()
+        with pytest.raises(SimulationError, match="t_max"):
+            RetentionScanConfig(spec=spec, trap=trap, n_trials=4,
+                                t_max=t_max)
+
+    def test_plan_refuses_a_trap_deeper_than_the_oxide(self):
+        """The default trap sits in the 90 nm oxide; the 22 nm oxide is
+        thinner, so the per-scan rates cannot be built."""
+        spec, trap = default_vrt_cell()
+        config = RetentionScanConfig(
+            spec=dataclasses.replace(spec, technology=TECH_22NM),
+            trap=trap, n_trials=2, t_max=1e-4)
+        with pytest.raises(ModelError):
+            get_scenario("dram.retention").plan(config)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.scenario import run_scenario
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
 from repro.oscillators.pll import (
@@ -12,6 +15,7 @@ from repro.oscillators.pll import (
     pull_out_frequency,
     simulate_pll_with_rtn,
 )
+from repro.oscillators.sweeps import PllPulloutSweepConfig
 from repro.traps.band import crossing_energy
 from repro.traps.propensity import rates_from_bias
 from repro.traps.trap import Trap
@@ -122,3 +126,25 @@ class TestRtnDrivenLoop:
                                        1e-5, dt, delta_f=0.0)
         assert result.n_slips == 0
         assert np.abs(result.phase_error).max() < 1e-9
+
+
+class TestCheckpointFingerprint:
+    """A resume into a sweep over different loops must refuse the
+    checkpoint instead of returning the old pull-out frequencies."""
+
+    @pytest.mark.parametrize("change", [
+        {"specs": (PllSpec(r1=6e3), PllSpec(c1=100e-12))},
+        {"specs": (PllSpec(), PllSpec(c1=200e-12))},
+        {"specs": (PllSpec(), PllSpec(c1=100e-12, i_cp=50e-6))},
+    ], ids=["r1", "c1", "i_cp"])
+    def test_resume_rejects_a_changed_input(self, tmp_path, change):
+        config = PllPulloutSweepConfig(
+            specs=(PllSpec(), PllSpec(c1=100e-12)))
+        run_scenario("oscillators.pll", config, checkpoint_dir=tmp_path)
+        resumed = run_scenario("oscillators.pll", config,
+                               checkpoint_dir=tmp_path, resume=True)
+        assert sorted(resumed.resumed) == [0, 1]
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario("oscillators.pll",
+                         dataclasses.replace(config, **change),
+                         checkpoint_dir=tmp_path, resume=True)

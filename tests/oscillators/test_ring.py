@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.scenario import run_scenario
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
 from repro.oscillators.ring import (
@@ -12,6 +15,7 @@ from repro.oscillators.ring import (
     measure_periods,
     run_ring_with_rtn,
 )
+from repro.oscillators.sweeps import RingPeriodSweepConfig
 from repro.spice.transient import TransientOptions, simulate_transient
 from repro.spice.waveform import Waveform
 from repro.traps.band import crossing_energy
@@ -135,3 +139,36 @@ class TestRtnCoupling:
         run_ring_with_rtn(ring, trap, stage=1, rng=rng, t_stop=2e-9,
                           dt=4e-12, record_every=4)
         assert len(ring.circuit.elements) == before
+
+
+class TestCheckpointFingerprint:
+    """A resume into a sweep over different rings must refuse the
+    checkpoint instead of returning the old periods."""
+
+    CONFIG = RingPeriodSweepConfig(stage_counts=(3,), t_stop=1e-9)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("ring")
+        run_scenario("oscillators.ring", self.CONFIG,
+                     checkpoint_dir=directory)
+        return directory
+
+    def test_resume_with_the_same_config_is_accepted(self, checkpoint):
+        resumed = run_scenario("oscillators.ring", self.CONFIG,
+                               checkpoint_dir=checkpoint, resume=True)
+        assert resumed.resumed == [0]
+
+    @pytest.mark.parametrize("change", [
+        {"load_capacitance": 3e-15},
+        {"technology": dataclasses.replace(TECH_90NM, temperature=350.0)},
+        {"record_every": 1},
+        {"stage": 1},
+        {"rtn_scale": 2.0},
+    ], ids=["load_capacitance", "technology", "record_every", "stage",
+            "rtn_scale"])
+    def test_resume_rejects_a_changed_input(self, checkpoint, change):
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario("oscillators.ring",
+                         dataclasses.replace(self.CONFIG, **change),
+                         checkpoint_dir=checkpoint, resume=True)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.scenario import run_scenario
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_22NM, TECH_90NM
 from repro.errors import ModelError
 from repro.reliability.nbti import (
+    ReliabilityPopulationConfig,
     correlation,
     nbti_threshold_shift,
     per_trap_threshold_shift,
@@ -142,3 +146,27 @@ class TestCorrelation:
         population = sample_reliability_population(
             DEVICE, TrapProfiler(TECH_90NM), rng, 200)
         assert correlation(population) < 0.999
+
+
+class TestCheckpointFingerprint:
+    """A resume into a population with a different device, profiler or
+    bias must refuse the checkpoint instead of mixing its devices in."""
+
+    @pytest.mark.parametrize("change", [
+        {"params": MosfetParams.nominal(
+            dataclasses.replace(TECH_90NM, temperature=350.0), "n")},
+        {"profiler": TrapProfiler(TECH_90NM, energy_margin=0.2)},
+        {"profiler": TrapProfiler(TECH_90NM, max_rate=1e6)},
+    ], ids=["technology", "energy_margin", "max_rate"])
+    def test_resume_rejects_a_changed_input(self, tmp_path, change):
+        config = ReliabilityPopulationConfig(
+            params=DEVICE, profiler=TrapProfiler(TECH_90NM), n_devices=2)
+        run_scenario("reliability.nbti", config, seed=3,
+                     checkpoint_dir=tmp_path)
+        resumed = run_scenario("reliability.nbti", config, seed=3,
+                               checkpoint_dir=tmp_path, resume=True)
+        assert sorted(resumed.resumed) == [0, 1]
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario("reliability.nbti",
+                         dataclasses.replace(config, **change), seed=3,
+                         checkpoint_dir=tmp_path, resume=True)

@@ -9,15 +9,22 @@ Two claims make the harness worth having, and both are tested here:
    kernel's fill-acceptance probability shifted by 0.05, injected
    through the fault harness without touching the kernel source — is
    caught by the oracles even though every trajectory it produces still
-   looks individually plausible.
+   looks individually plausible.  Likewise a DRAM leakage factor off by
+   5 % is caught by the exact retention law of the nominal cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.scenario import get_scenario, run_scenario
+from repro.dram.cell import RetentionModel
 from repro.testing.faults import inject_faults
 from repro.verify import run_suite
+from repro.verify.harness import AlphaBudget
+from repro.verify.oracles import check_retention_law
 
 pytestmark = pytest.mark.tier2
 
@@ -61,3 +68,31 @@ class TestInjectedKernelBugIsCaught:
             pass
         report = run_suite(seed=0, statistical=True)
         assert report.passed
+
+
+class TestPlantedRetentionBiasIsCaught:
+    """The suite's retention oracle at the suite's sizing and per-check
+    alpha: trials of a cell whose leakage factor is 5 % off must fail the
+    nominal cell's law, while the nominal cell's own trials pass it."""
+
+    N_TRIALS = 2000
+    ALPHA = AlphaBudget().split(6)
+
+    def _check(self, leakage_bias: float, seed: int):
+        scan = get_scenario("dram.retention").default_config(self.N_TRIALS)
+        nominal = RetentionModel.build(scan.spec, scan.trap)
+        planted = dataclasses.replace(scan, spec=dataclasses.replace(
+            scan.spec, leakage_factor=leakage_bias
+            * scan.spec.leakage_factor))
+        times = run_scenario("dram.retention", planted, seed=seed,
+                             backend="serial").value
+        return check_retention_law(times, nominal, scan.t_max, self.ALPHA)
+
+    @pytest.mark.parametrize("leakage_bias", [1.05, 0.95])
+    def test_leakage_factor_off_by_five_percent(self, leakage_bias):
+        for seed in (0, 1, 2):
+            result = self._check(leakage_bias, seed)
+            assert not result.passed, f"seed {seed}: bias went unnoticed"
+
+    def test_nominal_cell_passes(self):
+        assert self._check(1.0, 0).passed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.devices.technology import TECH_90NM
 from repro.errors import AnalysisError
@@ -14,9 +15,11 @@ from repro.verify import (
     check_batch_scalar_equivalence,
     check_dwell_times,
     check_propensity_sum_invariant,
+    check_retention_law,
     check_stationary_occupancy,
     check_transient_occupancy,
     pooled_dwell_times,
+    retention_probability,
     sample_stationary_population,
 )
 
@@ -163,3 +166,62 @@ class TestBatchScalarEquivalence:
                                                alpha=ALPHA)
         assert check.passed
         assert 0.0 < check.extras["mean_occupancy_batch"] < 1.0
+
+
+class TestRetentionLaw:
+    """The exact retention law on an asymmetric defect (p_fill = 2/3)."""
+
+    SLOW, FACTOR, LAM_C, LAM_E = 1.0, 3.0, 2.0, 1.0
+
+    def law(self, t):
+        return retention_probability(t, self.SLOW, self.FACTOR,
+                                     self.LAM_C, self.LAM_E)
+
+    def test_support_and_atoms(self):
+        fast = self.SLOW / self.FACTOR
+        p_fill = self.LAM_C / (self.LAM_C + self.LAM_E)
+        below, above_fast, below_slow, at_slow = self.law(
+            [0.999 * fast, (1 + 1e-9) * fast, (1 - 1e-9) * self.SLOW,
+             self.SLOW])
+        assert below == 0.0
+        # Filled throughout [0, fast]: the fast atom.
+        assert above_fast == pytest.approx(
+            p_fill * np.exp(-self.LAM_E * fast), rel=1e-6)
+        # Empty throughout [0, slow]: the slow atom.
+        assert below_slow == pytest.approx(
+            1.0 - (1.0 - p_fill) * np.exp(-self.LAM_C * self.SLOW),
+            rel=1e-6)
+        assert at_slow == 1.0
+
+    def test_cdf_is_monotone(self):
+        values = self.law(np.linspace(0.3, 1.0, 50))
+        assert np.all(np.diff(values) >= -1e-12)
+
+    def test_unity_factor_is_a_step_at_slow(self):
+        law = retention_probability([0.5, 0.999, 1.0], 1.0, 1.0, 2.0, 1.0)
+        assert list(law) == [0.0, 0.0, 1.0]
+
+    def test_matches_simulated_occupation_times(self):
+        """Independent of the DRAM code: stationary two-state traces,
+        filled time over [0, t] against ``(slow - t)/(m - 1)``."""
+        traces = sample_stationary_population(
+            self.LAM_C, self.LAM_E, n_traps=4000, t_stop=self.SLOW,
+            seed=5)
+        for t in (0.34, 0.45, 0.6, 0.8, 0.95):
+            filled = np.array([trace.restricted(0.0, t).fraction_filled()
+                               for trace in traces]) * t
+            lost = int(np.count_nonzero(
+                filled >= (self.SLOW - t) / (self.FACTOR - 1.0)))
+            p_val = stats.binomtest(lost, len(traces),
+                                    float(self.law(t)[0])).pvalue
+            assert p_val > ALPHA, t
+
+    def test_check_validates_its_inputs(self):
+        class Model:
+            slow, leakage_factor = 1.0, 3.0
+            capture_rate, emission_rate = 2.0, 1.0
+
+        with pytest.raises(AnalysisError):
+            check_retention_law(np.ones(4), Model, 2.0, ALPHA)
+        with pytest.raises(AnalysisError):
+            check_retention_law(np.ones(16), Model, 0.5, ALPHA)

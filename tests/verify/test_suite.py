@@ -30,6 +30,12 @@ class TestDeterministicSuite:
         assert "markov.batch_scalar_equivalence" in names
         assert report.alpha_total == 1e-4
 
+    def test_statistical_suite_checks_the_retention_law(self):
+        report = run_suite(seed=1, statistical=True)
+        assert report["dram.retention_law"].passed
+        assert report["dram.retention_law"].threshold == \
+            pytest.approx(1e-4 / 6 / 7)
+
 
 class TestCliVerify:
     def test_deterministic_run(self, capsys):
