@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Lint: one parallel executor, one co-simulation loop, one injection home.
+"""Lint: one parallel executor, one co-simulation loop, one injection home,
+one MNA assembly.
 
 Usage::
 
@@ -40,6 +41,15 @@ Likewise for the Fig.-8 injected SPICE pass: ``core/methodology.py``
 calls ``attach_rtn_sources(``.  A call anywhere else is a second copy of
 the methodology's step 3 and fails the check; array paths run the
 bench instead.
+
+And for MNA assembly: ``spice/mna.py``
+(:class:`repro.spice.mna.StampProgram`) is the one place that stamps a
+netlist, and the SPICE package's private (``_``-prefixed) names are its
+internals.  An import of a private name from ``repro.spice`` (absolute
+or relative, of a module or of a name) anywhere outside
+``src/repro/spice/`` reaches past the program's public assemblers and
+fails the check; use ``StampProgram.dc_assembler`` /
+``transient_assembler`` instead.
 """
 
 from __future__ import annotations
@@ -66,6 +76,9 @@ PRE_STEP_HOME = "cosim/engine.py"
 
 #: The one module that may call ``attach_rtn_sources``.
 INJECTION_HOME = "core/methodology.py"
+
+#: The package whose private names no module outside it may import.
+SPICE_PACKAGE = "repro.spice"
 
 
 def _banned(module: str | None) -> str | None:
@@ -117,6 +130,39 @@ def injection_calls(path: Path) -> list:
             == "attach_rtn_sources"]
 
 
+def _absolute(relative: str, node: ast.ImportFrom) -> str:
+    """Absolute module of a ``from ... import`` in ``repro/<relative>``."""
+    if node.level == 0:
+        return node.module or ""
+    package = ["repro", *relative.split("/")[:-1]]
+    base = package[:len(package) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _private(dotted: str) -> bool:
+    return any(part.startswith("_") for part in dotted.split("."))
+
+
+def private_spice_imports(path: Path, relative: str) -> list:
+    """(line, name) pairs importing a private name of ``repro.spice``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(relative, node)
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if (name == SPICE_PACKAGE
+                    or name.startswith(SPICE_PACKAGE + ".")) \
+                    and _private(name):
+                hits.append((node.lineno, name))
+    return hits
+
+
 def main(argv: list) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent \
         / "src" / "repro"
@@ -146,6 +192,12 @@ def main(argv: list) -> int:
                     path, line, "calls attach_rtn_sources — the injected "
                     "SPICE pass belongs to repro.core.methodology; run a "
                     "PatternBench instead"))
+        if not relative.startswith("spice/"):
+            for line, name in private_spice_imports(path, relative):
+                violations.append((
+                    path, line, f"imports private {name} — MNA assembly "
+                    "belongs to repro.spice.mna; use a public "
+                    "StampProgram assembler instead"))
     for path, line, message in violations:
         print(f"{path}:{line}: {message}", file=sys.stderr)
     print(f"{len(files)} modules checked ({len(EXEMPT)} may import "

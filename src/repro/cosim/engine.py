@@ -187,15 +187,10 @@ def run_trap_coupled(circuit: Circuit, attachments: list,
         tech = mosfet.params.technology
         live.append(_LivePopulation(attachment, mosfet, held, rng, tech))
 
-    def volt(x: np.ndarray, index: int) -> float:
-        return 0.0 if index < 0 else float(x[index])
-
     def pre_step(t: float, x: np.ndarray) -> None:
         for population in live:
             mosfet = population.mosfet
-            d, g, s, b = mosfet.nodes
-            v_d, v_g, v_s, v_b = (volt(x, d), volt(x, g), volt(x, s),
-                                  volt(x, b))
+            v_d, v_g, v_s, v_b = mosfet.terminal_voltages(x)
             params = mosfet.params
             if params.is_nmos:
                 v_drive = v_g - min(v_d, v_s)

@@ -50,32 +50,51 @@ def interpolation_f_prime(u):
     return _softplus(u / 2.0) * expit(u / 2.0)
 
 
-def _core_levels(params: MosfetParams, v_gb, v_db, v_sb):
-    """Return ``(x_f, x_r, v_t)`` for an NMOS-convention device."""
+def device_constants(params: MosfetParams) -> tuple:
+    """Return ``(vt0, slope_factor, thermal_voltage, i_spec)`` of a device.
+
+    These four numbers are all the EKV core reads from the parameters;
+    :func:`core_derivatives` takes them as scalars or per-device arrays.
+    """
     tech = params.technology
-    v_t = thermal_voltage(tech.temperature)
-    v_p = (np.asarray(v_gb, dtype=float) - params.vt0) / tech.slope_factor
+    return (params.vt0, tech.slope_factor,
+            thermal_voltage(tech.temperature), params.i_spec)
+
+
+def _core_levels(vt0, slope, v_t, v_gb, v_db, v_sb):
+    """Return ``(x_f, x_r)`` for an NMOS-convention device."""
+    v_p = (np.asarray(v_gb, dtype=float) - vt0) / slope
     x_f = (v_p - np.asarray(v_sb, dtype=float)) / v_t
     x_r = (v_p - np.asarray(v_db, dtype=float)) / v_t
-    return x_f, x_r, v_t
+    return x_f, x_r
 
 
 def _core_current(params: MosfetParams, v_gb, v_db, v_sb):
-    x_f, x_r, _ = _core_levels(params, v_gb, v_db, v_sb)
-    return params.i_spec * (interpolation_f(x_f) - interpolation_f(x_r))
+    vt0, slope, v_t, i_s = device_constants(params)
+    x_f, x_r = _core_levels(vt0, slope, v_t, v_gb, v_db, v_sb)
+    return i_s * (interpolation_f(x_f) - interpolation_f(x_r))
 
 
-def _core_derivatives(params: MosfetParams, v_gb, v_db, v_sb):
-    """Return ``(i, di/dv_gb, di/dv_db, di/dv_sb)`` for the NMOS core."""
-    x_f, x_r, v_t = _core_levels(params, v_gb, v_db, v_sb)
-    i_s = params.i_spec
-    n = params.technology.slope_factor
-    f_f = interpolation_f(x_f)
-    f_r = interpolation_f(x_r)
-    fp_f = interpolation_f_prime(x_f)
-    fp_r = interpolation_f_prime(x_r)
+def _f_and_prime(u):
+    """``(F(u), F'(u))`` sharing one softplus evaluation."""
+    half = np.asarray(u, dtype=float) / 2.0
+    sp = _softplus(half)
+    return sp * sp, sp * expit(half)
+
+
+def core_derivatives(vt0, slope, v_t, i_s, v_gb, v_db, v_sb):
+    """Return ``(i, di/dv_gb, di/dv_db, di/dv_sb)`` for the NMOS core.
+
+    The device constants (see :func:`device_constants`) and the
+    bulk-referenced voltages may be scalars or equal-length arrays; every
+    operation is elementwise, so an array call gives each device the same
+    bits as a scalar call.
+    """
+    x_f, x_r = _core_levels(vt0, slope, v_t, v_gb, v_db, v_sb)
+    f_f, fp_f = _f_and_prime(x_f)
+    f_r, fp_r = _f_and_prime(x_r)
     i = i_s * (f_f - f_r)
-    di_dvg = i_s * (fp_f - fp_r) / (n * v_t)
+    di_dvg = i_s * (fp_f - fp_r) / (slope * v_t)
     di_dvd = i_s * fp_r / v_t
     di_dvs = -i_s * fp_f / v_t
     return i, di_dvg, di_dvd, di_dvs
@@ -102,15 +121,16 @@ def drain_current_derivatives(params: MosfetParams, v_g, v_d, v_s, v_b=0.0):
     polarities the bulk derivative is minus the sum of the other three
     (the current depends only on voltage differences).
     """
+    constants = device_constants(params)
     if params.is_nmos:
-        i, dg, dd, ds = _core_derivatives(
-            params, np.asarray(v_g) - v_b, np.asarray(v_d) - v_b,
+        i, dg, dd, ds = core_derivatives(
+            *constants, np.asarray(v_g) - v_b, np.asarray(v_d) - v_b,
             np.asarray(v_s) - v_b)
     else:
         # Mirrored core: u_x = v_b - v_x, i = -i_core.  The two sign
         # flips (mirror and negation) cancel in the terminal derivatives.
-        i_core, dg, dd, ds = _core_derivatives(
-            params, v_b - np.asarray(v_g), v_b - np.asarray(v_d),
+        i_core, dg, dd, ds = core_derivatives(
+            *constants, v_b - np.asarray(v_g), v_b - np.asarray(v_d),
             v_b - np.asarray(v_s))
         i = -i_core
     db = -(dg + dd + ds)

@@ -11,8 +11,9 @@ Layout:
 
 - :mod:`repro.spice.circuit` — circuit container and node bookkeeping.
 - :mod:`repro.spice.sources` — time-dependent stimulus functions.
-- :mod:`repro.spice.elements` — element classes and their MNA stamps.
-- :mod:`repro.spice.mna` — the stamp target (matrix + RHS wrapper).
+- :mod:`repro.spice.elements` — element classes (the netlist's data).
+- :mod:`repro.spice.mna` — the stamp program: a netlist compiled once,
+  assembling every Newton iterate with array operations.
 - :mod:`repro.spice.newton` — the damped Newton solver.
 - :mod:`repro.spice.dcop` — DC operating point (gmin/source stepping).
 - :mod:`repro.spice.transient` — transient analysis.

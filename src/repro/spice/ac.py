@@ -19,16 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
-from .circuit import Circuit
-from .dcop import GMIN_FLOOR, DcSolution, dc_operating_point
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Mosfet,
-    Resistor,
-    VoltageSource,
-)
-from .mna import Stamper
+from .circuit import GROUND, Circuit
+from .dcop import DcSolution, dc_operating_point
+from .elements import CurrentSource, VoltageSource
+from .mna import StampProgram
 
 
 @dataclass(frozen=True)
@@ -77,50 +71,6 @@ class AcResult:
         return float(f_lo * (f_hi / f_lo) ** fraction)
 
 
-def _stamp_ac(circuit: Circuit, n: int, omega: float, x_op: np.ndarray,
-              ac_source: str, ac_magnitude: float) -> Stamper:
-    stamper = Stamper(n)
-    stamper.matrix = stamper.matrix.astype(complex)
-    stamper.rhs = stamper.rhs.astype(complex)
-    for node in range(circuit.n_nodes):
-        stamper.add_matrix(node, node, GMIN_FLOOR)
-    for element in circuit.elements:
-        if isinstance(element, Resistor):
-            stamper.add_conductance(element.nodes[0], element.nodes[1],
-                                    1.0 / element.resistance)
-        elif isinstance(element, Capacitor):
-            stamper.add_conductance(element.nodes[0], element.nodes[1],
-                                    1j * omega * element.capacitance)
-        elif isinstance(element, Mosfet):
-            d, g, s, b = element.nodes
-            from ..devices.ekv import drain_current_derivatives
-            v_d, v_g, v_s, v_b = element.terminal_voltages(x_op)
-            __, di_dg, di_dd, di_ds, di_db = drain_current_derivatives(
-                element.params, v_g, v_d, v_s, v_b)
-            for col, value in ((g, di_dg), (d, di_dd), (s, di_ds),
-                               (b, di_db)):
-                stamper.add_matrix(d, col, float(value))
-                stamper.add_matrix(s, col, -float(value))
-        elif isinstance(element, VoltageSource):
-            plus, minus = element.nodes
-            k = element.branch_index
-            stamper.add_matrix(plus, k, 1.0)
-            stamper.add_matrix(minus, k, -1.0)
-            stamper.add_matrix(k, plus, 1.0)
-            stamper.add_matrix(k, minus, -1.0)
-            if element.name == ac_source:
-                stamper.add_rhs(k, ac_magnitude)
-        elif isinstance(element, CurrentSource):
-            if element.name == ac_source:
-                stamper.add_current_injection(element.nodes[0],
-                                              element.nodes[1],
-                                              ac_magnitude)
-        else:
-            raise AnalysisError(
-                f"AC analysis cannot handle {type(element).__name__}")
-    return stamper
-
-
 def ac_analysis(circuit: Circuit, ac_source: str,
                 frequencies: np.ndarray, ac_magnitude: float = 1.0,
                 operating_point: DcSolution | None = None) -> AcResult:
@@ -145,17 +95,29 @@ def ac_analysis(circuit: Circuit, ac_source: str,
         raise AnalysisError("frequencies must be a non-empty 1-D array")
     if np.any(frequencies <= 0.0):
         raise AnalysisError("frequencies must be positive")
-    circuit.element(ac_source)  # raises NetlistError when absent
-    n = circuit.assign_branches()
+    source = circuit.element(ac_source)  # raises NetlistError when absent
+    program = StampProgram(circuit)
     op = operating_point or dc_operating_point(circuit)
-    phasors = {name: np.empty(frequencies.size, dtype=complex)
-               for name in circuit.node_names}
-    for index, frequency in enumerate(frequencies):
-        omega = 2.0 * np.pi * frequency
-        stamper = _stamp_ac(circuit, n, omega, op.x, ac_source,
-                            ac_magnitude)
-        solution = np.linalg.solve(stamper.matrix, stamper.rhs)
-        for name in circuit.node_names:
-            phasors[name][index] = solution[circuit.node(name)]
+    # Small-signal system G + jωC: G is the DC Newton matrix at the
+    # operating point (GMIN, resistors, MOSFET Jacobians, source rows).
+    conductance = program.dc_assembler()(op.x)[0]
+    capacitance = program.capacitance_matrix()
+    rhs = np.zeros(program.n, dtype=complex)
+    if isinstance(source, VoltageSource):
+        rhs[source.branch_index] = ac_magnitude
+    elif isinstance(source, CurrentSource):
+        node_from, node_to = source.nodes
+        if node_from != GROUND:
+            rhs[node_from] -= ac_magnitude
+        if node_to != GROUND:
+            rhs[node_to] += ac_magnitude
+    else:
+        raise AnalysisError(f"{ac_source!r} is not an independent source")
+    solutions = np.array([
+        np.linalg.solve(conductance + 1j * (2.0 * np.pi * f) * capacitance,
+                        rhs)
+        for f in frequencies])
+    phasors = {name: solutions[:, index]
+               for index, name in enumerate(circuit.node_names)}
     return AcResult(frequencies=frequencies, phasors=phasors,
                     operating_point=op)

@@ -22,9 +22,9 @@ import numpy as np
 from ..errors import ConvergenceError, SimulationError
 from .circuit import Circuit
 from .elements import IntegrationCoeff
-from .mna import Stamper
+from .mna import StampProgram
 from .newton import NewtonOptions, solve_newton
-from .transient import GMIN_FLOOR
+from .transient import check_time_span, package_waveform
 from .waveform import Waveform
 
 
@@ -78,45 +78,21 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
     the (non-uniform) accepted time grid.
     """
     opts = options or AdaptiveOptions()
-    if t_stop <= 0.0:
-        raise SimulationError(f"t_stop must be positive, got {t_stop}")
-    if dt_initial <= 0.0 or dt_initial > t_stop:
-        raise SimulationError("dt_initial must lie in (0, t_stop]")
+    check_time_span(t_stop, dt_initial, "dt_initial")
     max_step = opts.max_step if opts.max_step is not None else t_stop / 50.0
 
-    n = circuit.assign_branches()
-    x = np.zeros(n)
-    for name, value in (initial_voltages or {}).items():
-        index = circuit.node(name)
-        if index >= 0:
-            x[index] = value
+    program = StampProgram(circuit)
+    x = program.unknown_vector(initial_voltages)
+    history = program.initial_history(x)
 
-    history: dict = {}
-    for element in circuit.elements:
-        element.init_history(x, history)
-
-    def assemble_factory(t_new: float, coeff: IntegrationCoeff,
-                         hist: dict):
-        def assemble(x_guess: np.ndarray):
-            stamper = Stamper(n)
-            for node in range(circuit.n_nodes):
-                stamper.add_matrix(node, node, GMIN_FLOOR)
-            for element in circuit.elements:
-                element.stamp(stamper, x_guess, t_new, coeff, hist)
-            return stamper.matrix, stamper.rhs
-        return assemble
-
-    def take_step(x_from: np.ndarray, hist: dict, t_from: float,
-                  h: float, method: str) -> tuple[np.ndarray, dict]:
-        """One integration step on a *copy* of the history."""
-        local_hist = dict(hist)
+    def take_step(x_from: np.ndarray, hist: tuple, t_from: float,
+                  h: float, method: str) -> tuple[np.ndarray, tuple]:
+        """One integration step; returns the new state, ``hist`` untouched."""
         coeff = IntegrationCoeff(method=method, dt=h)
         x_new = solve_newton(
-            assemble_factory(t_from + h, coeff, local_hist), x_from,
+            program.transient_assembler(t_from + h, coeff, hist), x_from,
             opts.newton)
-        for element in circuit.elements:
-            element.update_history(x_new, coeff, local_hist)
-        return x_new, local_hist
+        return x_new, program.advance(x_new, coeff, hist)
 
     # A couple of BE ramp-in steps make the initial capacitor currents
     # consistent before trapezoidal LTE control engages.
@@ -171,10 +147,4 @@ def simulate_transient_adaptive(circuit: Circuit, t_stop: float,
         else:
             h *= opts.growth_limit
 
-    data = np.asarray(solutions)
-    signals = {name: data[:, circuit.node(name)]
-               for name in circuit.node_names}
-    for element in circuit.elements:
-        if element.num_branches:
-            signals[f"i({element.name})"] = data[:, element.branch_index]
-    return Waveform(np.asarray(times), signals)
+    return package_waveform(circuit, times, solutions)

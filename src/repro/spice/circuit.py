@@ -7,6 +7,9 @@ from ..errors import NetlistError
 #: Names that resolve to the ground node.
 GROUND_NAMES = frozenset({"0", "gnd", "GND", "vss", "VSS"})
 
+#: Unknown index of the ground node (excluded from the unknown vector).
+GROUND = -1
+
 
 class Circuit:
     """A flat netlist: named nodes plus a list of elements.
@@ -29,16 +32,33 @@ class Circuit:
     def node(self, name: str) -> int:
         """Return the unknown index of a node, registering it if new.
 
-        Ground names return ``-1`` (the :data:`repro.spice.mna.GROUND`
-        sentinel, excluded from the unknown vector).
+        Ground names return :data:`GROUND`.  Elements call this while
+        binding their terminals; analyses use :meth:`lookup`, which
+        never registers.
         """
         if not name:
             raise NetlistError("empty node name")
         if name in GROUND_NAMES:
-            return -1
+            return GROUND
         if name not in self._node_index:
             self._node_index[name] = len(self._node_index)
         return self._node_index[name]
+
+    def lookup(self, name: str) -> int:
+        """Return the unknown index of an existing node (or :data:`GROUND`).
+
+        Raises
+        ------
+        NetlistError
+            If no element references a node of that name.
+        """
+        if name in GROUND_NAMES:
+            return GROUND
+        try:
+            return self._node_index[name]
+        except KeyError:
+            raise NetlistError(
+                f"no node named {name!r} in {self.summary()}") from None
 
     @property
     def node_names(self) -> list[str]:

@@ -21,12 +21,8 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from .circuit import Circuit
-from .elements import CurrentSource, VoltageSource
-from .mna import Stamper
+from .mna import StampProgram
 from .newton import NewtonOptions, solve_newton
-
-#: Permanent conductance to ground on every node [S].
-GMIN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,31 +51,6 @@ class DcSolution:
         raise KeyError(node)
 
 
-def _assemble_factory(circuit: Circuit, n: int, gmin: float,
-                      source_scale: float = 1.0, t: float = 0.0):
-    """Build the Newton assembler for DC (capacitors open)."""
-
-    def assemble(x: np.ndarray):
-        stamper = Stamper(n)
-        for node in range(circuit.n_nodes):
-            stamper.add_matrix(node, node, gmin)
-        sources = Stamper(n)
-        for element in circuit.elements:
-            if isinstance(element, (VoltageSource, CurrentSource)):
-                element.stamp(sources, x, t, None, {})
-            else:
-                element.stamp(stamper, x, t, None, {})
-        # Independent sources write their targets only to the RHS
-        # (voltage value on the branch row, injected current on node
-        # rows), so scaling just *their* RHS scales the stimuli without
-        # touching the Newton equivalent currents of nonlinear devices.
-        stamper.matrix += sources.matrix
-        stamper.rhs += source_scale * sources.rhs
-        return stamper.matrix, stamper.rhs
-
-    return assemble
-
-
 def dc_operating_point(circuit: Circuit, t: float = 0.0,
                        initial_guess: dict | None = None,
                        options: NewtonOptions | None = None) -> DcSolution:
@@ -103,20 +74,14 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     ConvergenceError
         If plain Newton, gmin stepping and source stepping all fail.
     """
-    n = circuit.assign_branches()
-    if n == 0:
+    program = StampProgram(circuit)
+    if program.n == 0:
         raise ConvergenceError("circuit has no unknowns")
-    x0 = np.zeros(n)
-    if initial_guess:
-        for name, value in initial_guess.items():
-            index = circuit.node(name)
-            if index >= 0:
-                x0[index] = value
+    x0 = program.unknown_vector(initial_guess)
 
     # Strategy 1: plain Newton with the floor gmin.
     try:
-        x = solve_newton(_assemble_factory(circuit, n, GMIN_FLOOR, t=t),
-                         x0, options)
+        x = solve_newton(program.dc_assembler(t), x0, options)
         return _package(circuit, x)
     except ConvergenceError:
         pass
@@ -126,8 +91,7 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     try:
         for exponent in range(3, 13):
             gmin = 10.0 ** (-exponent)
-            x = solve_newton(_assemble_factory(circuit, n, gmin, t=t),
-                             x, options)
+            x = solve_newton(program.dc_assembler(t, gmin), x, options)
         return _package(circuit, x)
     except ConvergenceError:
         pass
@@ -138,8 +102,7 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     for scale in np.linspace(0.1, 1.0, 10):
         try:
             x = solve_newton(
-                _assemble_factory(circuit, n, GMIN_FLOOR,
-                                  source_scale=float(scale), t=t),
+                program.dc_assembler(t, source_scale=float(scale)),
                 x, options)
         except ConvergenceError as exc:
             last_error = exc
@@ -152,8 +115,8 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
 
 
 def _package(circuit: Circuit, x: np.ndarray) -> DcSolution:
-    voltages = {name: float(x[circuit.node(name)])
-                for name in circuit.node_names}
+    voltages = {name: float(x[index])
+                for index, name in enumerate(circuit.node_names)}
     currents = {}
     for element in circuit.elements:
         if element.num_branches:

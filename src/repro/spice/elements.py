@@ -1,27 +1,22 @@
-"""Circuit elements and their MNA stamps.
+"""Circuit elements: the netlist's data.
 
-Every element implements::
-
-    stamp(stamper, x, t, coeff, history)
-
-where ``x`` is the present Newton iterate of the unknown vector, ``t``
-the evaluation time, ``coeff`` the integration context (``None`` for DC
-analysis) and ``history`` a per-element state dict owned by the
-transient engine.  Elements carrying branch-current unknowns expose
+Elements hold their terminals and values only; the analyses compile a
+circuit's elements into a :class:`repro.spice.mna.StampProgram`, which
+owns every MNA stamp.  Elements carrying branch-current unknowns expose
 ``num_branches`` and receive ``branch_index`` from
 :meth:`repro.spice.circuit.Circuit.assign_branches`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..devices.ekv import drain_current_derivatives
 from ..devices.mosfet import MosfetParams
 from ..errors import NetlistError
-from .mna import GROUND, Stamper
+from .circuit import GROUND
 
 
 def _voltage(x: np.ndarray, index: int) -> float:
@@ -47,8 +42,9 @@ class IntegrationCoeff:
     def __post_init__(self) -> None:
         if self.method not in ("be", "trap"):
             raise NetlistError(f"unknown integration method {self.method!r}")
-        if self.dt <= 0.0:
-            raise NetlistError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise NetlistError(
+                f"dt must be positive and finite, got {self.dt}")
 
 
 class Element:
@@ -63,17 +59,6 @@ class Element:
         self.nodes = nodes
         self.branch_index: int | None = None
 
-    def stamp(self, stamper: Stamper, x: np.ndarray, t: float,
-              coeff: IntegrationCoeff | None, history: dict) -> None:
-        raise NotImplementedError
-
-    def update_history(self, x: np.ndarray, coeff: IntegrationCoeff,
-                       history: dict) -> None:
-        """Commit post-step state (dynamic elements only)."""
-
-    def init_history(self, x: np.ndarray, history: dict) -> None:
-        """Initialise state from the t=0 solution (dynamic elements only)."""
-
 
 class Resistor(Element):
     """A linear resistor between two nodes."""
@@ -87,10 +72,6 @@ class Resistor(Element):
         self.resistance = float(resistance)
         circuit.add(self)
 
-    def stamp(self, stamper, x, t, coeff, history) -> None:
-        stamper.add_conductance(self.nodes[0], self.nodes[1],
-                                1.0 / self.resistance)
-
 
 class Capacitor(Element):
     """A linear capacitor; open in DC, companion model in transient."""
@@ -103,35 +84,6 @@ class Capacitor(Element):
         super().__init__(name, (circuit.node(node_a), circuit.node(node_b)))
         self.capacitance = float(capacitance)
         circuit.add(self)
-
-    def _branch_voltage(self, x) -> float:
-        return _voltage(x, self.nodes[0]) - _voltage(x, self.nodes[1])
-
-    def init_history(self, x, history) -> None:
-        history[self.name] = (self._branch_voltage(x), 0.0)
-
-    def stamp(self, stamper, x, t, coeff, history) -> None:
-        if coeff is None:
-            return  # open circuit in DC
-        v_prev, i_prev = history[self.name]
-        if coeff.method == "be":
-            geq = self.capacitance / coeff.dt
-            ieq = -geq * v_prev
-        else:  # trapezoidal
-            geq = 2.0 * self.capacitance / coeff.dt
-            ieq = -geq * v_prev - i_prev
-        stamper.add_conductance(self.nodes[0], self.nodes[1], geq)
-        stamper.add_current_injection(self.nodes[0], self.nodes[1], ieq)
-
-    def update_history(self, x, coeff, history) -> None:
-        v_prev, i_prev = history[self.name]
-        v_new = self._branch_voltage(x)
-        if coeff.method == "be":
-            i_new = self.capacitance / coeff.dt * (v_new - v_prev)
-        else:
-            i_new = (2.0 * self.capacitance / coeff.dt * (v_new - v_prev)
-                     - i_prev)
-        history[self.name] = (v_new, i_new)
 
 
 class VoltageSource(Element):
@@ -150,15 +102,6 @@ class VoltageSource(Element):
         self.stimulus = stimulus
         circuit.add(self)
 
-    def stamp(self, stamper, x, t, coeff, history) -> None:
-        plus, minus = self.nodes
-        k = self.branch_index
-        stamper.add_matrix(plus, k, 1.0)
-        stamper.add_matrix(minus, k, -1.0)
-        stamper.add_matrix(k, plus, 1.0)
-        stamper.add_matrix(k, minus, -1.0)
-        stamper.add_rhs(k, float(self.stimulus(t)))
-
 
 class CurrentSource(Element):
     """An independent current source: ``stimulus(t)`` amps flow from the
@@ -170,10 +113,6 @@ class CurrentSource(Element):
                          (circuit.node(node_from), circuit.node(node_to)))
         self.stimulus = stimulus
         circuit.add(self)
-
-    def stamp(self, stamper, x, t, coeff, history) -> None:
-        stamper.add_current_injection(self.nodes[0], self.nodes[1],
-                                      float(self.stimulus(t)))
 
 
 class Mosfet(Element):
@@ -198,15 +137,6 @@ class Mosfet(Element):
         d, g, s, b = self.nodes
         return (_voltage(x, d), _voltage(x, g),
                 _voltage(x, s), _voltage(x, b))
-
-    def stamp(self, stamper, x, t, coeff, history) -> None:
-        d, g, s, b = self.nodes
-        v_d, v_g, v_s, v_b = self.terminal_voltages(x)
-        i, di_dg, di_dd, di_ds, di_db = drain_current_derivatives(
-            self.params, v_g, v_d, v_s, v_b)
-        jacobian = [(g, float(di_dg)), (d, float(di_dd)),
-                    (s, float(di_ds)), (b, float(di_db))]
-        stamper.add_linearised_branch(d, s, float(i), jacobian, x)
 
 
 def attach_mosfet_parasitics(circuit, mosfet: Mosfet, drain: str, gate: str,

@@ -72,23 +72,27 @@ class PWL:
     """Piecewise-linear stimulus through ``(times, values)`` points.
 
     Before the first point the first value holds; after the last point
-    the last value holds.
+    the last value holds.  The breakpoints are converted to arrays once,
+    at construction; equality and hashing see only the two tuples.
     """
 
     times: tuple
     values: tuple
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise NetlistError("PWL needs >= 2 points")
         if values.shape != times.shape:
             raise NetlistError("PWL times and values must match")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise NetlistError("PWL times and values must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise NetlistError("PWL times must be strictly increasing")
         object.__setattr__(self, "times", tuple(float(x) for x in times))
         object.__setattr__(self, "values", tuple(float(x) for x in values))
+        object.__setattr__(self, "_points", (times, values))
 
     @classmethod
     def from_arrays(cls, times, values) -> "PWL":
@@ -98,7 +102,7 @@ class PWL:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        value = np.interp(t_arr, self.times, self.values)
+        value = np.interp(t_arr, *self._points)
         return value if t_arr.ndim else float(value)
 
 

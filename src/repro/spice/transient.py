@@ -14,6 +14,7 @@ trapezoidal integration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,13 +23,10 @@ import numpy as np
 from .. import obs
 from ..errors import ConvergenceError, SimulationError
 from .circuit import Circuit
-from .elements import CurrentSource, IntegrationCoeff, VoltageSource
-from .mna import Stamper
+from .elements import IntegrationCoeff
+from .mna import StampProgram
 from .newton import NewtonOptions, NewtonRecovery, solve_newton
 from .waveform import Waveform
-
-#: Permanent conductance to ground on every node [S].
-GMIN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,52 +145,26 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         All node voltages and branch currents over time, including t=0.
     """
     opts = options or TransientOptions()
-    if t_stop <= 0.0:
-        raise SimulationError(f"t_stop must be positive, got {t_stop}")
-    if dt <= 0.0 or dt > t_stop:
-        raise SimulationError(f"dt must lie in (0, t_stop], got {dt}")
+    check_time_span(t_stop, dt, "dt")
 
-    n = circuit.assign_branches()
+    program = StampProgram(circuit)
+    n = program.n
     if initial_x is not None:
         x = np.array(initial_x, dtype=float, copy=True)
         if x.shape != (n,):
             raise SimulationError(
                 f"initial_x has shape {x.shape}, expected ({n},)")
     else:
-        x = np.zeros(n)
-        for name, value in (initial_voltages or {}).items():
-            index = circuit.node(name)
-            if index >= 0:
-                x[index] = value
-
-    history: dict = {}
-    for element in circuit.elements:
-        element.init_history(x, history)
+        x = program.unknown_vector(initial_voltages)
+    history = program.initial_history(x)
 
     def assemble_factory(t_new: float, coeff: IntegrationCoeff,
                          source_scale: float = 1.0):
-        def assemble(x_guess: np.ndarray):
-            stamper = Stamper(n)
-            for node in range(circuit.n_nodes):
-                stamper.add_matrix(node, node, GMIN_FLOOR)
-            if source_scale == 1.0:
-                for element in circuit.elements:
-                    element.stamp(stamper, x_guess, t_new, coeff, history)
-                return stamper.matrix, stamper.rhs
-            # Source-stepping homotopy: independent sources write their
-            # targets only to the RHS, so scaling just *their* RHS ramps
-            # the stimuli without touching nonlinear-device stamps
-            # (mirrors the DC operating-point continuation).
-            sources = Stamper(n)
-            for element in circuit.elements:
-                if isinstance(element, (VoltageSource, CurrentSource)):
-                    element.stamp(sources, x_guess, t_new, coeff, history)
-                else:
-                    element.stamp(stamper, x_guess, t_new, coeff, history)
-            stamper.matrix += sources.matrix
-            stamper.rhs += source_scale * sources.rhs
-            return stamper.matrix, stamper.rhs
-        return assemble
+        # Source-stepping homotopy scales only the independent sources'
+        # RHS, leaving the nonlinear-device stamps untouched (mirrors the
+        # DC operating-point continuation).
+        return program.transient_assembler(t_new, coeff, history,
+                                           source_scale)
 
     times = [0.0]
     solutions = [x.copy()]
@@ -228,8 +200,7 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
                     else:
                         method = "be"  # BE is more robust while struggling
                         continue
-                for element in circuit.elements:
-                    element.update_history(x_new, coeff, history)
+                history = program.advance(x_new, coeff, history)
                 x = x_new
                 sub_t += sub_step
                 sub_remaining -= sub_step
@@ -245,9 +216,24 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         obs.inc("transient.steps", accepted)
         obs.inc("transient.halvings", total_halvings)
 
+    return package_waveform(circuit, times, solutions)
+
+
+def check_time_span(t_stop: float, dt: float, dt_name: str) -> None:
+    """Reject a non-positive or non-finite window or step."""
+    if not (math.isfinite(t_stop) and t_stop > 0.0):
+        raise SimulationError(
+            f"t_stop must be positive and finite, got {t_stop}")
+    if not (math.isfinite(dt) and 0.0 < dt <= t_stop):
+        raise SimulationError(f"{dt_name} must lie in (0, t_stop], got {dt}")
+
+
+def package_waveform(circuit: Circuit, times: list,
+                     solutions: list) -> Waveform:
+    """Node voltages and branch currents of the recorded solutions."""
     data = np.asarray(solutions)
-    signals = {name: data[:, circuit.node(name)]
-               for name in circuit.node_names}
+    signals = {name: data[:, index]
+               for index, name in enumerate(circuit.node_names)}
     for element in circuit.elements:
         if element.num_branches:
             signals[f"i({element.name})"] = data[:, element.branch_index]

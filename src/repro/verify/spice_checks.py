@@ -24,8 +24,9 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from ..spice.circuit import Circuit
-from ..spice.dcop import GMIN_FLOOR, _assemble_factory, dc_operating_point
+from ..spice.dcop import dc_operating_point
 from ..spice.elements import Capacitor, CurrentSource, Resistor
+from ..spice.mna import GMIN_FLOOR, StampProgram
 from ..spice.sources import DC
 from ..spice.transient import simulate_transient
 from .result import CheckResult
@@ -48,10 +49,10 @@ def check_dcop_kcl(circuit: Circuit, t: float = 0.0,
     (amps on node rows, volts on branch rows).  A converged fixed point
     must satisfy it to solver tolerance.
     """
-    n = circuit.assign_branches()
     solution = dc_operating_point(circuit, t=t, initial_guess=initial_guess)
-    assemble = _assemble_factory(circuit, n, GMIN_FLOOR, t=t)
-    matrix, rhs = assemble(solution.x)
+    program = StampProgram(circuit)
+    n = program.n
+    matrix, rhs = program.dc_assembler(t)(solution.x)
     residual = float(np.max(np.abs(matrix @ solution.x - rhs)))
     return CheckResult.from_bound(
         "spice.dcop_kcl_residual", residual, tol,

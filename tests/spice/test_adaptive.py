@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.spice.adaptive import AdaptiveOptions, simulate_transient_adaptive
 from repro.spice.circuit import Circuit
 from repro.spice.elements import Capacitor, Resistor, VoltageSource
@@ -24,12 +24,26 @@ def rc_circuit(tau_parts=(1e3, 1e-9)) -> Circuit:
 
 
 class TestInterface:
-    def test_rejects_bad_windows(self):
+    def test_rejects_bad_windows(self, deadline):
         c = rc_circuit()
         with pytest.raises(SimulationError):
             simulate_transient_adaptive(c, -1.0, 1e-9)
         with pytest.raises(SimulationError):
             simulate_transient_adaptive(c, 1e-6, 2e-6)
+        nan, inf = float("nan"), float("inf")
+        for t_stop, dt_initial in ((1e-6, nan), (nan, 1e-9), (inf, 1e-9),
+                                   (1e-6, inf)):
+            with deadline(10), pytest.raises(SimulationError,
+                                             match="finite|lie"):
+                simulate_transient_adaptive(c, t_stop, dt_initial)
+
+    def test_unknown_initial_node_rejected_not_created(self):
+        c = rc_circuit()
+        names = list(c.node_names)
+        with pytest.raises(NetlistError, match="typo"):
+            simulate_transient_adaptive(c, 1e-7, 1e-8,
+                                        initial_voltages={"typo": 5.0})
+        assert c.node_names == names
 
     def test_options_validation(self):
         with pytest.raises(SimulationError):

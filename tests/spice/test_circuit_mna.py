@@ -1,4 +1,4 @@
-"""Tests for the circuit container and the MNA stamper."""
+"""Tests for the circuit container and the MNA stamp program."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.spice.circuit import Circuit
-from repro.spice.elements import Resistor, VoltageSource
-from repro.spice.mna import GROUND, Stamper
+from repro.spice.elements import CurrentSource, Resistor, VoltageSource
+from repro.spice.mna import GROUND, StampProgram
 from repro.spice.sources import DC
 
 pytestmark = pytest.mark.tier1
@@ -72,52 +72,36 @@ class TestCircuit:
         assert not c.has_node("y")
 
 
+def dc_system(circuit):
+    """``(A, z)`` of the circuit's DC stamps (no gmin) at ``x = 0``."""
+    program = StampProgram(circuit)
+    return program.dc_assembler(gmin=0.0)(np.zeros(program.n))
+
+
 class TestStamper:
+    """Stamp conventions, assembled through the stamp program."""
+
     def test_conductance_stamp_pattern(self):
-        s = Stamper(2)
-        s.add_conductance(0, 1, 5.0)
+        c = Circuit()
+        Resistor("R1", c, "a", "b", 0.2)
+        matrix, __ = dc_system(c)
         expected = np.array([[5.0, -5.0], [-5.0, 5.0]])
-        assert np.array_equal(s.matrix, expected)
+        assert np.array_equal(matrix, expected)
 
     def test_ground_skipped(self):
-        s = Stamper(2)
-        s.add_conductance(0, GROUND, 3.0)
-        assert s.matrix[0, 0] == 3.0
-        assert np.count_nonzero(s.matrix) == 1
-        s.add_rhs(GROUND, 9.0)
-        assert np.all(s.rhs == 0.0)
+        c = Circuit()
+        Resistor("R1", c, "a", "0", 1.0 / 3.0)
+        c.node("b")
+        CurrentSource("I1", c, "0", "gnd", DC(9.0))
+        matrix, rhs = dc_system(c)
+        assert matrix[0, 0] == 3.0
+        assert np.count_nonzero(matrix) == 1
+        assert np.all(rhs == 0.0)
 
     def test_current_injection_signs(self):
-        s = Stamper(2)
-        s.add_current_injection(0, 1, 2.0)
+        c = Circuit()
+        CurrentSource("I1", c, "a", "b", DC(2.0))
+        __, rhs = dc_system(c)
         # Current leaves node 0 (RHS -2) and enters node 1 (+2).
-        assert s.rhs[0] == -2.0
-        assert s.rhs[1] == 2.0
-
-    def test_linearised_branch_consistency(self):
-        """A linear branch stamped via the Newton helper must solve to
-        the same solution as a direct conductance stamp."""
-        g = 4.0
-        x0 = np.array([0.3, -0.2])
-
-        def branch_current(x):
-            return g * (x[0] - x[1])
-
-        s = Stamper(2)
-        s.add_linearised_branch(
-            0, 1, branch_current(x0), [(0, g), (1, -g)], x0)
-        s.add_matrix(0, 0, 1.0)   # anchor with 1-ohm to ground at node 0
-        s.add_rhs(0, 1.0)         # and 1 A injected
-        s.add_matrix(1, 1, 1.0)
-        direct = Stamper(2)
-        direct.add_conductance(0, 1, g)
-        direct.add_matrix(0, 0, 1.0)
-        direct.add_rhs(0, 1.0)
-        direct.add_matrix(1, 1, 1.0)
-        assert np.allclose(s.solve(), direct.solve())
-
-    def test_solve(self):
-        s = Stamper(1)
-        s.add_matrix(0, 0, 2.0)
-        s.add_rhs(0, 4.0)
-        assert s.solve()[0] == pytest.approx(2.0)
+        assert rhs[0] == -2.0
+        assert rhs[1] == 2.0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, NetlistError
 from repro.spice.circuit import Circuit
 from repro.spice.dcop import dc_operating_point
 from repro.spice.elements import (
@@ -75,6 +75,18 @@ class TestLinearCircuits:
         sol = dc_operating_point(c)
         with pytest.raises(KeyError):
             sol["nope"]
+
+    def test_unknown_nodeset_name_rejected_not_created(self):
+        c = Circuit()
+        VoltageSource("V1", c, "in", "0", DC(1.0))
+        Resistor("R1", c, "in", "b", 1e3)
+        Resistor("R2", c, "b", "0", 1e3)
+        with pytest.raises(NetlistError, match="bb"):
+            dc_operating_point(c, initial_guess={"bb": 0.3})
+        assert c.node_names == ["in", "b"]
+        # Ground aliases are known names: they seed nothing.
+        assert dc_operating_point(c, initial_guess={"0": 0.0})["b"] == \
+            pytest.approx(0.5)
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(ConvergenceError):

@@ -1,4 +1,8 @@
-"""Element-level stamp tests (including Newton/companion consistency)."""
+"""Element-level stamp tests (including Newton/companion consistency).
+
+Each element is assembled through :class:`repro.spice.mna.StampProgram`;
+DC systems use ``gmin=0`` so only the element's own stamp shows.
+"""
 
 from __future__ import annotations
 
@@ -21,10 +25,17 @@ from repro.spice.elements import (
     VoltageSource,
     attach_mosfet_parasitics,
 )
-from repro.spice.mna import Stamper
+from repro.spice.mna import StampProgram
 from repro.spice.sources import DC
 
 pytestmark = pytest.mark.tier1
+
+
+def dc_system(circuit, x=None):
+    """``(A, z)`` of the circuit's DC stamps (no gmin) at ``x``."""
+    program = StampProgram(circuit)
+    x = np.zeros(program.n) if x is None else x
+    return program.dc_assembler(gmin=0.0)(x)
 
 
 class TestValidation:
@@ -45,52 +56,46 @@ class TestValidation:
             IntegrationCoeff(method="euler", dt=1e-9)
         with pytest.raises(NetlistError):
             IntegrationCoeff(method="be", dt=0.0)
+        with pytest.raises(NetlistError):
+            IntegrationCoeff(method="trap", dt=float("nan"))
 
 
 class TestResistorStamp:
     def test_matrix_pattern(self):
         c = Circuit()
-        r = Resistor("R1", c, "a", "b", 2.0)
-        n = c.assign_branches()
-        s = Stamper(n)
-        r.stamp(s, np.zeros(n), 0.0, None, {})
-        assert s.matrix[0, 0] == pytest.approx(0.5)
-        assert s.matrix[0, 1] == pytest.approx(-0.5)
+        Resistor("R1", c, "a", "b", 2.0)
+        matrix, __ = dc_system(c)
+        assert matrix[0, 0] == pytest.approx(0.5)
+        assert matrix[0, 1] == pytest.approx(-0.5)
 
 
 class TestCapacitorStamp:
     def test_dc_open(self):
         c = Circuit()
-        cap = Capacitor("C1", c, "a", "0", 1e-9)
-        n = c.assign_branches()
-        s = Stamper(n)
-        cap.stamp(s, np.zeros(n), 0.0, None, {})
-        assert np.all(s.matrix == 0.0)
+        Capacitor("C1", c, "a", "0", 1e-9)
+        matrix, __ = dc_system(c)
+        assert np.all(matrix == 0.0)
 
     def test_be_companion_values(self):
         c = Circuit()
-        cap = Capacitor("C1", c, "a", "0", 1e-9)
-        n = c.assign_branches()
-        history = {}
-        cap.init_history(np.array([0.5]), history)
-        s = Stamper(n)
-        cap.stamp(s, np.array([0.5]), 0.0,
-                  IntegrationCoeff("be", 1e-9), history)
+        Capacitor("C1", c, "a", "0", 1e-9)
+        program = StampProgram(c)
+        history = program.initial_history(np.array([0.5]))
+        matrix, rhs = program.transient_assembler(
+            0.0, IntegrationCoeff("be", 1e-9), history)(np.array([0.5]))
         geq = 1e-9 / 1e-9
-        assert s.matrix[0, 0] == pytest.approx(geq)
+        assert matrix[0, 0] == pytest.approx(geq)
         # ieq = -geq * v_prev flows a->ground: RHS[a] = -ieq = +geq*v.
-        assert s.rhs[0] == pytest.approx(geq * 0.5)
+        assert rhs[0] == pytest.approx(geq * 0.5)
 
     def test_history_current_tracking_trap(self):
         """After a step, the stored current matches i = C dv/dt."""
         c = Circuit()
-        cap = Capacitor("C1", c, "a", "0", 2e-9)
-        c.assign_branches()
-        history = {}
-        cap.init_history(np.array([0.0]), history)
+        Capacitor("C1", c, "a", "0", 2e-9)
+        program = StampProgram(c)
+        history = program.initial_history(np.array([0.0]))
         coeff = IntegrationCoeff("trap", 1e-9)
-        cap.update_history(np.array([0.1]), coeff, history)
-        v, i = history["C1"]
+        (v,), (i,) = program.advance(np.array([0.1]), coeff, history)
         assert v == pytest.approx(0.1)
         # First trap step from rest: i = 2C/dt * dv - 0.
         assert i == pytest.approx(2 * 2e-9 / 1e-9 * 0.1)
@@ -100,24 +105,20 @@ class TestSourceStamps:
     def test_voltage_source_rows(self):
         c = Circuit()
         v = VoltageSource("V1", c, "p", "m", DC(3.0))
-        n = c.assign_branches()
-        s = Stamper(n)
-        v.stamp(s, np.zeros(n), 0.0, None, {})
+        matrix, rhs = dc_system(c)
         k = v.branch_index
-        assert s.matrix[0, k] == 1.0      # KCL at p
-        assert s.matrix[1, k] == -1.0     # KCL at m
-        assert s.matrix[k, 0] == 1.0      # branch equation
-        assert s.matrix[k, 1] == -1.0
-        assert s.rhs[k] == 3.0
+        assert matrix[0, k] == 1.0      # KCL at p
+        assert matrix[1, k] == -1.0     # KCL at m
+        assert matrix[k, 0] == 1.0      # branch equation
+        assert matrix[k, 1] == -1.0
+        assert rhs[k] == 3.0
 
     def test_current_source_rhs(self):
         c = Circuit()
-        i = CurrentSource("I1", c, "a", "b", DC(2e-3))
-        n = c.assign_branches()
-        s = Stamper(n)
-        i.stamp(s, np.zeros(n), 0.0, None, {})
-        assert s.rhs[0] == pytest.approx(-2e-3)
-        assert s.rhs[1] == pytest.approx(2e-3)
+        CurrentSource("I1", c, "a", "b", DC(2e-3))
+        __, rhs = dc_system(c)
+        assert rhs[0] == pytest.approx(-2e-3)
+        assert rhs[1] == pytest.approx(2e-3)
 
 
 class TestMosfetStamp:
@@ -129,14 +130,12 @@ class TestMosfetStamp:
         the device current exactly (Newton consistency)."""
         c = Circuit()
         params = MosfetParams.nominal(TECH_90NM, "n")
-        m = Mosfet("M1", c, "d", "g", "s", "0", params)
-        n = c.assign_branches()
+        Mosfet("M1", c, "d", "g", "s", "0", params)
         x = np.array([v_d, v_g, v_s])
-        s = Stamper(n)
-        m.stamp(s, x, 0.0, None, {})
+        matrix, rhs = dc_system(c, x)
         # KCL residual at the drain from the stamp: A x - z equals the
         # current out of the drain, i.e. the channel current.
-        residual = s.matrix @ x - s.rhs
+        residual = matrix @ x - rhs
         i_expected = drain_current(params, v_g, v_d, v_s, 0.0)
         assert residual[0] == pytest.approx(i_expected, abs=1e-15 + 1e-9)
         assert residual[2] == pytest.approx(-i_expected, abs=1e-15 + 1e-9)

@@ -92,6 +92,21 @@ class TestPWL:
             PWL(times=(0.0, 0.0), values=(1.0, 2.0))
         with pytest.raises(NetlistError):
             PWL(times=(0.0, 1.0), values=(1.0,))
+        # NaN compares false with everything, so it must be rejected
+        # explicitly rather than slip past the monotonicity check.
+        for times, values in (((0.0, np.nan), (1.0, 2.0)),
+                              ((np.nan, 1.0), (1.0, 2.0)),
+                              ((0.0, np.inf), (1.0, 2.0)),
+                              ((0.0, 1.0), (np.nan, 2.0)),
+                              ((0.0, 1.0), (1.0, -np.inf))):
+            with pytest.raises(NetlistError, match="finite"):
+                PWL(times=times, values=values)
+
+    def test_equality_and_hash_see_only_the_breakpoints(self):
+        a = PWL(times=(0.0, 1.0), values=(1.0, 3.0))
+        b = PWL.from_arrays(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != PWL(times=(0.0, 1.0), values=(1.0, 4.0))
 
 
 class TestSIN:

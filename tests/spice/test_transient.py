@@ -7,7 +7,7 @@ import pytest
 
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.spice.circuit import Circuit
 from repro.spice.elements import (
     Capacitor,
@@ -32,7 +32,7 @@ def rc_circuit(v_in=1.0, r=1e3, c_val=1e-9) -> Circuit:
 
 
 class TestInterface:
-    def test_rejects_bad_times(self):
+    def test_rejects_bad_times(self, deadline):
         c = rc_circuit()
         with pytest.raises(SimulationError):
             simulate_transient(c, -1.0, 1e-9)
@@ -40,6 +40,19 @@ class TestInterface:
             simulate_transient(c, 1e-6, 0.0)
         with pytest.raises(SimulationError):
             simulate_transient(c, 1e-6, 1e-5)
+        # Non-finite windows and steps; a NaN dt used to loop forever.
+        nan, inf = float("nan"), float("inf")
+        for t_stop, dt in ((1e-6, nan), (nan, 1e-9), (inf, 1e-9),
+                           (1e-6, inf)):
+            with deadline(10), pytest.raises(SimulationError):
+                simulate_transient(c, t_stop, dt)
+
+    def test_unknown_initial_node_rejected_not_created(self):
+        c = rc_circuit()
+        names = list(c.node_names)
+        with pytest.raises(NetlistError, match="typo"):
+            simulate_transient(c, 1e-7, 1e-8, initial_voltages={"typo": 5.0})
+        assert c.node_names == names
 
     def test_rejects_bad_initial_x(self):
         c = rc_circuit()

@@ -1,6 +1,7 @@
 """The layering gate: parallel dispatch stays inside ``repro.core.engine``,
-transient ``pre_step`` coupling inside ``repro.cosim.engine`` and RTN
-source injection inside ``repro.core.methodology``.
+transient ``pre_step`` coupling inside ``repro.cosim.engine``, RTN
+source injection inside ``repro.core.methodology`` and the SPICE
+package's private names inside ``repro.spice``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -83,6 +84,29 @@ def test_checker_flags_injection_outside_the_methodology(tmp_path, capsys):
     assert "ensemble.py:2" in err and "rogue.py:2" in err
     assert "attach_rtn_sources" in err
     assert "methodology.py" not in err  # the injected pass's home
+
+
+def test_checker_flags_private_spice_imports_outside_spice(tmp_path, capsys):
+    checker = _load_checker()
+    for package in ("spice", "verify", "sram"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "spice" / "dcop.py").write_text(
+        "from .mna import _GMIN\nfrom ._helpers import x\n")
+    (tmp_path / "verify" / "spice_checks.py").write_text(
+        "from ..spice.dcop import GMIN_FLOOR, _assemble_factory\n")
+    (tmp_path / "sram" / "cell.py").write_text(
+        "import repro.spice._internal\n"
+        "from repro.spice.mna import StampProgram\n"
+        "from repro.spice import _stamps\n"
+        "from ..devices.ekv import _softplus\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "spice_checks.py:1" in err
+    assert "repro.spice.dcop._assemble_factory" in err
+    assert "cell.py:1" in err and "cell.py:3" in err
+    assert "cell.py:2" not in err  # public names are fine
+    assert "cell.py:4" not in err  # other packages are not this rule's
+    assert "dcop.py" not in err  # the SPICE package may use its own
 
 
 def test_checker_catches_smuggled_futures(tmp_path):
