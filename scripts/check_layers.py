@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Lint: one parallel executor, one co-simulation loop, one injection home,
-one MNA assembly.
+one MNA assembly, one checkpoint writer.
 
 Usage::
 
@@ -50,6 +50,13 @@ or relative, of a module or of a name) anywhere outside
 ``src/repro/spice/`` reaches past the program's public assemblers and
 fails the check; use ``StampProgram.dc_assembler`` /
 ``transient_assembler`` instead.
+
+And for checkpoints: ``core/scenario.py``
+(:func:`repro.core.scenario.run_scenario`) is the one place that
+constructs a ``RunCheckpoint(``.  A construction anywhere else is a
+second checkpoint writer with its own record format and fails the
+check; a resumable workload runs as a scenario and passes
+``checkpoint_dir=`` / ``resume=`` to ``run_scenario`` instead.
 """
 
 from __future__ import annotations
@@ -76,6 +83,9 @@ PRE_STEP_HOME = "cosim/engine.py"
 
 #: The one module that may call ``attach_rtn_sources``.
 INJECTION_HOME = "core/methodology.py"
+
+#: The one module that may construct a ``RunCheckpoint``.
+CHECKPOINT_HOME = "core/scenario.py"
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -120,14 +130,13 @@ def pre_step_calls(path: Path) -> list:
             and any(kw.arg == "pre_step" for kw in node.keywords)]
 
 
-def injection_calls(path: Path) -> list:
-    """Lines of calls to ``attach_rtn_sources`` (bare or attribute)."""
+def calls_to(path: Path, name: str) -> list:
+    """Lines of calls to ``name`` (bare or attribute)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id",
-                        getattr(node.func, "attr", None))
-            == "attach_rtn_sources"]
+                        getattr(node.func, "attr", None)) == name]
 
 
 def _absolute(relative: str, node: ast.ImportFrom) -> str:
@@ -187,11 +196,17 @@ def main(argv: list) -> int:
                     "belongs to repro.cosim.engine; write an adapter "
                     "over run_trap_coupled instead"))
         if relative != INJECTION_HOME:
-            for line in injection_calls(path):
+            for line in calls_to(path, "attach_rtn_sources"):
                 violations.append((
                     path, line, "calls attach_rtn_sources — the injected "
                     "SPICE pass belongs to repro.core.methodology; run a "
                     "PatternBench instead"))
+        if relative != CHECKPOINT_HOME:
+            for line in calls_to(path, "RunCheckpoint"):
+                violations.append((
+                    path, line, "constructs RunCheckpoint — checkpoints "
+                    "belong to repro.core.scenario; pass checkpoint_dir= "
+                    "to run_scenario instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

@@ -397,20 +397,25 @@ def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
                 pass
 
 
-def adaptive_chunk_size(remaining: int, workers: int, *,
-                        factor: float = 2.0, min_chunk: int = 1,
-                        max_chunk: int = 64) -> int:
-    """Guided self-scheduling: next chunk = remaining / (factor * workers).
+#: Divisor and bounds of :func:`adaptive_chunk_size`.
+CHUNK_FACTOR = 2.0
+MIN_CHUNK = 1
+MAX_CHUNK = 64
+
+
+def adaptive_chunk_size(remaining: int, workers: int) -> int:
+    """Guided self-scheduling: next chunk = remaining / (CHUNK_FACTOR *
+    workers), clamped to ``[MIN_CHUNK, MAX_CHUNK]``.
 
     Deep queue -> big chunks (few queue round-trips); near the tail the
-    chunk shrinks toward ``min_chunk`` so the last jobs spread across
-    all workers instead of idling behind one straggler holding a big
-    final chunk.
+    chunk shrinks toward :data:`MIN_CHUNK` so the last jobs spread
+    across all workers instead of idling behind one straggler holding a
+    big final chunk.
     """
     if remaining <= 0:
         return 0
-    size = ceil(remaining / (factor * max(1, workers)))
-    return min(remaining, max(min_chunk, min(max_chunk, size)))
+    size = ceil(remaining / (CHUNK_FACTOR * max(1, workers)))
+    return min(remaining, max(MIN_CHUNK, min(MAX_CHUNK, size)))
 
 
 class _WorkerHandle:
@@ -430,30 +435,13 @@ class _WorkerHandle:
 class SharedMemoryBackend(ExecutionBackend):
     """Persistent worker pool over a shared-memory payload arena.
 
-    Parameters
-    ----------
-    chunk_factor, min_chunk, max_chunk:
-        Knobs of :func:`adaptive_chunk_size`.
-    start_method:
-        Multiprocessing start method (``None`` uses the platform
-        default).  ``spawn`` — the macOS/Windows default — is fully
-        supported: workers rebuild state from pickled blobs and attach
-        the arena by name.
+    Jobs go out in :func:`adaptive_chunk_size` chunks.  Workers start
+    with the platform's default multiprocessing start method; ``spawn``
+    — the macOS/Windows default — is fully supported: workers rebuild
+    state from pickled blobs and attach the arena by name.
     """
 
     name = "shared"
-
-    def __init__(self, *, chunk_factor: float = 2.0, min_chunk: int = 1,
-                 max_chunk: int = 64, start_method: str | None = None
-                 ) -> None:
-        if chunk_factor <= 0.0:
-            raise ValueError("chunk_factor must be positive")
-        if not (1 <= min_chunk <= max_chunk):
-            raise ValueError("need 1 <= min_chunk <= max_chunk")
-        self.chunk_factor = float(chunk_factor)
-        self.min_chunk = int(min_chunk)
-        self.max_chunk = int(max_chunk)
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
     def run(self, fn, jobs, *, keys, workers=None, policy=None,
@@ -468,7 +456,7 @@ class SharedMemoryBackend(ExecutionBackend):
         if not jobs:
             return []
         n_workers = max(1, int(workers or 1))
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context()
 
         run_started = obs.clock.monotonic()
         builder = _ArenaBuilder()
@@ -559,9 +547,7 @@ class SharedMemoryBackend(ExecutionBackend):
                     pending.append(item)
 
         def pop_ready_chunk(now: float) -> list:
-            size = adaptive_chunk_size(
-                len(pending), n_workers, factor=self.chunk_factor,
-                min_chunk=self.min_chunk, max_chunk=self.max_chunk)
+            size = adaptive_chunk_size(len(pending), n_workers)
             chunk: list = []
             for _ in range(len(pending)):
                 if len(chunk) >= size:

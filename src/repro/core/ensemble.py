@@ -67,7 +67,7 @@ from .methodology import (
     injection_trace,
     run_fingerprint,
 )
-from .resilience import JOB_STATUSES, RetryPolicy, RunCheckpoint
+from .resilience import JOB_STATUSES, JobResult, RetryPolicy
 from .scenario import Scenario, register_scenario, run_scenario
 
 __all__ = [
@@ -129,13 +129,14 @@ class EnsembleConfig:
         ``None`` uses :class:`~repro.core.resilience.RetryPolicy`
         defaults (3 attempts, no timeout).
     checkpoint_dir:
-        Run directory for periodic snapshots of completed cell
-        outcomes; ``None`` disables checkpointing.
+        Checkpoint directory of the ``sram.verify`` scenario run (see
+        :func:`~repro.core.scenario.run_scenario`); ``None`` disables
+        checkpointing.
     checkpoint_every:
         Snapshot cadence, in completed verification jobs.
     resume:
         Load an existing checkpoint from ``checkpoint_dir`` and skip
-        the verification of cells it already covers.
+        the verification of the selected cells it already covers.
     """
 
     n_cells: int
@@ -161,8 +162,11 @@ class EnsembleConfig:
         # runtime conditions a retry ladder might fix.
         if self.n_cells <= 0:
             raise ValueError("n_cells must be positive")
-        if self.rtn_scale < 0.0:
-            raise ValueError("rtn_scale must be non-negative")
+        if not (np.isfinite(self.rtn_scale) and self.rtn_scale >= 0.0):
+            raise ValueError("rtn_scale must be finite and non-negative")
+        if self.avt is not None and not (np.isfinite(self.avt)
+                                         and self.avt >= 0.0):
+            raise ValueError("avt must be finite and non-negative")
         if not (0.0 <= self.screen_threshold):
             raise ValueError("screen_threshold must be non-negative")
         if self.max_verified_cells is not None and self.max_verified_cells < 0:
@@ -479,11 +483,14 @@ def _verify_cell(payload, rng: np.random.Generator) -> tuple[int, list]:
 class VerifyScenario(Scenario):
     """``sram.verify`` — the ensemble's screened SPICE verification.
 
-    Its config is the runner's ``{cell index: payload}`` mapping, built
-    after screening; the cell indices are the job keys, so fault-site
-    decisions and checkpoint records name cells.  It exists so the
-    runner's fan-out rides the same scenario -> engine path as every
-    other workload; it has no standalone CLI configuration.
+    Its config is ``(payloads, fingerprint)``: the runner's
+    ``{cell index: payload}`` mapping, built after screening, and the
+    run's :meth:`EnsembleConfig.fingerprint`.  The cell indices are the
+    job keys, so fault-site decisions and checkpoint records name
+    cells, and a resume restores only the cells selected this time.
+    It exists so the runner's fan-out rides the same scenario -> engine
+    path, checkpoints included, as every other workload; it has no
+    standalone CLI configuration.
     """
 
     name = "sram.verify"
@@ -491,14 +498,17 @@ class VerifyScenario(Scenario):
                    "(internal: driven by EnsembleRunner)")
     kernel = staticmethod(_verify_cell)
 
-    def plan(self, config: dict) -> list:
-        return list(config.values())
+    def plan(self, config: tuple) -> list:
+        return list(config[0].values())
 
-    def keys(self, config: dict, plan: list) -> list:
-        return list(config)
+    def keys(self, config: tuple, plan: list) -> list:
+        return list(config[0])
 
-    def reduce(self, config: dict, results) -> list:
-        return results
+    def fingerprint(self, config: tuple) -> dict:
+        return config[1]
+
+    def reduce(self, config: tuple, results) -> dict:
+        return {result.key: result for result in results}
 
 
 register_scenario(VerifyScenario)
@@ -640,60 +650,26 @@ class EnsembleRunner:
                 traces[cell_index][name] = trace
         phase_started = _phase_done("kernels", phase_started)
 
-        # Step 4: verify the flagged cells through the injected pass,
-        # fault-isolated: one diverging or crashing verification costs
-        # (at most) one cell, and completed cells checkpoint to disk.
+        # Step 4: verify the flagged cells through the injected pass on
+        # the sram.verify scenario, fault-isolated: one diverging or
+        # crashing verification costs (at most) one cell, and completed
+        # cells checkpoint to disk.
         flagged = metrics >= config.screen_threshold
         order = np.argsort(-metrics)
         verify = [int(i) for i in order if flagged[i] and traces[i]]
         if config.max_verified_cells is not None:
             verify = verify[:config.max_verified_cells]
-
-        checkpoint = None
-        verdicts: dict = {}
-        if config.checkpoint_dir is not None:
-            checkpoint = RunCheckpoint(config.checkpoint_dir)
-            if config.resume and checkpoint.exists():
-                for index, record in checkpoint.load(
-                        config.fingerprint()).items():
-                    verdicts[int(index)] = record
-        pending = {i: (dataclasses.replace(spec, vt_shifts=shifts[i]),
-                       pattern, traces[i], method)
-                   for i in verify if i not in verdicts}
-
-        completed_since_save = 0
-
-        def on_result(job_result) -> None:
-            nonlocal completed_since_save
-            index = int(job_result.key)
-            if job_result.succeeded:
-                failures, errors = job_result.value
-                record = {"status": job_result.status, "failures": failures,
-                          "error_slots": list(errors)}
-            else:
-                record = {"status": job_result.status, "failures": 0,
-                          "error_slots": [], "error": job_result.error,
-                          "error_type": job_result.error_type,
-                          "error_details": dict(job_result.error_details)}
-            record["attempts"] = job_result.attempts
-            verdicts[index] = record
-            if checkpoint is not None:
-                checkpoint.add(index, record)
-                completed_since_save += 1
-                if completed_since_save >= config.checkpoint_every:
-                    checkpoint.save(config.fingerprint())
-                    completed_since_save = 0
-
-        # The fan-out rides the sram.verify scenario, keyed by cell
-        # index; the runner keeps its own richer checkpoint records via
-        # on_result rather than the scenario layer's generic ones.
+        payloads = {i: (dataclasses.replace(spec, vt_shifts=shifts[i]),
+                        pattern, traces[i], method)
+                    for i in verify}
         backend = resolve_backend(config.backend, config.workers)
-        run_scenario(VerifyScenario, pending, backend=backend,
-                     workers=config.workers,
-                     policy=config.retry or RetryPolicy(),
-                     on_result=on_result)
-        if checkpoint is not None:
-            checkpoint.save(config.fingerprint())
+        verdicts = run_scenario(
+            VerifyScenario, (payloads, config.fingerprint()),
+            backend=backend, workers=config.workers,
+            policy=config.retry or RetryPolicy(),
+            checkpoint_dir=config.checkpoint_dir,
+            checkpoint_every=config.checkpoint_every,
+            resume=config.resume).value
         phase_started = _phase_done("verification", phase_started)
 
         # Step 5: margins.
@@ -705,15 +681,15 @@ class EnsembleRunner:
                                 kernel_fallbacks=kernel_fallbacks,
                                 backend=backend.name,
                                 traces=traces if config.keep_traces else [])
+        unverified = JobResult(key=None, attempts=0)
         for index in range(config.n_cells):
-            record = verdicts.get(index, {})
-            status = record.get("status", "ok")
-            error = record.get("error")
-            details = dict(record.get("error_details") or {})
-            if index in cell_errors and status in ("ok", "recovered"):
+            job = verdicts.get(index, unverified)
+            status, error = job.status, job.error
+            if index in cell_errors and job.succeeded:
                 # A corrupted trace makes the cell's screening (and any
                 # verification built on it) untrustworthy.
                 status, error = "failed", cell_errors[index]
+            failures, error_slots = job.value or (0, [])
             snm = None
             if index < config.margin_samples:
                 snm = static_noise_margin(
@@ -727,11 +703,11 @@ class EnsembleRunner:
                 screen_metric=float(metrics[index]),
                 flagged=bool(flagged[index]),
                 verified=status in ("ok", "recovered") and index in verdicts,
-                rtn_failures=int(record.get("failures", 0)),
-                error_slots=list(record.get("error_slots", [])),
+                rtn_failures=int(failures),
+                error_slots=list(error_slots),
                 snm_hold=snm, status=status,
-                attempts=int(record.get("attempts", 0)),
-                error=error, error_details=details))
+                attempts=int(job.attempts),
+                error=error, error_details=dict(job.error_details)))
         _phase_done("margins", phase_started)
         timings["total"] = clock.monotonic() - run_started
         result.timings.update(timings)

@@ -13,9 +13,9 @@ pieces the execution backends thread through:
   :mod:`repro.core.engine` backend: the in-process loop below, or the
   shared-memory worker pool, which reaps crashed or hung workers,
   respawns them and requeues their unstarted jobs;
-- :class:`RunCheckpoint` — an atomic npz + JSON snapshot of completed
-  job records, so a killed run can resume without recomputing finished
-  cells.
+- :class:`RunCheckpoint` — an atomic JSON snapshot of completed job
+  records, so a killed run can resume without recomputing finished
+  jobs.  :func:`~repro.core.scenario.run_scenario` is its one writer.
 
 Both are engine-agnostic: jobs are picklable payloads, records are
 JSON-able dicts.
@@ -308,22 +308,15 @@ def _run_serial(fn, jobs, keys, policy, on_result) -> list:
 # Checkpointing.
 
 class RunCheckpoint:
-    """Atomic npz + JSON snapshot of completed job records.
+    """Atomic JSON snapshot of completed job records.
 
-    Layout of the run directory::
-
-        <dir>/manifest.json   # fingerprint + every record (JSON-able)
-        <dir>/outcomes.npz    # numeric per-record arrays for bulk loads
-
-    ``manifest.json`` is the source of truth; ``outcomes.npz`` mirrors
-    the numeric fields (``index``, ``attempts``, plus any record values
-    that are ints/floats) for consumers that want arrays.  Writes are
-    atomic (temp file + ``os.replace``), so a kill mid-snapshot leaves
-    the previous snapshot intact.
+    The run directory holds one file, ``<dir>/manifest.json``: the run
+    fingerprint plus every record (JSON-able).  Writes are atomic (temp
+    file + ``os.replace``), so a kill mid-snapshot leaves the previous
+    snapshot intact.
     """
 
     MANIFEST = "manifest.json"
-    OUTCOMES = "outcomes.npz"
     VERSION = 1
 
     def __init__(self, directory) -> None:
@@ -336,9 +329,6 @@ class RunCheckpoint:
     def records(self) -> dict:
         """Completed records, ``index -> dict``."""
         return dict(self._records)
-
-    def completed(self) -> set:
-        return set(self._records)
 
     def add(self, index: int, record: dict) -> None:
         self._records[int(index)] = record
@@ -371,21 +361,6 @@ class RunCheckpoint:
         self._write_atomic(self.MANIFEST,
                            json.dumps(manifest, indent=2, sort_keys=True,
                                       default=_json_default).encode())
-        indices = np.array(sorted(self._records), dtype=np.int64)
-        arrays = {"index": indices}
-        numeric = sorted({key for record in self._records.values()
-                          for key, value in record.items()
-                          if isinstance(value, (int, float, np.integer,
-                                                np.floating))
-                          and not isinstance(value, bool)})
-        for key in numeric:
-            arrays[key] = np.array(
-                [float(self._records[i].get(key, np.nan)) for i in indices])
-        import io
-
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        self._write_atomic(self.OUTCOMES, buffer.getvalue())
 
     def load(self, expected_fingerprint: dict | None = None) -> dict:
         """Load the snapshot; verify it belongs to the same run config.

@@ -382,8 +382,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
                  backend=None, workers: int | None = None,
                  policy: RetryPolicy | None = None,
                  checkpoint_dir=None, checkpoint_every: int = 8,
-                 resume: bool = False,
-                 on_result: Callable | None = None) -> ScenarioRun:
+                 resume: bool = False) -> ScenarioRun:
     """Plan, execute and reduce one scenario on an execution backend.
 
     Parameters
@@ -416,11 +415,8 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
         Snapshot cadence, in completed jobs.
     resume:
         Load an existing checkpoint from ``checkpoint_dir`` and skip
-        the jobs it already covers (fingerprint-verified).
-    on_result:
-        Callback invoked with each terminal
-        :class:`~repro.core.resilience.JobResult` in completion order
-        (after the checkpoint record is written).
+        the planned jobs it already covers (fingerprint-verified);
+        records of jobs outside the plan are ignored.
 
     Returns
     -------
@@ -455,8 +451,9 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
             for index, payload in enumerate(plan)]
     timings["plan"] = clock.monotonic() - run_started
 
-    fingerprint = {"scenario": scenario.name, "seed": int(seed),
-                   "n_jobs": len(plan)}
+    # The plan length stays out: job k's record and stream do not
+    # depend on it, and each scenario's own fingerprint covers its size.
+    fingerprint = {"scenario": scenario.name, "seed": int(seed)}
     fingerprint.update(scenario.fingerprint(config) or {})
 
     checkpoint = None
@@ -505,8 +502,6 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
             if completed_since_save >= checkpoint_every:
                 checkpoint.save(fingerprint)
                 completed_since_save = 0
-        if on_result is not None:
-            on_result(job_result)
 
     # Phase 2: execute on the engine. run_jobs + the backend carry the
     # whole resilience/obs/faults contract; a partial run (kill, crash)
@@ -520,7 +515,9 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
                  keys=[keys[p] for p in pending], workers=workers,
                  policy=policy, on_result=settle, backend=backend)
     finally:
-        if checkpoint is not None and completed_since_save:
+        # Saved even when nothing ran, so every checkpointed run leaves
+        # a manifest whose fingerprint guards the next resume.
+        if checkpoint is not None:
             checkpoint.save(fingerprint)
     timings["execute"] = clock.monotonic() - phase_started
 

@@ -9,10 +9,9 @@ overshooting.
 
 On failure, an optional :class:`NewtonRecovery` ladder escalates
 through progressively heavier continuation strategies before giving
-up — tighter damping, source-stepping homotopy, and finally a fallback
-to the last converged operating point.  Every rung that succeeds emits
-a :class:`~repro.errors.RecoveredWarning` carrying the stage that
-saved the solve.
+up — tighter damping, then source-stepping homotopy.  Every rung that
+succeeds emits a :class:`~repro.errors.RecoveredWarning` carrying the
+stage that saved the solve.
 """
 
 from __future__ import annotations
@@ -63,10 +62,8 @@ class NewtonRecovery:
        the independent sources from a fraction of full bias up to 1.0,
        re-converging at each level from the previous solution (the
        homotopy production SPICE uses for hopeless starts).
-    3. **Fallback** — if :attr:`fallback` is given, return a copy of it
-       (the last converged operating point) instead of raising.  This
-       trades accuracy for survival and is therefore always announced
-       via :class:`~repro.errors.RecoveredWarning`.
+
+    If every rung fails, the plain solve's error is re-raised.
 
     Attributes
     ----------
@@ -81,8 +78,6 @@ class NewtonRecovery:
         scaled by it.  ``None`` skips the homotopy rung.
     source_steps:
         Number of ramp levels for the homotopy.
-    fallback:
-        Last converged unknown vector, or ``None`` to skip the rung.
     warn:
         Emit :class:`~repro.errors.RecoveredWarning` when a rung other
         than the plain solve produced the result.
@@ -92,7 +87,6 @@ class NewtonRecovery:
     iteration_boost: int = 3
     source_stepping: Callable | None = None
     source_steps: int = 8
-    fallback: np.ndarray | None = None
     warn: bool = True
 
 
@@ -111,10 +105,9 @@ class NewtonInfo:
         Newton iterations consumed by the run that produced the
         solution (the winning recovery rung's run, when one fired).
     residual:
-        Final unknown-vector change of that run (``None`` only for the
-        hold-last-point fallback, which performs no iteration).
+        Final unknown-vector change of that run.
     stage:
-        ``plain``, ``damping``, ``source stepping`` or ``fallback``.
+        ``plain``, ``damping`` or ``source stepping``.
     recovered:
         A recovery rung (not the plain solve) produced the result.
     """
@@ -240,16 +233,6 @@ def solve_newton_detailed(
                               stage="source stepping", recovered=True)
             _record_solve(info)
             return x, info
-
-    # Rung 3: hold the last converged operating point.
-    if recover.fallback is not None:
-        _warn_recovered(recover, "fallback to last converged point",
-                        first_error)
-        info = NewtonInfo(iterations=first_error.iterations or 0,
-                          residual=first_error.residual,
-                          stage="fallback", recovered=True)
-        _record_solve(info)
-        return np.array(recover.fallback, dtype=float, copy=True), info
 
     _record_failure(first_error)
     raise first_error

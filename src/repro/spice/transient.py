@@ -51,12 +51,6 @@ class TransientOptions:
         attempt through the full :class:`NewtonRecovery` ladder
         (tighter damping, then source-stepping homotopy) before
         surfacing the error.
-    hold_on_stall:
-        Last rung of the ladder: accept the previous converged solution
-        for the stalled step (freezes the state for one step instead of
-        aborting the whole transient).  Off by default — it trades
-        accuracy for survival and is announced via
-        :class:`~repro.errors.RecoveredWarning` when it fires.
     pre_step:
         Optional hook ``f(t, x)`` called once before each nominal step
         with the current time and solution vector.  It may mutate
@@ -71,7 +65,6 @@ class TransientOptions:
     newton: NewtonOptions = NewtonOptions()
     record_every: int = 1
     recovery: bool = True
-    hold_on_stall: bool = False
     pre_step: Callable | None = None
 
     def __post_init__(self) -> None:
@@ -88,18 +81,17 @@ def _recover_step(assemble_factory, sub_t: float, sub_step: float,
                   error: ConvergenceError) -> np.ndarray:
     """Last-ditch ladder for a step that survived no halving.
 
-    Escalates through tighter damping and source-stepping homotopy
-    (plus an optional hold-state fallback), and otherwise re-raises a
-    :class:`~repro.errors.ConvergenceError` that keeps the failing
-    solve's iteration/residual metadata — per-cell outcomes downstream
-    report *why* the cell died, not just that it did.
+    Escalates through tighter damping and source-stepping homotopy, and
+    otherwise re-raises a :class:`~repro.errors.ConvergenceError` that
+    keeps the failing solve's iteration/residual metadata — per-cell
+    outcomes downstream report *why* the cell died, not just that it
+    did.
     """
     coeff = IntegrationCoeff(method=method, dt=sub_step)
     if opts.recovery:
         recover = NewtonRecovery(
             source_stepping=lambda scale: assemble_factory(
-                sub_t + sub_step, coeff, source_scale=scale),
-            fallback=x if opts.hold_on_stall else None)
+                sub_t + sub_step, coeff, source_scale=scale))
         try:
             x_new = solve_newton(assemble_factory(sub_t + sub_step, coeff),
                                  x, opts.newton, recover=recover)

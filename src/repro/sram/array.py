@@ -61,8 +61,11 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.n_cells <= 0:
             raise SimulationError("n_cells must be positive")
-        if self.avt < 0.0:
-            raise SimulationError("avt must be non-negative")
+        if not (np.isfinite(self.avt) and self.avt >= 0.0):
+            raise SimulationError("avt must be finite and non-negative")
+        if not (np.isfinite(self.rtn_scale) and self.rtn_scale >= 0.0):
+            raise SimulationError(
+                "rtn_scale must be finite and non-negative")
 
 
 @dataclass

@@ -119,14 +119,17 @@ class TestRegistry:
 
 class TestAdaptiveChunkSize:
     def test_deep_queue_gets_large_chunks(self):
-        assert adaptive_chunk_size(1000, 4) == 64  # capped at max_chunk
+        assert adaptive_chunk_size(1000, 4) == 64  # capped at MAX_CHUNK
 
     def test_tail_shrinks_to_single_jobs(self):
         assert adaptive_chunk_size(3, 4) == 1
         assert adaptive_chunk_size(1, 4) == 1
 
     def test_never_exceeds_remaining(self):
-        assert adaptive_chunk_size(2, 1, min_chunk=8) == 2
+        for remaining in range(1, 300):
+            for workers in (1, 2, 3, 4, 8, 64):
+                size = adaptive_chunk_size(remaining, workers)
+                assert 1 <= size <= remaining
 
     def test_zero_remaining(self):
         assert adaptive_chunk_size(0, 4) == 0
@@ -134,12 +137,6 @@ class TestAdaptiveChunkSize:
     def test_monotone_in_queue_depth(self):
         sizes = [adaptive_chunk_size(r, 4) for r in range(1, 600)]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="chunk_factor"):
-            SharedMemoryBackend(chunk_factor=0.0)
-        with pytest.raises(ValueError, match="min_chunk"):
-            SharedMemoryBackend(min_chunk=8, max_chunk=4)
 
 
 # ======================================================================

@@ -52,6 +52,14 @@ class TestConfigValidation:
             EnsembleConfig(n_cells=1, resume=True)
         with pytest.raises(ValueError):
             EnsembleConfig(n_cells=1, max_verified_cells=-1)
+        # Caught at construction, not after the clean pass (a negative
+        # avt) or never (a NaN avt used to verify NaN-shifted cells).
+        for field, value in [("avt", -2.5e-9), ("avt", float("nan")),
+                             ("avt", float("inf")),
+                             ("rtn_scale", float("nan")),
+                             ("rtn_scale", float("inf"))]:
+            with pytest.raises(ValueError, match=field):
+                EnsembleConfig(n_cells=1, **{field: value})
 
     def test_value_error_not_simulation_error(self):
         # The switch must not silently widen: bad config is NOT a

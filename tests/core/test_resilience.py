@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.core.ensemble as ensemble_module
 import repro.core.methodology as methodology_module
+import repro.core.scenario as scenario_module
 from repro.core.ensemble import EnsembleConfig, EnsembleRunner
 from repro.core.experiments import fig8_cell_spec, fig8_pattern
 from repro.core.methodology import MethodologyConfig
@@ -185,14 +186,6 @@ class TestRunCheckpoint:
         assert records[2]["failures"] == 1
         assert records[0]["status"] == "recovered"
 
-    def test_npz_mirrors_numeric_fields(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.add(1, {"status": "ok", "failures": 2, "attempts": 1})
-        checkpoint.save(self.FP)
-        arrays = np.load(tmp_path / "run" / RunCheckpoint.OUTCOMES)
-        assert list(arrays["index"]) == [1]
-        assert arrays["failures"][0] == 2.0
-
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run")
         checkpoint.add(0, {"status": "ok"})
@@ -299,8 +292,9 @@ class TestCheckpointResume:
             **base, max_verified_cells=3)).run(np.random.default_rng(11))
         done_first = {o.index for o in first.outcomes if o.verified}
         assert len(done_first) == 3
-        assert (directory / RunCheckpoint.MANIFEST).is_file()
-        assert (directory / RunCheckpoint.OUTCOMES).is_file()
+        # The manifest is the whole checkpoint layout.
+        assert [path.name for path in directory.iterdir()] == [
+            RunCheckpoint.MANIFEST]
 
         # The verification payload names its cell by its mismatch.
         recomputed_shifts = []
@@ -328,6 +322,20 @@ class TestCheckpointResume:
             before, after = first.outcomes[index], second.outcomes[index]
             assert before.rtn_failures == after.rtn_failures
             assert before.error_slots == after.error_slots
+
+    def test_resume_never_verifies_more_than_the_cap(self, tmp_path):
+        # A resume restores only the cells selected this time: the
+        # checkpointed verdicts of cells past a lowered cap stay unread.
+        directory = tmp_path / "run"
+        base = dict(n_cells=6, spec=SPEC, pattern=fig8_pattern(bits=(1,)),
+                    rtn_scale=30.0, checkpoint_dir=directory)
+        first = EnsembleRunner(EnsembleConfig(
+            **base, max_verified_cells=3)).run(np.random.default_rng(11))
+        assert first.verified_cells == 3
+        resumed = EnsembleRunner(EnsembleConfig(
+            **base, max_verified_cells=1, resume=True)).run(
+            np.random.default_rng(11))
+        assert resumed.verified_cells == min(resumed.flagged_cells, 1)
 
     def test_resume_rejects_other_configuration(self, tmp_path):
         directory = tmp_path / "run"
@@ -420,7 +428,7 @@ class TestSharedBackendKillResume:
     @staticmethod
     @contextmanager
     def _kill_after(saves: int):
-        real = ensemble_module.RunCheckpoint
+        real = scenario_module.RunCheckpoint
         state = {"left": saves}
 
         class Killing(real):
@@ -430,11 +438,11 @@ class TestSharedBackendKillResume:
                 state["left"] -= 1
                 super().save(fingerprint)
 
-        ensemble_module.RunCheckpoint = Killing
+        scenario_module.RunCheckpoint = Killing
         try:
             yield
         finally:
-            ensemble_module.RunCheckpoint = real
+            scenario_module.RunCheckpoint = real
 
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import repro.core.scenario as scenario_module
 from repro.core.scenario import (
     Scenario,
     ScenarioRegistry,
@@ -45,6 +46,29 @@ class ToyScenario(Scenario):
 
     def fingerprint(self, config):
         return {"n": config}
+
+
+#: Payloads :class:`CountingScenario` ran, in order (serial backend).
+EXECUTED: list = []
+
+
+def _counting_kernel(payload, rng):
+    EXECUTED.append(payload)
+    return _toy_kernel(payload, rng)
+
+
+class CountingScenario(ToyScenario):
+    """The toy scenario (same name, streams and checkpoints) with a
+    kernel that records every job it actually runs."""
+
+    kernel = staticmethod(_counting_kernel)
+
+
+@pytest.fixture
+def executed():
+    EXECUTED.clear()
+    yield EXECUTED
+    EXECUTED.clear()
 
 
 class TestRegistry:
@@ -165,11 +189,6 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="checkpoint_every"):
             run_scenario(ToyScenario, 2, checkpoint_every=0)
 
-    def test_on_result_sees_every_terminal_result(self):
-        seen = []
-        run_scenario(ToyScenario, 4, on_result=lambda r: seen.append(r.key))
-        assert sorted(seen) == list(range(4))
-
     def test_fault_site_fails_jobs_not_the_run(self):
         with inject_faults(scenario_rate=1.0, seed=0):
             run = run_scenario(ToyScenario, 3, seed=1)
@@ -209,36 +228,42 @@ class TestRunScenario:
 
 
 class TestCheckpointResume:
-    def test_full_run_then_resume_skips_everything(self, tmp_path):
-        calls = []
-        first = run_scenario(ToyScenario, 5, seed=7,
-                             checkpoint_dir=tmp_path, checkpoint_every=2,
-                             on_result=lambda r: calls.append(r.key))
-        assert len(calls) == 5
+    def test_full_run_then_resume_skips_everything(self, tmp_path,
+                                                   executed):
+        first = run_scenario(CountingScenario, 5, seed=7,
+                             checkpoint_dir=tmp_path, checkpoint_every=2)
+        assert executed == list(range(5))
 
-        calls.clear()
-        second = run_scenario(ToyScenario, 5, seed=7,
+        executed.clear()
+        second = run_scenario(CountingScenario, 5, seed=7,
                               checkpoint_dir=tmp_path, resume=True)
-        assert calls == []  # nothing re-executed
+        assert executed == []  # nothing re-executed
         assert sorted(second.resumed) == list(range(5))
         assert second.value == first.value
 
-    def test_interrupted_run_resumes_only_pending_jobs(self, tmp_path):
-        class Boom(RuntimeError):
-            pass
+    def test_interrupted_run_resumes_only_pending_jobs(
+            self, tmp_path, monkeypatch, executed):
+        class Killed(BaseException):
+            """Stands in for SIGKILL after the second snapshot."""
 
-        def bomb(result):
-            if result.key == 1:
-                raise Boom
+        real_save = scenario_module.RunCheckpoint.save
+        saves = []
 
-        with pytest.raises(Boom):
-            run_scenario(ToyScenario, 4, seed=9, checkpoint_dir=tmp_path,
-                         checkpoint_every=1, on_result=bomb)
+        def killing_save(checkpoint, fingerprint=None):
+            if len(saves) == 2:
+                raise Killed
+            saves.append(fingerprint)
+            real_save(checkpoint, fingerprint)
 
-        executed = []
-        resumed = run_scenario(ToyScenario, 4, seed=9,
-                               checkpoint_dir=tmp_path, resume=True,
-                               on_result=lambda r: executed.append(r.key))
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module.RunCheckpoint, "save",
+                          killing_save)
+            with pytest.raises(Killed):
+                run_scenario(ToyScenario, 4, seed=9,
+                             checkpoint_dir=tmp_path, checkpoint_every=1)
+
+        resumed = run_scenario(CountingScenario, 4, seed=9,
+                               checkpoint_dir=tmp_path, resume=True)
         assert sorted(resumed.resumed) == [0, 1]
         assert executed == [2, 3]
         # The stitched run is identical to an uninterrupted one.
@@ -250,6 +275,39 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="different run"):
             run_scenario(ToyScenario, 3, seed=2, checkpoint_dir=tmp_path,
                          resume=True)
+
+    def test_a_run_with_no_jobs_still_guards_its_checkpoint(self, tmp_path):
+        run_scenario(ToyScenario, 0, seed=1, checkpoint_dir=tmp_path)
+        assert (tmp_path / "manifest.json").is_file()
+        with pytest.raises(ValueError, match="different run"):
+            run_scenario(ToyScenario, 0, seed=2, checkpoint_dir=tmp_path,
+                         resume=True)
+
+    def test_plan_length_is_not_fingerprinted(self, tmp_path, executed):
+        """Job k's record and stream do not depend on the plan length,
+        so a resume may extend the plan and run only the new jobs."""
+
+        class Open(CountingScenario):
+            def fingerprint(self, config):
+                return {}
+
+        run_scenario(Open, 3, seed=5, checkpoint_dir=tmp_path)
+        executed.clear()
+        grown = run_scenario(Open, 5, seed=5, checkpoint_dir=tmp_path,
+                             resume=True)
+        assert sorted(grown.resumed) == [0, 1, 2]
+        assert executed == [3, 4]
+        assert grown.value == run_scenario(ToyScenario, 5, seed=5).value
+
+    def test_checkpoints_with_a_plan_length_still_load(self, tmp_path):
+        run_scenario(ToyScenario, 3, seed=1, checkpoint_dir=tmp_path)
+        manifest = tmp_path / "manifest.json"
+        document = json.loads(manifest.read_text())
+        document["fingerprint"]["n_jobs"] = 3
+        manifest.write_text(json.dumps(document))
+        resumed = run_scenario(ToyScenario, 3, seed=1,
+                               checkpoint_dir=tmp_path, resume=True)
+        assert sorted(resumed.resumed) == [0, 1, 2]
 
     def test_values_round_trip_through_encode_decode(self, tmp_path):
         class Coded(ToyScenario):
@@ -266,7 +324,7 @@ class TestCheckpointResume:
                               resume=True)
         assert second.value == first.value
 
-    def test_failed_records_restore_as_terminal(self, tmp_path):
+    def test_failed_records_restore_as_terminal(self, tmp_path, executed):
         """Failures are terminal outcomes, not pending work: a resume
         restores them verbatim (the ensemble-runner convention) —
         retries happen *within* a run, via RetryPolicy."""
@@ -275,10 +333,8 @@ class TestCheckpointResume:
                                   checkpoint_dir=tmp_path,
                                   checkpoint_every=1)
         assert broken.counts["failed"] == 3
-        executed = []
-        resumed = run_scenario(ToyScenario, 3, seed=4,
-                               checkpoint_dir=tmp_path, resume=True,
-                               on_result=lambda r: executed.append(r.key))
+        resumed = run_scenario(CountingScenario, 3, seed=4,
+                               checkpoint_dir=tmp_path, resume=True)
         assert executed == []
         assert sorted(resumed.resumed) == [0, 1, 2]
         assert resumed.counts["failed"] == 3

@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(SimulationError):
             ArrayConfig(n_cells=1, base_spec=SramCellSpec(),
                         pattern=TINY_PATTERN, avt=-1.0)
+        for field, value in [("avt", float("nan")), ("avt", float("inf")),
+                             ("rtn_scale", -1.0),
+                             ("rtn_scale", float("nan")),
+                             ("rtn_scale", float("inf"))]:
+            with pytest.raises(SimulationError, match=field):
+                ArrayConfig(n_cells=1, base_spec=SramCellSpec(),
+                            pattern=TINY_PATTERN, **{field: value})
 
 
 class TestVtSampling:

@@ -1,7 +1,8 @@
 """The layering gate: parallel dispatch stays inside ``repro.core.engine``,
 transient ``pre_step`` coupling inside ``repro.cosim.engine``, RTN
-source injection inside ``repro.core.methodology`` and the SPICE
-package's private names inside ``repro.spice``.
+source injection inside ``repro.core.methodology``, the SPICE package's
+private names inside ``repro.spice`` and checkpoint writing inside
+``repro.core.scenario``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -107,6 +108,25 @@ def test_checker_flags_private_spice_imports_outside_spice(tmp_path, capsys):
     assert "cell.py:2" not in err  # public names are fine
     assert "cell.py:4" not in err  # other packages are not this rule's
     assert "dcop.py" not in err  # the SPICE package may use its own
+
+
+def test_checker_flags_checkpoints_outside_the_scenario_layer(tmp_path,
+                                                             capsys):
+    checker = _load_checker()
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "scenario.py").write_text(
+        "checkpoint = RunCheckpoint(checkpoint_dir)\n")
+    (tmp_path / "core" / "ensemble.py").write_text(
+        "from .resilience import RunCheckpoint\n"
+        "checkpoint = RunCheckpoint(directory)\n")
+    (tmp_path / "rogue.py").write_text(
+        "import resilience\nresilience.RunCheckpoint(path).save()\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.py:2" in err and "rogue.py:2" in err
+    assert "RunCheckpoint" in err
+    assert "ensemble.py:1" not in err  # importing the class is not writing
+    assert "scenario.py" not in err  # run_scenario is the one writer
 
 
 def test_checker_catches_smuggled_futures(tmp_path):

@@ -25,6 +25,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import repro.core.scenario as scenario_module
+from repro import obs
 from repro.core.scenario import run_scenario
 from repro.verify import AlphaBudget
 
@@ -199,31 +201,35 @@ class TestCheckpointKillResume:
     """The acceptance drill: kill a non-SRAM scenario mid-run, resume,
     and land bit-identical to the uninterrupted run."""
 
-    def test_dram_retention_survives_a_kill(self, tmp_path):
+    def test_dram_retention_survives_a_kill(self, tmp_path, monkeypatch):
         config = _default_config("dram.retention", 6)
         clean = run_scenario("dram.retention", config, seed=SEED,
                              backend="serial")
 
-        completed = []
+        real_save = scenario_module.RunCheckpoint.save
+        saves = []
 
-        def kill_after_three(result):
-            completed.append(int(result.key))
-            if len(completed) == 3:
+        def kill_after_three(checkpoint, fingerprint=None):
+            if len(saves) == 3:
                 raise KeyboardInterrupt
+            saves.append(fingerprint)
+            real_save(checkpoint, fingerprint)
 
-        with pytest.raises(KeyboardInterrupt):
-            run_scenario("dram.retention", config, seed=SEED,
-                         backend="serial", checkpoint_dir=tmp_path,
-                         checkpoint_every=1, on_result=kill_after_three)
-        assert len(completed) == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module.RunCheckpoint, "save",
+                          kill_after_three)
+            with pytest.raises(KeyboardInterrupt):
+                run_scenario("dram.retention", config, seed=SEED,
+                             backend="serial", checkpoint_dir=tmp_path,
+                             checkpoint_every=1)
+        assert len(saves) == 3
 
-        executed = []
-        resumed = run_scenario("dram.retention", config, seed=SEED,
-                               backend="shared", workers=WORKERS,
-                               checkpoint_dir=tmp_path, resume=True,
-                               on_result=lambda r: executed.append(
-                                   int(r.key)))
-        assert sorted(resumed.resumed) == sorted(completed)
-        assert sorted(executed + resumed.resumed) == list(range(6))
+        with obs.enable_tracing():
+            resumed = run_scenario("dram.retention", config, seed=SEED,
+                                   backend="shared", workers=WORKERS,
+                                   checkpoint_dir=tmp_path, resume=True)
+        assert sorted(resumed.resumed) == [0, 1, 2]
+        counters = resumed.metrics_snapshot["counters"]
+        assert counters["scenario.jobs"] == 3  # only the unfinished jobs
         assert resumed.complete
         np.testing.assert_array_equal(resumed.value, clean.value)
