@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Lint: one parallel executor, one co-simulation loop, one injection home,
-one MNA assembly, one checkpoint writer.
+one MNA assembly, one checkpoint writer, one rate table per population.
 
 Usage::
 
@@ -57,6 +57,15 @@ constructs a ``RunCheckpoint(``.  A construction anywhere else is a
 second checkpoint writer with its own record format and fails the
 check; a resumable workload runs as a scenario and passes
 ``checkpoint_dir=`` / ``resume=`` to ``run_scenario`` instead.
+
+And for trap propensities: every trap of a transistor shares its
+surface potential, so a population's Eq.-(1)/(2) rates come from one
+table (:func:`repro.traps.propensity.population_propensity`), and a
+single trap's propensity is a row of it
+(:meth:`repro.markov.batch.BatchPropensity.single`).  A
+``SampledTwoStatePropensity(`` call outside ``src/repro/markov/`` is a
+per-trap rate builder beside the table and fails the check; build the
+population table instead, or go through ``make_propensity``.
 """
 
 from __future__ import annotations
@@ -86,6 +95,9 @@ INJECTION_HOME = "core/methodology.py"
 
 #: The one module that may construct a ``RunCheckpoint``.
 CHECKPOINT_HOME = "core/scenario.py"
+
+#: The package that may construct a ``SampledTwoStatePropensity``.
+PROPENSITY_HOME = "markov/"
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -207,6 +219,12 @@ def main(argv: list) -> int:
                     path, line, "constructs RunCheckpoint — checkpoints "
                     "belong to repro.core.scenario; pass checkpoint_dir= "
                     "to run_scenario instead"))
+        if not relative.startswith(PROPENSITY_HOME):
+            for line in calls_to(path, "SampledTwoStatePropensity"):
+                violations.append((
+                    path, line, "constructs SampledTwoStatePropensity — "
+                    "trap rates come from one population table; use "
+                    "population_propensity(...).single(k) instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

@@ -18,7 +18,7 @@ Kernels (paper Algorithm 1)
     :func:`make_propensity`, :class:`UniformizationStats`
 Trap physics (paper Eqs. 1-2)
     :class:`Trap`, :class:`TrapProfiler`, :func:`population_propensity`,
-    :func:`trap_propensity`
+    :func:`draw_initial_states`
 RTN synthesis (paper Eq. 3)
     :func:`generate_device_rtn`, :class:`RTNTrace`
 Cell & methodology (paper Fig. 8)
@@ -70,7 +70,7 @@ _EXPORTS = {
     # Trap physics.
     "Trap": "repro.traps.trap:Trap",
     "TrapProfiler": "repro.traps.profiling:TrapProfiler",
-    "trap_propensity": "repro.traps.propensity:trap_propensity",
+    "draw_initial_states": "repro.traps.propensity:draw_initial_states",
     "population_propensity": "repro.traps.propensity:population_propensity",
     # RTN synthesis.
     "generate_device_rtn": "repro.rtn.generator:generate_device_rtn",

@@ -51,7 +51,7 @@ from .. import obs
 from ..errors import ModelError, RecoveredWarning, SimulationError
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
-from ..markov.batch import _scalar_fallback, simulate_traps_batch
+from ..markov.batch import simulate_traps_batch, simulate_traps_scalar
 from ..markov.occupancy import number_filled
 from ..rtn.current import rtn_current_samples
 # Unused here since the SPICE passes moved to PatternBench; still bound
@@ -59,7 +59,7 @@ from ..rtn.current import rtn_current_samples
 # probes rewrite this alias.
 from ..spice.transient import simulate_transient  # noqa: F401
 from ..sram.detectors import OpOutcome
-from ..traps.propensity import equilibrium_occupancy_population
+from ..traps.propensity import draw_initial_states
 from .engine import get_backend, propensity_cache, resolve_backend
 from .methodology import (
     MethodologyConfig,
@@ -459,9 +459,8 @@ def _simulate_population(batch, t_start: float, t_stop: float,
             f"batched kernel failed on {name}; degraded to the scalar "
             f"per-trap kernel: {exc}", stage="scalar kernel"),
             stacklevel=2)
-        propensities = [batch.single(i) for i in range(batch.n_traps)]
-        return _scalar_fallback(propensities, t_start, t_stop, rng,
-                                init, None)
+        return simulate_traps_scalar(batch, t_start, t_stop, rng,
+                                     initial_states=init)
 
 
 def _verify_cell(payload, rng: np.random.Generator) -> tuple[int, list]:
@@ -612,9 +611,8 @@ class EnsembleRunner:
                 continue
             batch = propensity_cache().population(
                 flat_traps, tech, record.times, record.v_drive)
-            filled_p = equilibrium_occupancy_population(
-                float(record.v_drive[0]), flat_traps, tech)
-            init = (rng.random(len(flat_traps)) < filled_p).astype(np.int8)
+            init = draw_initial_states(flat_traps, tech,
+                                       float(record.v_drive[0]), rng)
             occupancies, stats = _simulate_population(
                 batch, float(record.times[0]), float(record.times[-1]),
                 rng, init, name, kernel_fallbacks)

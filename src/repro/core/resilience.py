@@ -24,6 +24,7 @@ JSON-able dicts.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -81,10 +82,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.backoff < 0.0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
-        if self.timeout is not None and self.timeout <= 0.0:
-            raise ValueError("timeout must be positive when given")
+        if not (0.0 <= self.backoff < math.inf
+                and 1.0 <= self.backoff_factor < math.inf):
+            raise ValueError(
+                "backoff must be finite and >= 0 with a finite factor >= 1")
+        if self.timeout is not None and not 0.0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite when given")
 
     def delay(self, attempt: int) -> float:
         """Backoff before attempt ``attempt`` (first attempt is 1)."""

@@ -26,7 +26,7 @@ from ..spice.circuit import Circuit
 from ..spice.elements import CurrentSource, Mosfet
 from ..spice.transient import TransientOptions, simulate_transient
 from ..traps.propensity import (
-    equilibrium_occupancy_population,
+    draw_initial_states,
     rates_for_population,
 )
 
@@ -97,9 +97,8 @@ class _LivePopulation:
         self.attachment = attachment
         self.mosfet = mosfet
         self.held = held
-        occupancies = equilibrium_occupancy_population(
-            0.0, list(attachment.traps), tech)
-        self.states = [int(rng.random() < p) for p in occupancies]
+        self.states = draw_initial_states(
+            list(attachment.traps), tech, 0.0, rng).tolist()
         self.flips: list[list] = [[] for _ in attachment.traps]
 
     def advance(self, t: float, dt: float, v_drive: float,

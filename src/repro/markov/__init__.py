@@ -34,6 +34,7 @@ from .batch import (
     BatchPropensity,
     BatchUniformizationStats,
     simulate_traps_batch,
+    simulate_traps_scalar,
 )
 from .gillespie import simulate_constant
 from .occupancy import OccupancyTrace, number_filled
@@ -66,6 +67,7 @@ __all__ = [
     "simulate_trap",
     "simulate_trap_detailed",
     "simulate_traps_batch",
+    "simulate_traps_scalar",
     "stationary_autocorrelation",
     "stationary_autocovariance",
     "stationary_occupancy",

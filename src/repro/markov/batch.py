@@ -59,6 +59,7 @@ from .propensity import (
 from .uniformization import (
     MAX_EXPECTED_CANDIDATES,
     UniformizationStats,
+    check_window,
     simulate_trap_detailed,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "BatchPropensity",
     "BatchUniformizationStats",
     "simulate_traps_batch",
+    "simulate_traps_scalar",
 ]
 
 #: Padded layout budget: fall back to the flat layout when padding would
@@ -106,6 +108,8 @@ class BatchPropensity:
         emission = np.atleast_2d(np.asarray(self.emission, dtype=float))
         if times.ndim != 1 or times.size < 2:
             raise ModelError("times must be a 1-D array with >= 2 samples")
+        if not np.all(np.isfinite(times)):
+            raise ModelError("times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ModelError("times must be strictly increasing")
         if capture.shape != emission.shape:
@@ -334,8 +338,8 @@ def simulate_traps_batch(
     propensities:
         A :class:`BatchPropensity`, or a sequence of per-trap propensity
         objects (stacked via :meth:`BatchPropensity.from_propensities`;
-        sequences that cannot be stacked fall back to the exact scalar
-        kernel per trap).
+        sequences that cannot be stacked run through
+        :func:`simulate_traps_scalar`).
     t_start, t_stop:
         Simulation window [s]; ``t_stop`` must exceed ``t_start``.
     rng:
@@ -358,32 +362,18 @@ def simulate_traps_batch(
         plus per-trap :class:`BatchUniformizationStats` (use
         ``stats.aggregate`` for the population summary).
     """
-    if t_stop <= t_start:
-        raise SimulationError(
-            f"t_stop ({t_stop:g}) must exceed t_start ({t_start:g})"
-        )
-
+    check_window(t_start, t_stop)
     if not isinstance(propensities, BatchPropensity):
         try:
             batch = BatchPropensity.from_propensities(propensities)
         except ModelError:
-            return _scalar_fallback(propensities, t_start, t_stop, rng,
-                                    initial_states, rate_bounds)
+            return simulate_traps_scalar(propensities, t_start, t_stop, rng,
+                                         initial_states, rate_bounds)
     else:
         batch = propensities
 
     n_traps = batch.n_traps
-    if initial_states is None:
-        init = np.zeros(n_traps, dtype=np.int8)
-    else:
-        init = np.asarray(initial_states).astype(np.int8, copy=True)
-        if init.shape != (n_traps,):
-            raise SimulationError(
-                f"initial_states must have shape ({n_traps},), "
-                f"got {init.shape}"
-            )
-        if not np.all((init == 0) | (init == 1)):
-            raise SimulationError("initial states must be 0 or 1")
+    init = _checked_states(initial_states, n_traps)
 
     sums = batch.rate_sums()
     if rate_bounds is None:
@@ -651,20 +641,65 @@ def _cancel_tied_flips(flips: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _scalar_fallback(propensities, t_start, t_stop, rng,
-                     initial_states, rate_bounds
-                     ) -> tuple[list[OccupancyTrace], BatchUniformizationStats]:
-    """Exact per-trap loop for populations that cannot be stacked."""
-    props = list(propensities)
-    n_traps = len(props)
+def _checked_states(initial_states, n_traps: int) -> np.ndarray:
+    """Validated 0/1 ``int8`` initial states (all-empty when ``None``).
+
+    The values are checked before the cast: ``int8`` would wrap 256 to
+    0 and truncate 1.5 to 1.
+    """
     if initial_states is None:
-        initial_states = np.zeros(n_traps, dtype=np.int8)
+        return np.zeros(n_traps, dtype=np.int8)
+    states = np.asarray(initial_states)
+    if states.shape != (n_traps,):
+        raise SimulationError(
+            f"initial_states must have shape ({n_traps},), "
+            f"got {states.shape}"
+        )
+    if not np.all((states == 0) | (states == 1)):
+        raise SimulationError("initial states must be 0 or 1")
+    return states.astype(np.int8)
+
+
+def simulate_traps_scalar(
+        propensities, t_start: float, t_stop: float,
+        rng: np.random.Generator,
+        initial_states: np.ndarray | None = None,
+        rate_bounds: np.ndarray | None = None,
+) -> tuple[list[OccupancyTrace], BatchUniformizationStats]:
+    """Paper Algorithm 1 trap by trap over a whole population.
+
+    The exact scalar kernel
+    (:func:`~repro.markov.uniformization.simulate_trap_detailed`) runs
+    once per trap, in population order, on one shared generator, so a
+    population's traces are reproducible draw for draw from one seed.
+    This is the per-cell Fig.-8 path and the degrade path of the
+    batched kernel.
+
+    Parameters
+    ----------
+    propensities:
+        A :class:`BatchPropensity` (trap ``k`` runs on
+        :meth:`BatchPropensity.single`) or a sequence of per-trap
+        propensity objects.
+    t_start, t_stop, rng, initial_states:
+        As for :func:`simulate_traps_batch`.
+    rate_bounds:
+        Optional per-trap override of each propensity's
+        ``rate_bound()`` (must dominate both rates).
+    """
+    check_window(t_start, t_stop)
+    if isinstance(propensities, BatchPropensity):
+        props = [propensities.single(index)
+                 for index in range(propensities.n_traps)]
+    else:
+        props = list(propensities)
+    n_traps = len(props)
+    states = _checked_states(initial_states, n_traps)
     if rate_bounds is None:
         rate_bounds = [None] * n_traps
-    if len(initial_states) != n_traps or len(rate_bounds) != n_traps:
+    if len(rate_bounds) != n_traps:
         raise SimulationError(
-            "initial_states and rate_bounds must match the population size"
-        )
+            "rate_bounds must match the population size")
     traces = []
     candidates = np.zeros(n_traps, dtype=np.int64)
     accepted = np.zeros(n_traps, dtype=np.int64)
@@ -672,8 +707,7 @@ def _scalar_fallback(propensities, t_start, t_stop, rng,
     for index, prop in enumerate(props):
         bound = rate_bounds[index]
         trace, stats = simulate_trap_detailed(
-            prop, t_start, t_stop, rng,
-            initial_state=int(initial_states[index]),
+            prop, t_start, t_stop, rng, initial_state=int(states[index]),
             rate_bound=None if bound is None else float(bound),
         )
         traces.append(trace)

@@ -157,6 +157,8 @@ class SampledTwoStatePropensity:
             raise ModelError("times must be a 1-D array with >= 2 samples")
         if capture_values.shape != times.shape or emission_values.shape != times.shape:
             raise ModelError("rate sample arrays must match the time grid")
+        if not np.all(np.isfinite(times)):
+            raise ModelError("times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ModelError("times must be strictly increasing")
         if np.any(capture_values < 0.0) or np.any(emission_values < 0.0):

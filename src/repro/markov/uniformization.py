@@ -58,6 +58,17 @@ class UniformizationStats:
         return self.n_accepted / self.n_candidates
 
 
+def check_window(t_start: float, t_stop: float) -> None:
+    """Refuse a simulation window that is not finite with ``t_stop > t_start``."""
+    if not (np.isfinite(t_start) and np.isfinite(t_stop)):
+        raise SimulationError(
+            f"window [{t_start!r}, {t_stop!r}] must be finite")
+    if t_stop <= t_start:
+        raise SimulationError(
+            f"t_stop ({t_stop:g}) must exceed t_start ({t_start:g})"
+        )
+
+
 def simulate_trap(propensity: TwoStatePropensity, t_start: float, t_stop: float,
                   rng: np.random.Generator, initial_state: int = 0,
                   rate_bound: float | None = None) -> OccupancyTrace:
@@ -98,10 +109,7 @@ def simulate_trap_detailed(
         rate_bound: float | None = None,
 ) -> tuple[OccupancyTrace, UniformizationStats]:
     """Like :func:`simulate_trap` but also return cost statistics."""
-    if t_stop <= t_start:
-        raise SimulationError(
-            f"t_stop ({t_stop:g}) must exceed t_start ({t_start:g})"
-        )
+    check_window(t_start, t_stop)
     if initial_state not in (0, 1):
         raise SimulationError(f"initial_state must be 0 or 1, got {initial_state}")
     lam_star = propensity.rate_bound() if rate_bound is None else float(rate_bound)
@@ -157,24 +165,3 @@ def simulate_trap_detailed(
         obs.inc("uniformization.candidates", n_candidates)
         obs.inc("uniformization.accepted", n_accepted)
     return trace, stats
-
-
-def simulate_traps(propensities: list, t_start: float, t_stop: float,
-                   rng: np.random.Generator,
-                   initial_states: list | None = None) -> list[OccupancyTrace]:
-    """Simulate several independent traps over the same window.
-
-    ``initial_states`` defaults to all-empty.  Each trap consumes draws
-    from the shared generator in sequence, so the ensemble is
-    reproducible from a single seed.
-    """
-    if initial_states is None:
-        initial_states = [0] * len(propensities)
-    if len(initial_states) != len(propensities):
-        raise SimulationError(
-            "initial_states must match propensities in length"
-        )
-    return [
-        simulate_trap(prop, t_start, t_stop, rng, initial_state=state)
-        for prop, state in zip(propensities, initial_states)
-    ]

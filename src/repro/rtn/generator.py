@@ -1,9 +1,11 @@
 """Per-device RTN generation: trap profile + bias waveform -> I_RTN(t).
 
-This is the device-level driver around paper Algorithm 1: for each trap
-it builds the bias-dependent propensities (Eqs. 1-2), runs the exact
-uniformisation kernel, counts the filled traps on the output grid and
-converts the count to a noise current with an amplitude model (Eq. 3).
+This is the device-level driver around paper Algorithm 1: it builds the
+population's bias-dependent rate table once (Eqs. 1-2; one
+surface-potential solve per bias sample, shared by every trap), runs
+the exact uniformisation kernel trap by trap, counts the filled traps
+on the output grid and converts the count to a noise current with an
+amplitude model (Eq. 3).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from ..devices.mosfet import MosfetParams
 from ..errors import SimulationError
+from ..markov.batch import simulate_traps_scalar
 from ..markov.occupancy import OccupancyTrace, number_filled
-from ..markov.uniformization import simulate_trap
-from ..traps.propensity import equilibrium_occupancy, trap_propensity
+from ..traps.propensity import draw_initial_states, population_propensity
 from ..traps.trap import Trap
 from .current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
 from .trace import RTNTrace
@@ -88,32 +90,20 @@ def generate_device_rtn(params: MosfetParams, traps: list[Trap],
     times = np.asarray(times, dtype=float)
     v_gs = np.asarray(v_gs, dtype=float)
     i_d = np.asarray(i_d, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise SimulationError("times must be 1-D with >= 2 samples")
+    if times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times)):
+        raise SimulationError("times must be finite, 1-D with >= 2 samples")
     if v_gs.shape != times.shape or i_d.shape != times.shape:
         raise SimulationError("v_gs and i_d must match the time grid")
     if model is None:
         model = VanDerZielModel()
     tech = params.technology
 
+    batch = population_propensity(traps, tech, times, v_gs)
     if initial_states is None:
-        initial_states = [
-            int(rng.random() < equilibrium_occupancy(float(v_gs[0]), trap, tech))
-            for trap in traps
-        ]
-    if len(initial_states) != len(traps):
-        raise SimulationError(
-            f"initial_states has {len(initial_states)} entries for "
-            f"{len(traps)} traps"
-        )
-
-    occupancies = []
-    for trap, state in zip(traps, initial_states):
-        propensity = trap_propensity(trap, tech, times, v_gs)
-        occupancies.append(
-            simulate_trap(propensity, float(times[0]), float(times[-1]), rng,
-                          initial_state=state)
-        )
+        initial_states = draw_initial_states(traps, tech, float(v_gs[0]), rng)
+    occupancies, _ = simulate_traps_scalar(
+        batch, float(times[0]), float(times[-1]), rng,
+        initial_states=initial_states)
 
     n_filled = number_filled(occupancies, times)
     current = rtn_current_samples(model, params, v_gs, i_d, n_filled)
@@ -134,8 +124,9 @@ def generate_constant_bias_rtn(params: MosfetParams, traps: list[Trap],
     Builds a uniform grid over ``[0, t_stop]`` with the bias held
     constant — the configuration of paper Fig. 7 and Fig. 3.
     """
-    if t_stop <= 0.0:
-        raise SimulationError(f"t_stop must be positive, got {t_stop}")
+    if not (0.0 < t_stop < np.inf):
+        raise SimulationError(
+            f"t_stop must be positive and finite, got {t_stop}")
     if n_samples < 2:
         raise SimulationError(f"need >= 2 samples, got {n_samples}")
     times = np.linspace(0.0, t_stop, n_samples)

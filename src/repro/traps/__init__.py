@@ -16,6 +16,7 @@ Implements paper §II:
 
 from .band import crossing_energy, surface_potential, trap_energy_offset
 from .propensity import (
+    draw_initial_states,
     equilibrium_occupancy,
     equilibrium_occupancy_population,
     log_beta_from_bias,
@@ -23,7 +24,6 @@ from .propensity import (
     propensity_sum,
     rates_for_population,
     rates_from_bias,
-    trap_propensity,
 )
 from .profiling import TrapProfiler
 from .trap import Trap
@@ -32,6 +32,7 @@ __all__ = [
     "Trap",
     "TrapProfiler",
     "crossing_energy",
+    "draw_initial_states",
     "equilibrium_occupancy",
     "equilibrium_occupancy_population",
     "log_beta_from_bias",
@@ -41,5 +42,4 @@ __all__ = [
     "rates_from_bias",
     "surface_potential",
     "trap_energy_offset",
-    "trap_propensity",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 from ..devices.technology import Technology
 from ..errors import ModelError
 from .band import surface_potential
-from .propensity import equilibrium_occupancy, propensity_sum
+from .propensity import propensity_sum
 from .trap import Trap
 
 
@@ -145,19 +145,6 @@ class TrapProfiler:
         e_tr = e_low + (e_high - e_low) * u[1::2]
         return [Trap(y_tr=float(y), e_tr=float(e), label=f"{label_prefix}{i}")
                 for i, (y, e) in enumerate(zip(y_tr, e_tr))]
-
-    def initial_states(self, rng: np.random.Generator, traps: list[Trap],
-                       v_gs: float) -> list[int]:
-        """Draw initial occupancies from each trap's equilibrium at ``v_gs``.
-
-        Starting traps at the stationary occupancy of the pre-stimulus
-        bias avoids an artificial relaxation transient at ``t = 0``.
-        """
-        states = []
-        for trap in traps:
-            p_filled = equilibrium_occupancy(v_gs, trap, self.technology)
-            states.append(int(rng.random() < p_filled))
-        return states
 
     def summarise(self, traps: list[Trap]) -> dict:
         """Return summary statistics of a trap population (for reports)."""

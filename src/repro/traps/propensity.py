@@ -25,7 +25,6 @@ from ..constants import thermal_energy_ev
 from ..devices.technology import Technology
 from ..errors import ModelError
 from ..markov.batch import BatchPropensity
-from ..markov.propensity import SampledTwoStatePropensity
 from .band import trap_energy_offset
 from .trap import Trap
 
@@ -75,32 +74,37 @@ def equilibrium_occupancy(v_gs, trap: Trap, tech: Technology):
     return result if np.ndim(v_gs) else float(result)
 
 
-def rates_for_population(v_gs: float, traps: list, tech: Technology
+def rates_for_population(v_gs, traps: list, tech: Technology
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Rates of a whole trap population at one shared bias point.
+    """Rates of a whole trap population: the one Eq.-(1)/(2) rate table.
 
     All traps of a transistor see the same gate drive, so the
-    surface-potential solve (the expensive part) is done once and the
-    per-trap energy offsets are vectorised.  Returns
-    ``(lambda_c, lambda_e)`` arrays over the population — identical to
-    calling :func:`rates_from_bias` per trap.  This is the fast path of
-    the per-step coupled co-simulation.
+    surface-potential solve (the expensive part) is done once per bias
+    sample and the per-trap energy offsets broadcast over the
+    population.  A scalar ``v_gs`` gives ``(lambda_c, lambda_e)`` arrays
+    of shape ``(K,)``; a waveform of shape ``(M,)`` gives ``(K, M)``
+    tables whose column ``j`` equals the scalar call at ``v_gs[j]`` bit
+    for bit.  Rates agree with :func:`rates_from_bias` per trap to
+    rounding.
     """
     from .band import surface_potential
 
+    v_gs = np.asarray(v_gs, dtype=float)
     if not traps:
-        return np.zeros(0), np.zeros(0)
-    kt_ev = thermal_energy_ev(tech.temperature)
-    psi = surface_potential(v_gs, tech)
-    v_ox = v_gs - tech.v_fb - psi
+        return np.zeros((0,) + v_gs.shape), np.zeros((0,) + v_gs.shape)
     y = np.array([trap.y_tr for trap in traps])
     if np.any(y > tech.t_ox):
         raise ModelError("trap depth exceeds oxide thickness")
     e_tr = np.array([trap.e_tr for trap in traps])
     degeneracy = np.array([trap.degeneracy for trap in traps])
-    offset = e_tr - psi - (y / tech.t_ox) * v_ox
-    log_beta = np.log(degeneracy) + offset / kt_ev
-    totals = 1.0 / (tech.tau0 * np.exp(tech.gamma_tunnel * y))
+    # Trap axis first; the bias axis (if any) broadcasts behind it.
+    per_trap = (slice(None),) + (None,) * v_gs.ndim
+    kt_ev = thermal_energy_ev(tech.temperature)
+    psi = surface_potential(v_gs, tech)
+    v_ox = v_gs - tech.v_fb - psi
+    offset = e_tr[per_trap] - psi - (y / tech.t_ox)[per_trap] * v_ox
+    log_beta = np.log(degeneracy)[per_trap] + offset / kt_ev
+    totals = (1.0 / (tech.tau0 * np.exp(tech.gamma_tunnel * y)))[per_trap]
     return totals * expit(-log_beta), totals * expit(log_beta)
 
 
@@ -117,45 +121,30 @@ def equilibrium_occupancy_population(v_gs: float, traps: list,
     return lam_c / (lam_c + lam_e)
 
 
-def trap_propensity(trap: Trap, tech: Technology, times: np.ndarray,
-                    v_gs: np.ndarray) -> SampledTwoStatePropensity:
-    """Build the kernel-ready propensity of a trap under a bias waveform.
+def draw_initial_states(traps: list, tech: Technology, v_gs: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Draw each trap's initial state from its equilibrium at ``v_gs``.
 
-    Parameters
-    ----------
-    trap, tech:
-        The trap and its host technology.
-    times:
-        Strictly increasing sample times [s] of the bias waveform.
-    v_gs:
-        Gate-source bias samples [V], same length as ``times``.
-
-    Returns
-    -------
-    SampledTwoStatePropensity
-        Linear interpolation between the sampled rates.  Its
-        ``rate_bound()`` is the sample peak, which for these rates can
-        never exceed the exact Eq.-(1) sum — so uniformisation runs at
-        the paper's tight ``lambda*``.
+    Starting traps at the stationary occupancy of the pre-stimulus bias
+    avoids an artificial relaxation transient at ``t = 0``.  Consumes
+    one uniform per trap, in population order (``rng.random(K)`` is the
+    same stream as ``K`` scalar draws); returns 0/1 as ``int8``.
     """
-    v_gs = np.asarray(v_gs, dtype=float)
-    lambda_c, lambda_e = rates_from_bias(v_gs, trap, tech)
-    return SampledTwoStatePropensity(
-        times=np.asarray(times, dtype=float),
-        capture_values=lambda_c, emission_values=lambda_e)
+    filled = equilibrium_occupancy_population(v_gs, traps, tech)
+    return (rng.random(len(filled)) < filled).astype(np.int8)
 
 
 def population_propensity(traps: list, tech: Technology, times: np.ndarray,
                           v_gs: np.ndarray) -> BatchPropensity:
-    """Build the batched propensity of a whole population under one waveform.
+    """Build the propensity of a whole population under one bias waveform.
 
-    The array-of-struct counterpart of :func:`trap_propensity`: every
-    trap of a transistor sees the same gate drive, so the expensive
-    surface-potential solve is done *once per waveform sample* and the
-    per-trap Eq.-(1)/(2) rates broadcast into dense ``(K, M)`` arrays —
-    the layout :func:`repro.markov.batch.simulate_traps_batch` consumes.
-    Rates are identical (to rounding) to calling :func:`trap_propensity`
-    per trap.
+    The :func:`rates_for_population` table on the waveform's samples,
+    in the dense ``(K, M)`` layout both kernels consume:
+    :func:`repro.markov.batch.simulate_traps_batch` takes it whole and
+    :meth:`~repro.markov.batch.BatchPropensity.single` hands one trap's
+    row to the scalar kernel.  Linear interpolation between samples
+    never exceeds the sample peak, so a row's bound never exceeds the
+    exact Eq.-(1) sum.
 
     Parameters
     ----------
@@ -168,8 +157,6 @@ def population_propensity(traps: list, tech: Technology, times: np.ndarray,
     v_gs:
         Gate-source bias samples [V], same length as ``times``.
     """
-    from .band import surface_potential
-
     times = np.asarray(times, dtype=float)
     v_gs = np.asarray(v_gs, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -177,23 +164,5 @@ def population_propensity(traps: list, tech: Technology, times: np.ndarray,
     if v_gs.shape != times.shape:
         raise ModelError(
             f"v_gs shape {v_gs.shape} does not match times {times.shape}")
-    if not traps:
-        empty = np.zeros((0, times.size))
-        return BatchPropensity(times=times, capture=empty, emission=empty)
-
-    kt_ev = thermal_energy_ev(tech.temperature)
-    psi = surface_potential(v_gs, tech)
-    v_ox = v_gs - tech.v_fb - psi
-    y = np.array([trap.y_tr for trap in traps])
-    if np.any(y > tech.t_ox):
-        raise ModelError("trap depth exceeds oxide thickness")
-    e_tr = np.array([trap.e_tr for trap in traps])
-    degeneracy = np.array([trap.degeneracy for trap in traps])
-    offset = e_tr[:, None] - psi[None, :] - (y / tech.t_ox)[:, None] * v_ox[None, :]
-    log_beta = np.log(degeneracy)[:, None] + offset / kt_ev
-    totals = 1.0 / (tech.tau0 * np.exp(tech.gamma_tunnel * y))
-    return BatchPropensity(
-        times=times,
-        capture=totals[:, None] * expit(-log_beta),
-        emission=totals[:, None] * expit(log_beta),
-    )
+    capture, emission = rates_for_population(v_gs, traps, tech)
+    return BatchPropensity(times=times, capture=capture, emission=emission)

@@ -37,9 +37,12 @@ from scipy import stats
 
 from ..errors import AnalysisError
 from ..markov.analytic import occupancy_probability, stationary_occupancy
-from ..markov.batch import BatchPropensity, simulate_traps_batch
+from ..markov.batch import (
+    BatchPropensity,
+    simulate_traps_batch,
+    simulate_traps_scalar,
+)
 from ..markov.occupancy import number_filled
-from ..markov.uniformization import simulate_trap
 from ..testing.seeding import spawn_rngs
 from .result import CheckResult
 
@@ -250,10 +253,8 @@ def check_batch_scalar_equivalence(batch: BatchPropensity, t_start: float,
     """
     rng_batch, rng_scalar = spawn_rngs(seed, 2)
     traces_b, _ = simulate_traps_batch(batch, t_start, t_stop, rng_batch)
-    scalar_traces = [
-        simulate_trap(batch.single(index), t_start, t_stop, rng_scalar)
-        for index in range(batch.n_traps)
-    ]
+    scalar_traces, _ = simulate_traps_scalar(batch, t_start, t_stop,
+                                             rng_scalar)
 
     frac_b = np.array([trace.fraction_filled() for trace in traces_b])
     frac_s = np.array([trace.fraction_filled() for trace in scalar_traces])

@@ -55,6 +55,15 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0.0)
+        # Non-finite values fail later with platform errors (sleep(nan),
+        # a time_t overflow on the serial timeout) — refuse them here.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                RetryPolicy(backoff=bad)
+            with pytest.raises(ValueError):
+                RetryPolicy(backoff_factor=bad)
+            with pytest.raises(ValueError):
+                RetryPolicy(timeout=bad)
 
     def test_delay_schedule(self):
         policy = RetryPolicy(attempts=4, backoff=0.1, backoff_factor=2.0)

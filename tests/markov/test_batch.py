@@ -58,6 +58,11 @@ class TestBatchPropensity:
             BatchPropensity(times=np.array([0.0, 1.0]),
                             capture=-np.ones((1, 2)),
                             emission=np.ones((1, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ModelError):
+                BatchPropensity(times=np.array([0.0, bad]),
+                                capture=np.ones((1, 2)),
+                                emission=np.ones((1, 2)))
 
     def test_rate_sums_and_single(self):
         batch = _constant_batch(3, 2.0, 5.0)
@@ -134,6 +139,10 @@ class TestInterface:
         batch = _constant_batch(2, 1.0, 1.0)
         with pytest.raises(SimulationError):
             simulate_traps_batch(batch, 1.0, 1.0, rng)
+        for t_start, t_stop in ((np.nan, 1.0), (0.0, np.nan),
+                                (-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(SimulationError):
+                simulate_traps_batch(batch, t_start, t_stop, rng)
 
     def test_rejects_bad_initial_states(self, rng):
         batch = _constant_batch(2, 1.0, 1.0)
@@ -143,6 +152,11 @@ class TestInterface:
         with pytest.raises(SimulationError):
             simulate_traps_batch(batch, 0.0, 1.0, rng,
                                  initial_states=np.array([0]))
+        # Out-of-range values must not wrap or truncate into 0/1.
+        for states in ([256, 1], [-255, 0], [1.5, 0]):
+            with pytest.raises(SimulationError):
+                simulate_traps_batch(batch, 0.0, 1.0, rng,
+                                     initial_states=np.array(states))
 
     def test_rejects_non_dominating_bounds(self, rng):
         batch = _constant_batch(2, 3.0, 4.0)

@@ -116,6 +116,12 @@ class TestSampledPropensity:
             SampledTwoStatePropensity(
                 times=np.array([0.0, 0.0]), capture_values=np.array([1.0, 1.0]),
                 emission_values=np.array([1.0, 1.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ModelError):
+                SampledTwoStatePropensity(
+                    times=np.array([0.0, bad]),
+                    capture_values=np.array([1.0, 1.0]),
+                    emission_values=np.array([1.0, 1.0]))
 
     def test_rejects_negative_samples(self):
         with pytest.raises(ModelError):

@@ -23,11 +23,8 @@ from repro.markov.propensity import (
     ConstantTwoStatePropensity,
     SampledTwoStatePropensity,
 )
-from repro.markov.uniformization import (
-    simulate_trap,
-    simulate_trap_detailed,
-    simulate_traps,
-)
+from repro.markov.batch import simulate_traps_scalar
+from repro.markov.uniformization import simulate_trap, simulate_trap_detailed
 
 pytestmark = pytest.mark.tier1
 
@@ -39,6 +36,10 @@ class TestInterface:
             simulate_trap(prop, 1.0, 1.0, rng)
         with pytest.raises(SimulationError):
             simulate_trap(prop, 1.0, 0.0, rng)
+        for t_start, t_stop in ((np.nan, 1.0), (0.0, np.nan),
+                                (-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(SimulationError):
+                simulate_trap(prop, t_start, t_stop, rng)
 
     def test_rejects_bad_initial_state(self, rng):
         prop = ConstantTwoStatePropensity(lambda_c=1.0, lambda_e=1.0)
@@ -91,11 +92,12 @@ class TestInterface:
 
     def test_simulate_traps_defaults_and_validation(self, rng):
         props = [ConstantTwoStatePropensity(lambda_c=10.0, lambda_e=10.0)] * 3
-        traces = simulate_traps(props, 0.0, 5.0, rng)
+        traces, stats = simulate_traps_scalar(props, 0.0, 5.0, rng)
         assert len(traces) == 3
         assert all(t.initial_state == 0 for t in traces)
+        assert stats.total_accepted == sum(t.n_transitions for t in traces)
         with pytest.raises(SimulationError):
-            simulate_traps(props, 0.0, 5.0, rng, initial_states=[0, 1])
+            simulate_traps_scalar(props, 0.0, 5.0, rng, initial_states=[0, 1])
 
 
 class TestConstantRateStatistics:

@@ -9,10 +9,18 @@ from repro.devices.ekv import saturation_current
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
+from repro.markov.propensity import SampledTwoStatePropensity
+from repro.markov.uniformization import simulate_trap
 from repro.rtn.current import HungModel, VanDerZielModel
 from repro.rtn.generator import generate_constant_bias_rtn, generate_device_rtn
+from repro.traps import band
 from repro.traps.band import crossing_energy
-from repro.traps.propensity import propensity_sum, rates_from_bias
+from repro.traps.profiling import TrapProfiler
+from repro.traps.propensity import (
+    equilibrium_occupancy,
+    propensity_sum,
+    rates_from_bias,
+)
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
@@ -30,6 +38,11 @@ class TestInterface:
         with pytest.raises(SimulationError):
             generate_device_rtn(NMOS, [], np.array([0.0]), np.array([0.0]),
                                 np.array([0.0]), rng)
+        times = np.array([0.0, np.nan, 2e-9])
+        for traps in ([], [midpoint_trap()]):
+            with pytest.raises(SimulationError):
+                generate_device_rtn(NMOS, traps, times, np.ones(3),
+                                    np.ones(3) * 1e-4, rng)
 
     def test_rejects_shape_mismatch(self, rng):
         times = np.linspace(0, 1e-6, 10)
@@ -51,8 +64,9 @@ class TestInterface:
         assert result.n_filled.tolist() == [0.0] * 64
 
     def test_constant_bias_wrapper_validation(self, rng):
-        with pytest.raises(SimulationError):
-            generate_constant_bias_rtn(NMOS, [], 1.0, 1e-4, -1.0, rng)
+        for t_stop in (-1.0, np.nan, np.inf):
+            with pytest.raises(SimulationError):
+                generate_constant_bias_rtn(NMOS, [], 1.0, 1e-4, t_stop, rng)
         with pytest.raises(SimulationError):
             generate_constant_bias_rtn(NMOS, [], 1.0, 1e-4, 1.0, rng,
                                        n_samples=1)
@@ -158,3 +172,65 @@ class TestNonStationaryBehaviour:
                                     initial_states=[0])
         assert filled.n_filled[0] == 1.0
         assert empty.n_filled[0] == 0.0
+
+
+def per_trap_reference(traps, times, v_gs, rng):
+    """The per-trap step 2 the generator replaced: each trap's own rates
+    (``rates_from_bias``) and equilibrium, then the scalar kernel trap by
+    trap.  Kept here as the reference for the generator's stream."""
+    tech = NMOS.technology
+    states = [int(rng.random() < equilibrium_occupancy(float(v_gs[0]), trap,
+                                                       tech))
+              for trap in traps]
+    occupancies = []
+    for trap, state in zip(traps, states):
+        lam_c, lam_e = rates_from_bias(v_gs, trap, tech)
+        propensity = SampledTwoStatePropensity(
+            times=times, capture_values=lam_c, emission_values=lam_e)
+        occupancies.append(simulate_trap(propensity, float(times[0]),
+                                         float(times[-1]), rng,
+                                         initial_state=state))
+    return occupancies
+
+
+def pulsed_population(seed: int):
+    """A sampled 40-trap population under a pulsed gate drive."""
+    traps = TrapProfiler(TECH_90NM).sample_fixed_count(
+        np.random.default_rng(seed), 40)
+    times = np.linspace(0.0, 2e-6, 801)
+    v_gs = np.where((times // 2.5e-7) % 2 == 0, TECH_90NM.vdd, 0.1)
+    return traps, times, v_gs, np.full_like(times, 1e-4)
+
+
+class TestOneRateTablePerDevice:
+    def test_one_surface_potential_solve_per_table(self, rng, monkeypatch):
+        """Every trap shares psi_s(V_gs): the rate table and the initial
+        equilibrium solve it once each, not once per trap."""
+        calls = []
+        solve = band.surface_potential
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(band, "surface_potential", counting)
+        traps, times, v_gs, i_d = pulsed_population(0)
+        generate_device_rtn(NMOS, traps, times, v_gs, i_d, rng)
+        assert len(traps) == 40
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_stream_matches_the_per_trap_path(self, rng_factory, seed):
+        """Same draws as building each trap's rates on its own: rates
+        differ by ulps only, so states and counts are equal and every
+        transition time agrees to rounding."""
+        traps, times, v_gs, i_d = pulsed_population(seed)
+        result = generate_device_rtn(NMOS, traps, times, v_gs, i_d,
+                                     rng_factory(seed))
+        reference = per_trap_reference(traps, times, v_gs, rng_factory(seed))
+        assert result.total_transitions > 0
+        for got, want in zip(result.occupancies, reference, strict=True):
+            assert got.initial_state == want.initial_state
+            assert got.n_transitions == want.n_transitions
+            np.testing.assert_allclose(got.transition_times(),
+                                       want.transition_times(), rtol=1e-12)

@@ -1,8 +1,9 @@
 """The layering gate: parallel dispatch stays inside ``repro.core.engine``,
 transient ``pre_step`` coupling inside ``repro.cosim.engine``, RTN
 source injection inside ``repro.core.methodology``, the SPICE package's
-private names inside ``repro.spice`` and checkpoint writing inside
-``repro.core.scenario``.
+private names inside ``repro.spice``, checkpoint writing inside
+``repro.core.scenario`` and per-trap propensity construction inside
+``repro.markov``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -127,6 +128,29 @@ def test_checker_flags_checkpoints_outside_the_scenario_layer(tmp_path,
     assert "RunCheckpoint" in err
     assert "ensemble.py:1" not in err  # importing the class is not writing
     assert "scenario.py" not in err  # run_scenario is the one writer
+
+
+def test_checker_flags_per_trap_propensities_outside_markov(tmp_path,
+                                                           capsys):
+    checker = _load_checker()
+    for package in ("markov", "traps", "rtn"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "markov" / "batch.py").write_text(
+        "prop = SampledTwoStatePropensity(times=t, capture_values=c,\n"
+        "                                 emission_values=e)\n")
+    (tmp_path / "traps" / "propensity.py").write_text(
+        "from ..markov.propensity import SampledTwoStatePropensity\n"
+        "prop = SampledTwoStatePropensity(times=t, capture_values=c,\n"
+        "                                 emission_values=e)\n")
+    (tmp_path / "rtn" / "generator.py").write_text(
+        "import propensity\n"
+        "prop = propensity.SampledTwoStatePropensity(times=t)\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "propensity.py:2" in err and "generator.py:2" in err
+    assert "SampledTwoStatePropensity" in err
+    assert "propensity.py:1" not in err  # importing the class is fine
+    assert "batch.py" not in err  # the markov package owns the class
 
 
 def test_checker_catches_smuggled_futures(tmp_path):

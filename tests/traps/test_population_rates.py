@@ -32,6 +32,23 @@ class TestPopulationRates:
                 assert lam_c[index] == pytest.approx(sc, rel=1e-9, abs=1e-12)
                 assert lam_e[index] == pytest.approx(se, rel=1e-9, abs=1e-12)
 
+    def test_waveform_columns_are_the_scalar_calls(self, rng):
+        """One table serves both paths: column j of the waveform table is
+        the one-bias call at v_gs[j], bit for bit."""
+        traps = [Trap(y_tr=float(rng.uniform(0.1e-9, 1.9e-9)),
+                      e_tr=float(rng.uniform(0.5, 1.5)),
+                      degeneracy=float(rng.uniform(1.0, 4.0)))
+                 for _ in range(20)]
+        v_gs = np.array([0.0, 0.3, 0.75, 1.0, 1.2])
+        table_c, table_e = rates_for_population(v_gs, traps, TECH_90NM)
+        assert table_c.shape == table_e.shape == (20, v_gs.size)
+        for column, v in enumerate(v_gs):
+            lam_c, lam_e = rates_for_population(float(v), traps, TECH_90NM)
+            assert np.array_equal(table_c[:, column], lam_c)
+            assert np.array_equal(table_e[:, column], lam_e)
+        empty_c, _ = rates_for_population(v_gs, [], TECH_90NM)
+        assert empty_c.shape == (0, v_gs.size)
+
     def test_depth_validation(self):
         with pytest.raises(ModelError):
             rates_for_population(0.5, [Trap(y_tr=5e-9, e_tr=1.0)],

@@ -12,7 +12,7 @@ from repro.devices.technology import TECH_22NM, TECH_90NM, TECH_180NM
 from repro.errors import ModelError
 from repro.traps.band import crossing_energy
 from repro.traps.profiling import TrapProfiler
-from repro.traps.propensity import propensity_sum
+from repro.traps.propensity import draw_initial_states, propensity_sum
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
@@ -138,20 +138,20 @@ class TestInitialStates:
         """At v_gs = 0 the sampled population is mostly above E_F."""
         profiler = TrapProfiler(TECH_90NM, energy_margin=0.0)
         traps = profiler.sample_fixed_count(rng, 300)
-        states = profiler.initial_states(rng, traps, 0.0)
+        states = draw_initial_states(traps, TECH_90NM, 0.0, rng)
         assert np.mean(states) < 0.3
 
     def test_high_bias_mostly_filled(self, rng):
         profiler = TrapProfiler(TECH_90NM, energy_margin=0.0)
         traps = profiler.sample_fixed_count(rng, 300)
-        states = profiler.initial_states(rng, traps, TECH_90NM.vdd)
+        states = draw_initial_states(traps, TECH_90NM, TECH_90NM.vdd, rng)
         assert np.mean(states) > 0.7
 
     def test_states_are_binary(self, rng):
         profiler = TrapProfiler(TECH_90NM)
         traps = profiler.sample_fixed_count(rng, 50)
-        states = profiler.initial_states(rng, traps, 0.5)
-        assert set(states) <= {0, 1}
+        states = draw_initial_states(traps, TECH_90NM, 0.5, rng)
+        assert set(states.tolist()) <= {0, 1}
 
 
 class TestSummary:

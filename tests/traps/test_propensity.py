@@ -15,9 +15,9 @@ from repro.traps.band import crossing_energy
 from repro.traps.propensity import (
     equilibrium_occupancy,
     log_beta_from_bias,
+    population_propensity,
     propensity_sum,
     rates_from_bias,
-    trap_propensity,
 )
 from repro.traps.trap import Trap
 
@@ -132,7 +132,7 @@ class TestTrapPropensityFactory:
         trap = Trap(y_tr=1.2e-9, e_tr=crossing_energy(0.5, 1.2e-9, tech))
         times = np.linspace(0.0, 1e-6, 101)
         v_gs = 0.5 + 0.5 * np.sin(2 * np.pi * 5e6 * times)
-        prop = trap_propensity(trap, tech, times, v_gs)
+        prop = population_propensity([trap], tech, times, v_gs).single(0)
         total = propensity_sum(trap, tech)
         assert prop.rate_bound() <= total * (1.0 + 1e-9)
         assert prop.rate_bound() >= 0.5 * total
@@ -141,7 +141,9 @@ class TestTrapPropensityFactory:
         tech = TECH_90NM
         trap = Trap(y_tr=1.2e-9, e_tr=crossing_energy(0.5, 1.2e-9, tech))
         times = np.array([0.0, 1e-6])
-        prop_hi = trap_propensity(trap, tech, times, np.array([1.0, 1.0]))
-        prop_lo = trap_propensity(trap, tech, times, np.array([0.0, 0.0]))
+        prop_hi = population_propensity(
+            [trap], tech, times, np.array([1.0, 1.0])).single(0)
+        prop_lo = population_propensity(
+            [trap], tech, times, np.array([0.0, 0.0])).single(0)
         assert prop_hi.capture(0.5e-6) > prop_lo.capture(0.5e-6)
         assert prop_hi.emission(0.5e-6) < prop_lo.emission(0.5e-6)
