@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Lint: one parallel executor, one co-simulation loop, one injection home,
-one MNA assembly, one checkpoint writer, one rate table per population.
+one MNA assembly, one checkpoint writer, one rate table per population,
+no caller of the propensity-table cache.
 
 Usage::
 
@@ -66,6 +67,15 @@ single trap's propensity is a row of it
 ``SampledTwoStatePropensity(`` call outside ``src/repro/markov/`` is a
 per-trap rate builder beside the table and fails the check; build the
 population table instead, or go through ``make_propensity``.
+
+And for that table's cache: the population table is lazy (rates are
+evaluated only around the kernel's candidates), so the content-keyed
+:class:`repro.core.engine.PropensityTableCache` in front of it only
+costs its key hash and never hits.  It stays defined in
+``core/engine.py`` until the benchmark harness stops clearing it, but a
+``propensity_cache(`` call anywhere else under ``src/repro/`` picks the
+dead cache up again and fails the check; call ``population_propensity``
+directly instead.
 """
 
 from __future__ import annotations
@@ -98,6 +108,9 @@ CHECKPOINT_HOME = "core/scenario.py"
 
 #: The package that may construct a ``SampledTwoStatePropensity``.
 PROPENSITY_HOME = "markov/"
+
+#: The one module that may call ``propensity_cache`` (it defines it).
+CACHE_HOME = "core/engine.py"
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -225,6 +238,12 @@ def main(argv: list) -> int:
                     path, line, "constructs SampledTwoStatePropensity — "
                     "trap rates come from one population table; use "
                     "population_propensity(...).single(k) instead"))
+        if relative != CACHE_HOME:
+            for line in calls_to(path, "propensity_cache"):
+                violations.append((
+                    path, line, "calls propensity_cache — the population "
+                    "rate table is lazy and its cache never hits; call "
+                    "population_propensity directly instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

@@ -35,11 +35,11 @@ obs spans/metrics (``jobs.completed``, ``jobs.retries``,
 results through the same bookkeeping.
 
 The module also hosts :class:`PropensityTableCache` — a process-wide
-LRU for compiled trap-population propensity tables, keyed by content
-(technology card + trap parameters + bias waveform).  Because trap
-populations are drawn deterministically from the run seed, identical
-cells across a parameter sweep hash to the same key and skip the
-surface-potential solve entirely.
+LRU for trap-population rate tables, keyed by content (technology card
++ trap parameters + bias waveform).  It has no caller in the program:
+the population table is lazy and cheap to build, so the ensemble calls
+:func:`~repro.traps.propensity.population_propensity` directly.  Its
+removal is pending.
 
 See ``docs/performance.md`` for the backend selection guide and the
 shared-memory caveats on spawn-start platforms (macOS/Windows).
@@ -717,22 +717,18 @@ class SharedMemoryBackend(ExecutionBackend):
 # ======================================================================
 
 class PropensityTableCache:
-    """Process-wide LRU of compiled trap-population propensity tables.
+    """Process-wide LRU of trap-population rate tables.
 
-    Building a :class:`~repro.markov.batch.BatchPropensity` for a
-    transistor's whole trap population runs the surface-potential solve
-    on every bias sample — the single most expensive *deterministic*
-    step of the ensemble pipeline.  Its inputs are fully determined by
-    the technology card, the trap parameters and the bias waveform, and
-    trap populations are themselves drawn deterministically from the
-    run seed: across a sweep (same card, same seed, varying
-    ``rtn_scale`` / thresholds / backends) every cell rebuilds *the
-    same tables*.  This cache keys the compiled table by a BLAKE2b
-    digest of that content, so repeated cells cost one dict lookup.
+    No caller in the program; removal pending.  The table
+    (:func:`~repro.traps.propensity.population_propensity`) is lazy:
+    building it is one surface-potential solve over the bias samples,
+    and rates are evaluated only around the kernel's candidates.  In
+    the ensemble the cache never hit, so its key hash was pure cost.
 
-    Trap labels are excluded from the key — they never influence rates.
-    Entries are immutable (:class:`BatchPropensity` is frozen) and safe
-    to share across runs and threads.
+    Keys are a BLAKE2b digest of the content (technology card, trap
+    parameters, bias waveform); trap labels are excluded — they never
+    influence rates.  Entries are never modified and are safe to share
+    across runs and threads.
     """
 
     def __init__(self, maxsize: int = 64) -> None:

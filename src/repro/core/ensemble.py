@@ -19,8 +19,9 @@ The pipeline:
 2. **Population sampling**: every cell draws Pelgrom threshold shifts
    and independent Poisson trap populations for its six transistors.
 3. **Batched RTN synthesis**: per transistor name, the trap populations
-   of *all* cells are concatenated into one
-   :class:`~repro.markov.batch.BatchPropensity` and simulated in a
+   of *all* cells are concatenated into one lazy rate table
+   (:func:`~repro.traps.propensity.population_propensity`, rates
+   evaluated only around each candidate) and simulated in a
    single kernel call (six calls for the whole array), then split back
    per cell and converted to Eq.-(3) current traces.  A screening
    metric — the peak scaled RTN current relative to the peak nominal
@@ -59,8 +60,8 @@ from ..rtn.current import rtn_current_samples
 # probes rewrite this alias.
 from ..spice.transient import simulate_transient  # noqa: F401
 from ..sram.detectors import OpOutcome
-from ..traps.propensity import draw_initial_states
-from .engine import get_backend, propensity_cache, resolve_backend
+from ..traps.propensity import draw_initial_states, population_propensity
+from .engine import get_backend, resolve_backend
 from .methodology import (
     MethodologyConfig,
     PatternBench,
@@ -282,7 +283,10 @@ class EnsembleResult:
     kernel_stats:
         Transistor name -> aggregate
         :class:`~repro.markov.uniformization.UniformizationStats` of the
-        batched sweep that simulated all cells' traps on that device.
+        batched sweep that simulated all cells' traps on that device;
+        its ``rate_bound`` is the largest exact Eq.-(1) sum
+        ``1/(tau0 e^{gamma y_tr})`` of the population (the scalar
+        kernel's largest per-trap bound where the sweep was degraded).
     kernel_fallbacks:
         Transistor name -> error message, for populations whose batched
         sweep failed and was degraded to the exact scalar kernel.
@@ -609,7 +613,7 @@ class EnsembleRunner:
             peak_i = record.peak_current()
             if not flat_traps or peak_i <= 0.0:
                 continue
-            batch = propensity_cache().population(
+            batch = population_propensity(
                 flat_traps, tech, record.times, record.v_drive)
             init = draw_initial_states(flat_traps, tech,
                                        float(record.v_drive[0]), rng)

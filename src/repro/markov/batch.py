@@ -39,6 +39,16 @@ Two layouts implement the same sweep:
 
 Both are exact and produce trajectories with the law of the scalar
 kernel (verified by the statistical-equivalence tests).
+
+The sweeps read rates through one small *rate-table* interface, so a
+table need not hold its rates as dense arrays: ``times``, ``n_traps``,
+``rate_sums()``, ``_sum_info()``, ``grid_coordinates(t)``,
+``capture_at(rows, cols)``/``emission_at(rows, cols)`` (rate samples at
+``(trap, grid column)`` pairs) and ``single(k)`` (trap ``k`` for the
+scalar kernel).  :class:`BatchPropensity` is the dense form; the trap
+physics supplies a lazy one
+(:func:`repro.traps.propensity.population_propensity`) that evaluates
+rates only at the columns around each candidate.
 """
 
 from __future__ import annotations
@@ -81,10 +91,9 @@ _PAD_MIN_BUDGET = 2_000_000
 class BatchPropensity:
     """Capture/emission rates of ``K`` traps sampled on one shared grid.
 
-    This is the array-of-struct form the batched kernel consumes: all
-    traps of a device (or of a whole array) share the bias time grid, so
-    their rates stack into dense ``(K, M)`` arrays and candidate-time
-    interpolation becomes row-aligned gathers.
+    The dense rate table: all traps of a device (or of a whole array)
+    share the bias time grid, so their rates stack into ``(K, M)``
+    arrays and :meth:`capture_at`/:meth:`emission_at` are plain gathers.
 
     Rates are linearly interpolated between grid points and clamp to the
     endpoint values outside the grid, exactly like
@@ -122,6 +131,9 @@ class BatchPropensity:
                 f"rate arrays have {capture.shape[1]} samples for "
                 f"{times.size} grid points"
             )
+        if not (np.all(np.isfinite(capture))
+                and np.all(np.isfinite(emission))):
+            raise ModelError("propensity samples must be finite")
         if np.any(capture < 0.0) or np.any(emission < 0.0):
             raise ModelError("propensity samples must be non-negative")
         object.__setattr__(self, "times", times)
@@ -164,9 +176,8 @@ class BatchPropensity:
         """Content digest of the compiled table (cached, hex BLAKE2b).
 
         Two batches with equal grids and equal rate samples share one
-        digest, so it serves as an identity for table-level caching
-        (:class:`~repro.core.engine.PropensityTableCache`) and for
-        asserting bit-identical tables across execution backends.
+        digest, so it serves for asserting bit-identical tables across
+        execution backends.
         """
         cached = getattr(self, "_digest_cache", None)
         if cached is None:
@@ -192,29 +203,16 @@ class BatchPropensity:
 
     def grid_coordinates(self, t: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-        """Map times to ``(segment index, blend weight)`` on the grid.
+        """:func:`grid_coordinates` on this batch's grid."""
+        return grid_coordinates(self.times, t)
 
-        Uniform grids resolve arithmetically; general grids binary-search.
-        Out-of-grid times clamp to the endpoints (constant extrapolation).
-        """
-        grid = self.times
-        n_segments = grid.size - 1
-        steps = np.diff(grid)
-        dt0 = steps[0]
-        if np.allclose(steps, dt0, rtol=1e-9, atol=0.0):
-            # Clamp before the integer cast: a float pos beyond int range
-            # would wrap negative and silently land on segment 0.
-            pos = np.clip((t - grid[0]) / dt0, 0.0, float(n_segments))
-            idx = np.minimum(pos.astype(np.int64), n_segments - 1)
-            w = np.clip(pos - idx, 0.0, 1.0)
-        else:
-            idx = np.clip(
-                np.searchsorted(grid, np.ravel(t), side="right") - 1,
-                0, n_segments - 1,
-            ).astype(np.int32).reshape(np.shape(t))
-            span = grid[idx + 1] - grid[idx]
-            w = np.clip((t - grid[idx]) / span, 0.0, 1.0)
-        return idx, w
+    def capture_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Capture-rate samples at ``(trap, grid column)`` pairs."""
+        return self.capture[rows, cols]
+
+    def emission_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Emission-rate samples at ``(trap, grid column)`` pairs."""
+        return self.emission[rows, cols]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -265,6 +263,38 @@ class BatchPropensity:
         emission = np.stack([np.asarray(p.emission(times), dtype=float)
                              for p in props])
         return cls(times=times, capture=capture, emission=emission)
+
+
+def grid_coordinates(grid: np.ndarray, t: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Map times to ``(segment index, blend weight)`` on a sample grid.
+
+    Uniform grids resolve arithmetically; general grids binary-search.
+    Out-of-grid times clamp to the endpoints (constant extrapolation).
+    """
+    n_segments = grid.size - 1
+    steps = np.diff(grid)
+    dt0 = steps[0]
+    if np.allclose(steps, dt0, rtol=1e-9, atol=0.0):
+        # Clamp before the integer cast: a float pos beyond int range
+        # would wrap negative and silently land on segment 0.
+        pos = np.clip((t - grid[0]) / dt0, 0.0, float(n_segments))
+        idx = np.minimum(pos.astype(np.int64), n_segments - 1)
+        w = np.clip(pos - idx, 0.0, 1.0)
+    else:
+        idx = np.clip(
+            np.searchsorted(grid, np.ravel(t), side="right") - 1,
+            0, n_segments - 1,
+        ).astype(np.int32).reshape(np.shape(t))
+        span = grid[idx + 1] - grid[idx]
+        w = np.clip((t - grid[idx]) / span, 0.0, 1.0)
+    return idx, w
+
+
+def _is_rate_table(propensities) -> bool:
+    """Whether ``propensities`` is a rate table (dense or lazy), not a
+    sequence of per-trap propensity objects."""
+    return hasattr(propensities, "capture_at")
 
 
 @dataclass(frozen=True)
@@ -336,10 +366,11 @@ def simulate_traps_batch(
     Parameters
     ----------
     propensities:
-        A :class:`BatchPropensity`, or a sequence of per-trap propensity
-        objects (stacked via :meth:`BatchPropensity.from_propensities`;
-        sequences that cannot be stacked run through
-        :func:`simulate_traps_scalar`).
+        A rate table (a :class:`BatchPropensity`, or any object with its
+        kernel interface, see the module docstring), or a sequence of
+        per-trap propensity objects (stacked via
+        :meth:`BatchPropensity.from_propensities`; sequences that cannot
+        be stacked run through :func:`simulate_traps_scalar`).
     t_start, t_stop:
         Simulation window [s]; ``t_stop`` must exceed ``t_start``.
     rng:
@@ -363,7 +394,7 @@ def simulate_traps_batch(
         ``stats.aggregate`` for the population summary).
     """
     check_window(t_start, t_stop)
-    if not isinstance(propensities, BatchPropensity):
+    if not _is_rate_table(propensities):
         try:
             batch = BatchPropensity.from_propensities(propensities)
         except ModelError:
@@ -444,7 +475,7 @@ def simulate_traps_batch(
     return traces, stats
 
 
-def _padded_sweep(batch: BatchPropensity, bounds: np.ndarray,
+def _padded_sweep(batch, bounds: np.ndarray,
                   counts: np.ndarray, init: np.ndarray,
                   t_start: float, window: float,
                   rng: np.random.Generator
@@ -454,7 +485,8 @@ def _padded_sweep(batch: BatchPropensity, bounds: np.ndarray,
     Candidate times arrive *pre-sorted per trap* from normalised
     exponential spacings — conditioned on its count, a homogeneous
     Poisson process's event times are uniform order statistics — so no
-    sort is ever performed.
+    sort is ever performed.  Rates are read only at the valid
+    candidates (``rows``, in row-major order); pad slots never are.
     """
     n_traps = counts.size
     maxn = int(counts.max(initial=0))
@@ -466,35 +498,37 @@ def _padded_sweep(batch: BatchPropensity, bounds: np.ndarray,
     t2d = t_start + window * (np.cumsum(gaps, axis=1)[:, :maxn]
                               / totals[:, None])
     valid = col[None, :maxn] < counts[:, None]
+    rows = np.repeat(np.arange(n_traps), counts)
 
-    idx, w = batch.grid_coordinates(t2d)
-    inv_bound = 1.0 / bounds[:, None]
-    p_fill_rows = batch.capture * inv_bound
-    p_fill = (1.0 - w) * np.take_along_axis(p_fill_rows, idx, 1) \
-        + w * np.take_along_axis(p_fill_rows, idx + 1, 1)
+    idx, w = batch.grid_coordinates(t2d[valid])
+    inv = 1.0 / bounds[rows]
+    c_lo = batch.capture_at(rows, idx)
+    c_hi = batch.capture_at(rows, idx + 1)
+    p_fill = (1.0 - w) * (c_lo * inv) + w * (c_hi * inv)
     bias = _faults.kernel_bias()
     if bias:
         # Injected off-by-epsilon acceptance bug (verification drills).
         p_fill = np.clip(p_fill + bias, 0.0, 1.0)
+
+    draws = rng.random((n_traps, maxn))
     sums, constant_sum = batch._sum_info()
     if constant_sum:
         # SAMURAI fast path: a bias-independent sum (paper Eq. 1) makes
         # the acceptance threshold constant per trap — no interpolation,
         # and the caller's bound validation already proved it <= 1.
-        p_forced = (sums / bounds)[:, None]
+        forced = valid & (draws < (sums / bounds)[:, None])
     else:
-        p_sum_rows = (batch.capture + batch.emission) * inv_bound
-        p_forced = (1.0 - w) * np.take_along_axis(p_sum_rows, idx, 1) \
-            + w * np.take_along_axis(p_sum_rows, idx + 1, 1)
-        if bool(np.any(valid & (p_forced > 1.0 + 1e-9))):
+        p_forced = (1.0 - w) * ((c_lo + batch.emission_at(rows, idx)) * inv) \
+            + w * ((c_hi + batch.emission_at(rows, idx + 1)) * inv)
+        if bool(np.any(p_forced > 1.0 + 1e-9)):
             raise SimulationError(
                 "a propensity sum exceeds its uniformisation bound inside "
                 "the window; the bound is invalid"
             )
-
-    draws = rng.random((n_traps, maxn))
-    forced = valid & (draws < p_forced)
-    value = draws < p_fill
+        forced = valid.copy()
+        forced[valid] = draws[valid] < p_forced
+    value = np.zeros_like(valid)
+    value[valid] = draws[valid] < p_fill
 
     # Forward-fill: the state after a forced candidate IS its outcome,
     # so a transition happens exactly where the outcome differs from the
@@ -514,7 +548,7 @@ def _padded_sweep(batch: BatchPropensity, bounds: np.ndarray,
     return flip.sum(axis=1).astype(np.int64), t2d[flip]
 
 
-def _flat_sweep(batch: BatchPropensity, bounds: np.ndarray,
+def _flat_sweep(batch, bounds: np.ndarray,
                 counts: np.ndarray, init: np.ndarray,
                 t_start: float, t_stop: float, window: float,
                 rng: np.random.Generator
@@ -533,19 +567,25 @@ def _flat_sweep(batch: BatchPropensity, bounds: np.ndarray,
     t_cand = t_cand[order]
 
     idx, w = batch.grid_coordinates(t_cand)
-    lam_c = (1.0 - w) * batch.capture[owner, idx] \
-        + w * batch.capture[owner, idx + 1]
-    lam_e = (1.0 - w) * batch.emission[owner, idx] \
-        + w * batch.emission[owner, idx + 1]
+    lam_c = (1.0 - w) * batch.capture_at(owner, idx) \
+        + w * batch.capture_at(owner, idx + 1)
     bound_at = bounds[owner]
-    if np.any(lam_c + lam_e > bound_at * (1.0 + 1e-9)):
-        raise SimulationError(
-            "a propensity sum exceeds its uniformisation bound inside the "
-            "window; the bound is invalid"
-        )
+    sums, constant_sum = batch._sum_info()
+    if constant_sum:
+        # As in the padded sweep: the Eq.-(1) sum needs no interpolation.
+        p_forced = (sums / bounds)[owner]
+    else:
+        lam_e = (1.0 - w) * batch.emission_at(owner, idx) \
+            + w * batch.emission_at(owner, idx + 1)
+        if np.any(lam_c + lam_e > bound_at * (1.0 + 1e-9)):
+            raise SimulationError(
+                "a propensity sum exceeds its uniformisation bound inside "
+                "the window; the bound is invalid"
+            )
+        p_forced = (lam_c + lam_e) / bound_at
 
     draws = rng.random(total)
-    forced = draws < (lam_c + lam_e) / bound_at
+    forced = draws < p_forced
     # Candidates exactly on the window edge would violate the trace
     # invariant that transitions lie strictly inside (t_start, t_stop).
     forced &= (t_cand > t_start) & (t_cand < t_stop)
@@ -678,7 +718,7 @@ def simulate_traps_scalar(
     Parameters
     ----------
     propensities:
-        A :class:`BatchPropensity` (trap ``k`` runs on
+        A rate table (trap ``k`` runs on its ``single(k)``, e.g.
         :meth:`BatchPropensity.single`) or a sequence of per-trap
         propensity objects.
     t_start, t_stop, rng, initial_states:
@@ -688,7 +728,7 @@ def simulate_traps_scalar(
         ``rate_bound()`` (must dominate both rates).
     """
     check_window(t_start, t_stop)
-    if isinstance(propensities, BatchPropensity):
+    if _is_rate_table(propensities):
         props = [propensities.single(index)
                  for index in range(propensities.n_traps)]
     else:

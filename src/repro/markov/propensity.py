@@ -161,6 +161,9 @@ class SampledTwoStatePropensity:
             raise ModelError("times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ModelError("times must be strictly increasing")
+        if not (np.all(np.isfinite(capture_values))
+                and np.all(np.isfinite(emission_values))):
+            raise ModelError("propensity samples must be finite")
         if np.any(capture_values < 0.0) or np.any(emission_values < 0.0):
             raise ModelError("propensity samples must be non-negative")
         if bound_safety < 1.0:

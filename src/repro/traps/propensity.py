@@ -24,7 +24,8 @@ from scipy.special import expit
 from ..constants import thermal_energy_ev
 from ..devices.technology import Technology
 from ..errors import ModelError
-from ..markov.batch import BatchPropensity
+from ..markov.batch import grid_coordinates
+from ..markov.propensity import make_propensity
 from .band import trap_energy_offset
 from .trap import Trap
 
@@ -74,9 +75,48 @@ def equilibrium_occupancy(v_gs, trap: Trap, tech: Technology):
     return result if np.ndim(v_gs) else float(result)
 
 
+def _checked_bias(v_gs) -> np.ndarray:
+    """``v_gs`` as a float array; NaN/inf would give NaN rate columns."""
+    v_gs = np.asarray(v_gs, dtype=float)
+    if not np.all(np.isfinite(v_gs)):
+        raise ModelError("gate bias must be finite")
+    return v_gs
+
+
+def _trap_constants(traps: list, tech: Technology) -> tuple:
+    """Per-trap ``(e_tr, y_tr/t_ox, ln g, Eq.-(1) sum)``, each ``(K,)``."""
+    y = np.array([trap.y_tr for trap in traps], dtype=float)
+    if np.any(y > tech.t_ox):
+        raise ModelError("trap depth exceeds oxide thickness")
+    e_tr = np.array([trap.e_tr for trap in traps], dtype=float)
+    degeneracy = np.array([trap.degeneracy for trap in traps], dtype=float)
+    totals = 1.0 / (tech.tau0 * np.exp(tech.gamma_tunnel * y))
+    return e_tr, y / tech.t_ox, np.log(degeneracy), totals
+
+
+def _bias_terms(v_gs: np.ndarray, tech: Technology) -> tuple:
+    """Per-sample ``(psi_s, v_ox)``: the one surface-potential solve."""
+    from .band import surface_potential
+
+    psi = surface_potential(v_gs, tech)
+    return psi, v_gs - tech.v_fb - psi
+
+
+def _rates(e_tr, depth, log_g, totals, psi, v_ox, kt_ev) -> tuple:
+    """Eqs. (1)-(2) on broadcastable per-trap and per-sample terms.
+
+    The one body of the rate arithmetic: the dense table broadcasts
+    ``(K, 1)`` traps against ``(M,)`` samples, the lazy table gathers
+    both at ``(trap, column)`` pairs, with the same float operations.
+    """
+    offset = e_tr - psi - depth * v_ox
+    log_beta = log_g + offset / kt_ev
+    return totals * expit(-log_beta), totals * expit(log_beta)
+
+
 def rates_for_population(v_gs, traps: list, tech: Technology
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Rates of a whole trap population: the one Eq.-(1)/(2) rate table.
+    """Rates of a whole trap population: the dense Eq.-(1)/(2) table.
 
     All traps of a transistor see the same gate drive, so the
     surface-potential solve (the expensive part) is done once per bias
@@ -85,27 +125,89 @@ def rates_for_population(v_gs, traps: list, tech: Technology
     of shape ``(K,)``; a waveform of shape ``(M,)`` gives ``(K, M)``
     tables whose column ``j`` equals the scalar call at ``v_gs[j]`` bit
     for bit.  Rates agree with :func:`rates_from_bias` per trap to
-    rounding.
+    rounding.  A non-finite bias raises :class:`~repro.errors.ModelError`.
     """
-    from .band import surface_potential
-
-    v_gs = np.asarray(v_gs, dtype=float)
+    v_gs = _checked_bias(v_gs)
     if not traps:
         return np.zeros((0,) + v_gs.shape), np.zeros((0,) + v_gs.shape)
-    y = np.array([trap.y_tr for trap in traps])
-    if np.any(y > tech.t_ox):
-        raise ModelError("trap depth exceeds oxide thickness")
-    e_tr = np.array([trap.e_tr for trap in traps])
-    degeneracy = np.array([trap.degeneracy for trap in traps])
+    constants = _trap_constants(traps, tech)
     # Trap axis first; the bias axis (if any) broadcasts behind it.
     per_trap = (slice(None),) + (None,) * v_gs.ndim
-    kt_ev = thermal_energy_ev(tech.temperature)
-    psi = surface_potential(v_gs, tech)
-    v_ox = v_gs - tech.v_fb - psi
-    offset = e_tr[per_trap] - psi - (y / tech.t_ox)[per_trap] * v_ox
-    log_beta = np.log(degeneracy)[per_trap] + offset / kt_ev
-    totals = (1.0 / (tech.tau0 * np.exp(tech.gamma_tunnel * y)))[per_trap]
-    return totals * expit(-log_beta), totals * expit(log_beta)
+    return _rates(*(c[per_trap] for c in constants),
+                  *_bias_terms(v_gs, tech),
+                  thermal_energy_ev(tech.temperature))
+
+
+class PopulationRateTable:
+    """A population's Eq.-(1)/(2) rates on a bias grid, evaluated on demand.
+
+    The lazy rate table of :func:`population_propensity`.  It stores
+    only per-trap constants of shape ``(K,)`` (``e_tr``, ``y_tr/t_ox``,
+    ``ln g`` and the Eq.-(1) sum) and per-sample bias terms of shape
+    ``(M,)`` (``psi_s`` and ``v_ox``, from one surface-potential solve),
+    and evaluates the rates at ``(trap, column)`` pairs.  Every value
+    equals the dense :func:`rates_for_population` table's entry bit for
+    bit.  It has the kernel interface of
+    :class:`~repro.markov.batch.BatchPropensity`: the batched sweep
+    reads rates only at the grid columns around its candidates, and
+    :meth:`single` builds one trap's row for the scalar kernel.
+    """
+
+    def __init__(self, traps: list, tech: Technology, times, v_gs) -> None:
+        times = np.asarray(times, dtype=float)
+        v_gs = _checked_bias(v_gs)
+        if times.ndim != 1 or times.size < 2:
+            raise ModelError("times must be 1-D with >= 2 samples")
+        if v_gs.shape != times.shape:
+            raise ModelError(
+                f"v_gs shape {v_gs.shape} does not match times {times.shape}")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
+            raise ModelError("times must be finite and strictly increasing")
+        self.times = times
+        (self._e_tr, self._depth, self._log_g,
+         self._totals) = _trap_constants(traps, tech)
+        self._psi, self._v_ox = _bias_terms(v_gs, tech)
+        self._kt_ev = thermal_energy_ev(tech.temperature)
+
+    @property
+    def n_traps(self) -> int:
+        """Number of traps in the table."""
+        return int(self._totals.size)
+
+    def rate_sums(self) -> np.ndarray:
+        """The exact Eq.-(1) sums ``1/(tau0 e^{gamma y_tr})``, shape ``(K,)``."""
+        return self._totals
+
+    def _sum_info(self) -> tuple[np.ndarray, bool]:
+        """``(per-trap sum, every row is constant)``: always constant."""
+        return self._totals, True
+
+    def grid_coordinates(self, t: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`repro.markov.batch.grid_coordinates` on this grid."""
+        return grid_coordinates(self.times, t)
+
+    def rates_at(self, rows: np.ndarray, cols: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """``(lambda_c, lambda_e)`` of traps ``rows`` at samples ``cols``."""
+        return _rates(self._e_tr[rows], self._depth[rows], self._log_g[rows],
+                      self._totals[rows], self._psi[cols], self._v_ox[cols],
+                      self._kt_ev)
+
+    def capture_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Capture rates at ``(trap, grid column)`` pairs."""
+        return self.rates_at(rows, cols)[0]
+
+    def emission_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Emission rates at ``(trap, grid column)`` pairs."""
+        return self.rates_at(rows, cols)[1]
+
+    def single(self, index: int):
+        """Trap ``index``'s row as a scalar-kernel propensity object."""
+        cols = np.arange(self.times.size)
+        capture, emission = self.rates_at(np.full(cols.size, index), cols)
+        return make_propensity(times=self.times, capture_values=capture,
+                               emission_values=emission)
 
 
 def equilibrium_occupancy_population(v_gs: float, traps: list,
@@ -135,16 +237,15 @@ def draw_initial_states(traps: list, tech: Technology, v_gs: float,
 
 
 def population_propensity(traps: list, tech: Technology, times: np.ndarray,
-                          v_gs: np.ndarray) -> BatchPropensity:
-    """Build the propensity of a whole population under one bias waveform.
+                          v_gs: np.ndarray) -> PopulationRateTable:
+    """Build the rate table of a whole population under one bias waveform.
 
-    The :func:`rates_for_population` table on the waveform's samples,
-    in the dense ``(K, M)`` layout both kernels consume:
+    The lazy :class:`PopulationRateTable`: one surface-potential solve
+    on the waveform's samples, rates evaluated where they are read.
     :func:`repro.markov.batch.simulate_traps_batch` takes it whole and
-    :meth:`~repro.markov.batch.BatchPropensity.single` hands one trap's
-    row to the scalar kernel.  Linear interpolation between samples
-    never exceeds the sample peak, so a row's bound never exceeds the
-    exact Eq.-(1) sum.
+    reads rates only around its candidates; :meth:`~PopulationRateTable.single`
+    hands one trap's row to the scalar kernel.  Every row has the
+    constant Eq.-(1) sum, which is the exact uniformisation bound.
 
     Parameters
     ----------
@@ -153,16 +254,8 @@ def population_propensity(traps: list, tech: Technology, times: np.ndarray,
     tech:
         Host technology card.
     times:
-        Strictly increasing bias sample times [s], shape ``(M,)``.
+        Strictly increasing, finite bias sample times [s], shape ``(M,)``.
     v_gs:
-        Gate-source bias samples [V], same length as ``times``.
+        Finite gate-source bias samples [V], same length as ``times``.
     """
-    times = np.asarray(times, dtype=float)
-    v_gs = np.asarray(v_gs, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ModelError("times must be 1-D with >= 2 samples")
-    if v_gs.shape != times.shape:
-        raise ModelError(
-            f"v_gs shape {v_gs.shape} does not match times {times.shape}")
-    capture, emission = rates_for_population(v_gs, traps, tech)
-    return BatchPropensity(times=times, capture=capture, emission=emission)
+    return PopulationRateTable(traps, tech, times, v_gs)

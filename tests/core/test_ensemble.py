@@ -135,6 +135,45 @@ def ensemble_digest(result: EnsembleResult) -> str:
     return digest.hexdigest()
 
 
+class TestRatesAtCandidates:
+    def test_screen_evaluates_rates_only_around_candidates(self,
+                                                          monkeypatch):
+        """The screen reads two grid columns per candidate, so the lazy
+        table evaluates at most two rate pairs per candidate and no
+        dense (K, M) waveform table is ever built."""
+        from repro.traps import propensity
+
+        pairs = []
+        rates_at = propensity.PopulationRateTable.rates_at
+
+        def counting(table, rows, cols):
+            pairs.append(np.size(rows))
+            return rates_at(table, rows, cols)
+
+        waveforms = []
+        rates_for_population = propensity.rates_for_population
+
+        def watching(v_gs, traps, tech):
+            if np.ndim(v_gs):
+                waveforms.append(np.shape(v_gs))
+            return rates_for_population(v_gs, traps, tech)
+
+        monkeypatch.setattr(propensity.PopulationRateTable, "rates_at",
+                            counting)
+        monkeypatch.setattr(propensity, "rates_for_population", watching)
+        config = EnsembleConfig(
+            n_cells=16, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=0)
+        result = EnsembleRunner(config).run(np.random.default_rng(5))
+        candidates = sum(int(stats.n_candidates)
+                         for stats in result.kernel_stats.values())
+        assert not result.kernel_fallbacks
+        assert candidates > 0
+        assert 0 < sum(pairs) <= 2 * candidates
+        assert waveforms == []
+
+
 class TestSeedCompatibility:
     def test_seeded_output_is_pinned(self):
         """Any change to the RNG order or the arithmetic of the screen
@@ -147,4 +186,4 @@ class TestSeedCompatibility:
             max_verified_cells=2, keep_traces=True)
         result = EnsembleRunner(config).run(np.random.default_rng(0))
         assert result.verified_cells == 2
-        assert ensemble_digest(result) == "20bcea4007877b2fe61484d572682e9b"
+        assert ensemble_digest(result) == "2ec275776ff8dabb9a24e77ee0266fd2"

@@ -63,6 +63,15 @@ class TestBatchPropensity:
                 BatchPropensity(times=np.array([0.0, bad]),
                                 capture=np.ones((1, 2)),
                                 emission=np.ones((1, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ModelError, match="finite"):
+                BatchPropensity(times=np.array([0.0, 1.0]),
+                                capture=np.array([[1.0, bad]]),
+                                emission=np.ones((1, 2)))
+            with pytest.raises(ModelError, match="finite"):
+                BatchPropensity(times=np.array([0.0, 1.0]),
+                                capture=np.ones((1, 2)),
+                                emission=np.array([[bad, 1.0]]))
 
     def test_rate_sums_and_single(self):
         batch = _constant_batch(3, 2.0, 5.0)

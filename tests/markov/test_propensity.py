@@ -128,6 +128,19 @@ class TestSampledPropensity:
             SampledTwoStatePropensity(
                 times=np.array([0.0, 1.0]), capture_values=np.array([-1.0, 1.0]),
                 emission_values=np.array([1.0, 1.0]))
+        # NaN compares False against 0, so it needs its own check (a NaN
+        # sample used to give rate_bound() == nan).
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ModelError, match="finite"):
+                SampledTwoStatePropensity(
+                    times=np.array([0.0, 1.0]),
+                    capture_values=np.array([bad, 1.0]),
+                    emission_values=np.array([1.0, 1.0]))
+            with pytest.raises(ModelError, match="finite"):
+                SampledTwoStatePropensity(
+                    times=np.array([0.0, 1.0]),
+                    capture_values=np.array([1.0, 1.0]),
+                    emission_values=np.array([1.0, bad]))
 
     def test_rejects_all_zero_samples(self):
         with pytest.raises(ModelError):

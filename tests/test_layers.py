@@ -153,6 +153,29 @@ def test_checker_flags_per_trap_propensities_outside_markov(tmp_path,
     assert "batch.py" not in err  # the markov package owns the class
 
 
+def test_checker_flags_propensity_cache_calls_outside_the_engine(tmp_path,
+                                                                 capsys):
+    checker = _load_checker()
+    for package in ("core", "sram"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "core" / "engine.py").write_text(
+        "def propensity_cache():\n"
+        "    return _CACHE\n"
+        "propensity_cache().clear()\n")
+    (tmp_path / "core" / "ensemble.py").write_text(
+        "from .engine import propensity_cache\n"
+        "batch = propensity_cache().population(traps, tech, t, v)\n")
+    (tmp_path / "sram" / "array.py").write_text(
+        "from ..core import engine\n"
+        "table = engine.propensity_cache().population(traps, tech, t, v)\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.py:2" in err and "array.py:2" in err
+    assert "propensity_cache" in err
+    assert "ensemble.py:1" not in err  # importing the name is not a call
+    assert "engine.py" not in err  # the engine defines the cache
+
+
 def test_checker_catches_smuggled_futures(tmp_path):
     checker = _load_checker()
     (tmp_path / "sneaky.py").write_text("from concurrent import futures\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,11 @@ from hypothesis import strategies as st
 
 from repro.devices.technology import TECH_90NM
 from repro.errors import ModelError
-from repro.traps.propensity import rates_for_population, rates_from_bias
+from repro.traps.propensity import (
+    population_propensity,
+    rates_for_population,
+    rates_from_bias,
+)
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1
@@ -48,6 +54,23 @@ class TestPopulationRates:
             assert np.array_equal(table_e[:, column], lam_e)
         empty_c, _ = rates_for_population(v_gs, [], TECH_90NM)
         assert empty_c.shape == (0, v_gs.size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bias(self, bad):
+        """A NaN/inf bias used to give NaN rate columns (and warnings);
+        now it is refused before the surface-potential solve."""
+        traps = [Trap(y_tr=0.5e-9, e_tr=1.0)]
+        times = np.linspace(0.0, 1e-6, 4)
+        v_gs = np.array([0.0, 0.5, bad, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for population in (traps, []):
+                with pytest.raises(ModelError, match="finite"):
+                    rates_for_population(bad, population, TECH_90NM)
+                with pytest.raises(ModelError, match="finite"):
+                    rates_for_population(v_gs, population, TECH_90NM)
+                with pytest.raises(ModelError, match="finite"):
+                    population_propensity(population, TECH_90NM, times, v_gs)
 
     def test_depth_validation(self):
         with pytest.raises(ModelError):

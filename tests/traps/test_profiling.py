@@ -153,6 +153,13 @@ class TestInitialStates:
         states = draw_initial_states(traps, TECH_90NM, 0.5, rng)
         assert set(states.tolist()) <= {0, 1}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_bias(self, rng, bad):
+        """A NaN bias used to return all-empty states silently."""
+        traps = TrapProfiler(TECH_90NM).sample_fixed_count(rng, 20)
+        with pytest.raises(ModelError, match="finite"):
+            draw_initial_states(traps, TECH_90NM, bad, rng)
+
 
 class TestSummary:
     def test_empty_population(self):
