@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Lint: one parallel executor, one co-simulation loop, one injection home,
 one MNA assembly, one checkpoint writer, one rate table per population,
-no caller of the propensity-table cache.
+no caller of the propensity-table cache, one place that materialises
+occupancy traces.
 
 Usage::
 
@@ -76,6 +77,16 @@ costs its key hash and never hits.  It stays defined in
 ``propensity_cache(`` call anywhere else under ``src/repro/`` picks the
 dead cache up again and fails the check; call ``population_propensity``
 directly instead.
+
+And for occupancy traces: the kernels return a population's flips as
+one flat :class:`repro.markov.occupancy.PopulationOccupancy`, and
+``number_filled`` counts from those arrays.  Per-trap
+:class:`~repro.markov.occupancy.OccupancyTrace` objects are materialised
+on demand by that class, the one caller of the unvalidated
+``OccupancyTrace._trusted`` constructor.  A ``._trusted(`` call anywhere
+else under ``src/repro/`` is a second trace builder beside the flat
+type and fails the check; return a ``PopulationOccupancy`` (or build a
+validated ``OccupancyTrace``) instead.
 """
 
 from __future__ import annotations
@@ -111,6 +122,9 @@ PROPENSITY_HOME = "markov/"
 
 #: The one module that may call ``propensity_cache`` (it defines it).
 CACHE_HOME = "core/engine.py"
+
+#: The one module that may call ``OccupancyTrace._trusted``.
+TRACE_HOME = "markov/occupancy.py"
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -244,6 +258,12 @@ def main(argv: list) -> int:
                     path, line, "calls propensity_cache — the population "
                     "rate table is lazy and its cache never hits; call "
                     "population_propensity directly instead"))
+        if relative != TRACE_HOME:
+            for line in calls_to(path, "_trusted"):
+                violations.append((
+                    path, line, "calls OccupancyTrace._trusted — traces "
+                    "are materialised by PopulationOccupancy in "
+                    "repro.markov.occupancy; return one instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

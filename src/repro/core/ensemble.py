@@ -22,8 +22,10 @@ The pipeline:
    of *all* cells are concatenated into one lazy rate table
    (:func:`~repro.traps.propensity.population_propensity`, rates
    evaluated only around each candidate) and simulated in a
-   single kernel call (six calls for the whole array), then split back
-   per cell and converted to Eq.-(3) current traces.  A screening
+   single kernel call (six calls for the whole array); one grouped
+   :func:`~repro.markov.occupancy.number_filled` pass counts every
+   cell's filled traps from the kernel's flat flip arrays, and each
+   count becomes an Eq.-(3) current trace.  A screening
    metric — the peak scaled RTN current relative to the peak nominal
    channel current — ranks the cells.
 4. **Verification**: cells whose metric clears ``screen_threshold`` are
@@ -617,23 +619,22 @@ class EnsembleRunner:
                 flat_traps, tech, record.times, record.v_drive)
             init = draw_initial_states(flat_traps, tech,
                                        float(record.v_drive[0]), rng)
-            occupancies, stats = _simulate_population(
+            occupancy, stats = _simulate_population(
                 batch, float(record.times[0]), float(record.times[-1]),
                 rng, init, name, kernel_fallbacks)
             kernel_stats[name] = stats.aggregate
             params = cell.transistors[name].params
+            # Every cell's N_filled (Eq. 3) and flip count in one pass
+            # over the population's flat flip arrays.
             offsets = np.concatenate(([0], np.cumsum(counts)))
+            n_filled = number_filled(occupancy, record.times, offsets)
+            transitions += np.diff(occupancy.offsets[offsets])
             for cell_index in range(config.n_cells):
-                cell_occ = occupancies[offsets[cell_index]:
-                                       offsets[cell_index + 1]]
-                if not cell_occ:
+                if not counts[cell_index]:
                     continue
-                transitions[cell_index] += sum(o.n_transitions
-                                               for o in cell_occ)
-                n_filled = number_filled(cell_occ, record.times)
                 current = rtn_current_samples(
                     method.amplitude_model, params, record.v_drive,
-                    record.i_d, n_filled) * np.sign(record.i_d)
+                    record.i_d, n_filled[cell_index]) * np.sign(record.i_d)
                 if faults.should("nan", (name, cell_index)):
                     current = current + np.nan
                 try:

@@ -6,7 +6,9 @@ This package implements the computational core of SAMURAI (paper §III):
   propensity abstractions (the ``lambda_c(t)``/``lambda_e(t)`` of paper
   Eqs. 1-2, decoupled from trap physics so the kernels are reusable).
 - :mod:`repro.markov.occupancy` — the :class:`OccupancyTrace` produced by
-  every kernel: a piecewise-constant 0/1 trajectory over time.
+  every kernel: a piecewise-constant 0/1 trajectory over time; the
+  population kernels return a whole population's as one flat
+  :class:`PopulationOccupancy`.
 - :mod:`repro.markov.uniformization` — paper Algorithm 1: exact
   simulation of a time-inhomogeneous two-state chain by uniformisation
   (thinning of a dominating Poisson process).
@@ -37,7 +39,7 @@ from .batch import (
     simulate_traps_scalar,
 )
 from .gillespie import simulate_constant
-from .occupancy import OccupancyTrace, number_filled
+from .occupancy import OccupancyTrace, PopulationOccupancy, number_filled
 from .piecewise import simulate_piecewise
 from .propensity import (
     CallableTwoStatePropensity,
@@ -54,6 +56,7 @@ __all__ = [
     "CallableTwoStatePropensity",
     "ConstantTwoStatePropensity",
     "OccupancyTrace",
+    "PopulationOccupancy",
     "SampledTwoStatePropensity",
     "TwoStatePropensity",
     "UniformizationStats",

@@ -61,7 +61,7 @@ from .. import obs
 from ..errors import ModelError, SimulationError
 from ..obs import clock
 from ..testing import faults as _faults
-from .occupancy import OccupancyTrace
+from .occupancy import PopulationOccupancy, _within_traps
 from .propensity import (
     ConstantTwoStatePropensity,
     SampledTwoStatePropensity,
@@ -351,7 +351,7 @@ def simulate_traps_batch(
         rng: np.random.Generator,
         initial_states: np.ndarray | None = None,
         rate_bounds: np.ndarray | None = None,
-) -> tuple[list[OccupancyTrace], BatchUniformizationStats]:
+) -> tuple[PopulationOccupancy, BatchUniformizationStats]:
     """Simulate a whole trap population over ``[t_start, t_stop]`` at once.
 
     One vectorised thinning sweep replaces the per-trap candidate loops
@@ -388,8 +388,10 @@ def simulate_traps_batch(
 
     Returns
     -------
-    (traces, stats):
-        One :class:`~repro.markov.occupancy.OccupancyTrace` per trap,
+    (occupancy, stats):
+        The population's flips as one
+        :class:`~repro.markov.occupancy.PopulationOccupancy` (a sequence
+        of per-trap :class:`~repro.markov.occupancy.OccupancyTrace`),
         plus per-trap :class:`BatchUniformizationStats` (use
         ``stats.aggregate`` for the population summary).
     """
@@ -453,14 +455,12 @@ def simulate_traps_batch(
         flips_per_trap, flip_times = _flat_sweep(
             batch, bounds, counts, init, t_start, t_stop, window, rng)
 
-    traces = _build_traces(n_traps, init, flips_per_trap, flip_times,
-                           t_start, t_stop)
-    stats = BatchUniformizationStats(
-        n_candidates=counts,
-        n_accepted=np.array([trace.n_transitions for trace in traces],
-                            dtype=np.int64),
-        rate_bounds=bounds,
-    )
+    offsets, flip_times = _untied(flips_per_trap, flip_times)
+    occupancy = PopulationOccupancy(t_start, t_stop, init, offsets,
+                                    flip_times)
+    stats = BatchUniformizationStats(n_candidates=counts,
+                                     n_accepted=occupancy.n_transitions,
+                                     rate_bounds=bounds)
     if obs.enabled():
         elapsed = clock.monotonic() - kernel_started
         obs.inc("kernel.batch.calls")
@@ -472,7 +472,7 @@ def simulate_traps_batch(
                           traps=n_traps, candidates=stats.total_candidates,
                           accepted=stats.total_accepted,
                           acceptance_ratio=stats.acceptance_ratio)
-    return traces, stats
+    return occupancy, stats
 
 
 def _padded_sweep(batch, bounds: np.ndarray,
@@ -613,56 +613,23 @@ def _flat_sweep(batch, bounds: np.ndarray,
     return flips_per_trap.astype(np.int64), t_f[flip]
 
 
-def _build_traces(n_traps: int, init: np.ndarray,
-                  flips_per_trap: np.ndarray, flip_times: np.ndarray,
-                  t_start: float, t_stop: float) -> list[OccupancyTrace]:
-    """Materialise per-trap :class:`OccupancyTrace` objects from flat flips."""
+def _untied(flips_per_trap: np.ndarray, flip_times: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trap flip offsets and flip times, exact ties cancelled.
+
+    Exact candidate-time ties are measure-zero; one vectorised pass
+    detects them and only the traps that have one are rebuilt.
+    """
     offsets = np.concatenate(([0], np.cumsum(flips_per_trap)))
-    # Exact candidate-time ties are measure-zero; detect them globally
-    # (one vectorised pass) and cancel per trap only when one occurs.
-    deltas = np.diff(flip_times)
-    same_trap = np.ones(max(flip_times.size - 1, 0), dtype=bool)
-    same_trap[offsets[1:-1][(offsets[1:-1] > 0)
-                            & (offsets[1:-1] < flip_times.size)] - 1] = False
-    tied = bool(np.any((deltas <= 0.0) & same_trap)) if deltas.size else False
-
-    # All segment-boundary arrays at once: one flat buffer holding
-    # [t_start, flips_i..., t_stop] for every trap, sliced into views.
-    seg_lens = flips_per_trap + 2
-    starts = np.concatenate(([0], np.cumsum(seg_lens)))
-    boundary_times = np.empty(int(starts[-1]), dtype=float)
-    boundary_times[starts[:-1]] = t_start
-    boundary_times[starts[1:] - 1] = t_stop
-    interior = np.ones(boundary_times.size, dtype=bool)
-    interior[starts[:-1]] = False
-    interior[starts[1:] - 1] = False
-    boundary_times[interior] = flip_times
-    # Alternating-state templates shared by every trace (sliced per trap).
-    longest = int(flips_per_trap.max(initial=0)) + 1
-    parity_from = (
-        np.arange(longest, dtype=np.int8) % 2,
-        (np.arange(longest, dtype=np.int8) + 1) % 2,
-    )
-    # The traces below hold overlapping views of these buffers; freeze
-    # them so a stray in-place edit cannot corrupt sibling traces.
-    boundary_times.flags.writeable = False
-    parity_from[0].flags.writeable = False
-    parity_from[1].flags.writeable = False
-
-    traces = []
-    for index in range(n_traps):
-        if tied:
-            flips = flip_times[offsets[index]:offsets[index + 1]]
-            if flips.size > 1 and np.any(np.diff(flips) <= 0.0):
-                flips = _cancel_tied_flips(flips)
-                seg_times = np.concatenate(([t_start], flips, [t_stop]))
-                states = (parity_from[init[index]][:flips.size + 1]).copy()
-                traces.append(OccupancyTrace._trusted(seg_times, states))
-                continue
-        seg_times = boundary_times[starts[index]:starts[index + 1]]
-        states = parity_from[init[index]][:seg_times.size - 1]
-        traces.append(OccupancyTrace._trusted(seg_times, states))
-    return traces
+    tied = (np.diff(flip_times) <= 0.0) & _within_traps(offsets)
+    if not tied.any():
+        return offsets, flip_times
+    per_trap = np.split(flip_times, offsets[1:-1])
+    for index in np.unique(np.searchsorted(offsets, np.flatnonzero(tied),
+                                           side="right") - 1):
+        per_trap[index] = _cancel_tied_flips(per_trap[index])
+    counts = [flips.size for flips in per_trap]
+    return np.concatenate(([0], np.cumsum(counts))), np.concatenate(per_trap)
 
 
 def _cancel_tied_flips(flips: np.ndarray) -> np.ndarray:
@@ -705,7 +672,7 @@ def simulate_traps_scalar(
         rng: np.random.Generator,
         initial_states: np.ndarray | None = None,
         rate_bounds: np.ndarray | None = None,
-) -> tuple[list[OccupancyTrace], BatchUniformizationStats]:
+) -> tuple[PopulationOccupancy, BatchUniformizationStats]:
     """Paper Algorithm 1 trap by trap over a whole population.
 
     The exact scalar kernel
@@ -742,7 +709,6 @@ def simulate_traps_scalar(
             "rate_bounds must match the population size")
     traces = []
     candidates = np.zeros(n_traps, dtype=np.int64)
-    accepted = np.zeros(n_traps, dtype=np.int64)
     bounds = np.zeros(n_traps, dtype=float)
     for index, prop in enumerate(props):
         bound = rate_bounds[index]
@@ -752,7 +718,8 @@ def simulate_traps_scalar(
         )
         traces.append(trace)
         candidates[index] = stats.n_candidates
-        accepted[index] = stats.n_accepted
         bounds[index] = stats.rate_bound
-    return traces, BatchUniformizationStats(
-        n_candidates=candidates, n_accepted=accepted, rate_bounds=bounds)
+    occupancy = PopulationOccupancy.from_traces(t_start, t_stop, traces)
+    return occupancy, BatchUniformizationStats(
+        n_candidates=candidates, n_accepted=occupancy.n_transitions,
+        rate_bounds=bounds)

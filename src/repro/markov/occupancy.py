@@ -6,10 +6,17 @@ piecewise-constant function of time.  This mirrors the
 ``trap_occupancy[tr] = [times, states]`` output of paper Algorithm 1,
 with the boundary conventions made explicit so that sampling, dwell-time
 statistics and multi-trap superposition are unambiguous.
+
+The population kernels return a :class:`PopulationOccupancy`: every
+trap's flips in one flat buffer, read as a sequence of traces only on
+demand.  :func:`number_filled` counts ``N_filled(t)`` (paper Eq. 3)
+from those flat arrays, for a whole device or, grouped, for many
+devices in one pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,24 +240,245 @@ class _TraceBuilder:
         )
 
 
-def number_filled(traces: list[OccupancyTrace], grid: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class PopulationOccupancy(Sequence):
+    """Occupancy of ``K`` traps over one window, in flat arrays.
+
+    Trap ``k`` starts in ``initial_states[k]`` at ``t_start`` and flips
+    at ``flip_times[offsets[k]:offsets[k + 1]]``.  This is what paper
+    Eq. (3) needs (see :func:`number_filled`); the object is also a
+    read-only sequence of :class:`OccupancyTrace` (``len``, index,
+    slice, iteration) whose traces are materialised on access as
+    read-only views into one shared boundary buffer.
+
+    Attributes
+    ----------
+    t_start, t_stop:
+        The simulated window [s], shared by every trap.
+    initial_states:
+        State of each trap at ``t_start`` (0/1), ``int8``, shape ``(K,)``.
+    offsets:
+        Flip offsets per trap, ``int64``, shape ``(K + 1,)``.
+    flip_times:
+        All flips, grouped by trap and chronological within a trap,
+        each strictly inside ``(t_start, t_stop)``, shape ``(F,)``.
+
+    The arrays are stored as read-only views.
+    """
+
+    t_start: float
+    t_stop: float
+    initial_states: np.ndarray
+    offsets: np.ndarray
+    flip_times: np.ndarray
+
+    def __post_init__(self) -> None:
+        t_start, t_stop = float(self.t_start), float(self.t_stop)
+        if not (np.isfinite(t_start) and np.isfinite(t_stop)
+                and t_start < t_stop):
+            raise ModelError(f"invalid window [{t_start:g}, {t_stop:g}]")
+        initial = np.asarray(self.initial_states)
+        offsets = np.asarray(self.offsets)
+        flips = np.asarray(self.flip_times, dtype=float)
+        if initial.ndim != 1 or offsets.shape != (initial.size + 1,) \
+                or flips.ndim != 1:
+            raise ModelError(
+                "expected initial_states (K,), offsets (K+1,) and "
+                "1-D flip_times")
+        if not np.all((initial == 0) | (initial == 1)):
+            raise ModelError("initial states must be 0 or 1")
+        if offsets[0] != 0 or offsets[-1] != flips.size \
+                or np.any(np.diff(offsets) < 0):
+            raise ModelError("offsets must rise from 0 to len(flip_times)")
+        if flips.size and not (flips.min() > t_start
+                               and flips.max() < t_stop):
+            raise ModelError("flip times must lie strictly inside the window")
+        if np.any((np.diff(flips) <= 0.0) & _within_traps(offsets)):
+            raise ModelError("flip times must be strictly increasing per trap")
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_stop", t_stop)
+        for name, array in (("initial_states", initial.astype(np.int8)),
+                            ("offsets", offsets.astype(np.int64)),
+                            ("flip_times", flips)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_traces(cls, t_start: float, t_stop: float,
+                    traces) -> "PopulationOccupancy":
+        """Pool per-trap traces that all span ``[t_start, t_stop]``."""
+        traces = list(traces)
+        if any(trace.t_start != t_start or trace.t_stop != t_stop
+               for trace in traces):
+            raise ModelError("every trace must span the population window")
+        return cls(t_start, t_stop, *_pooled(traces))
+
+    # ------------------------------------------------------------------
+    @property
+    def n_transitions(self) -> np.ndarray:
+        """State changes per trap, shape ``(K,)``."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return int(self.initial_states.size)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            index = np.arange(len(self))[key]
+            counts = self.n_transitions[index]
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            source = np.arange(offsets[-1]) \
+                + np.repeat(self.offsets[index] - offsets[:-1], counts)
+            return PopulationOccupancy(
+                self.t_start, self.t_stop, self.initial_states[index],
+                offsets, self.flip_times[source])
+        index = int(key)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(f"trap index {key} out of range")
+        times, starts, parity = self._boundaries()
+        lo, hi = int(starts[index]), int(starts[index + 1])
+        return OccupancyTrace._trusted(
+            times[lo:hi], parity[self.initial_states[index]][:hi - lo - 1])
+
+    def __iter__(self):
+        times, starts, parity = self._boundaries()
+        bounds = starts.tolist()
+        for index, state in enumerate(self.initial_states.tolist()):
+            lo, hi = bounds[index], bounds[index + 1]
+            yield OccupancyTrace._trusted(times[lo:hi],
+                                          parity[state][:hi - lo - 1])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PopulationOccupancy):
+            return (self.t_start == other.t_start
+                    and self.t_stop == other.t_stop
+                    and all(np.array_equal(getattr(self, name),
+                                           getattr(other, name))
+                            for name in ("initial_states", "offsets",
+                                         "flip_times")))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(
+                np.array_equal(a.times, b.times)
+                and np.array_equal(a.states, b.states)
+                for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def _boundaries(self) -> tuple:
+        """Cached ``(boundary times, per-trap starts, state templates)``.
+
+        One flat buffer holds ``[t_start, flips_k..., t_stop]`` for
+        every trap; a trace's ``times`` is a slice of it and its
+        ``states`` a slice of the alternating template that starts in
+        its initial state.  All three are read-only, so an in-place
+        edit of one trace cannot corrupt its siblings.
+        """
+        cached = getattr(self, "_boundary_cache", None)
+        if cached is None:
+            n_traps = len(self)
+            starts = self.offsets + 2 * np.arange(n_traps + 1)
+            times = np.empty(int(starts[-1]), dtype=float)
+            times[starts[:-1]] = self.t_start
+            times[starts[1:] - 1] = self.t_stop
+            interior = np.ones(times.size, dtype=bool)
+            interior[starts[:-1]] = False
+            interior[starts[1:] - 1] = False
+            times[interior] = self.flip_times
+            longest = int(self.n_transitions.max(initial=0)) + 1
+            parity = ((np.arange(longest, dtype=np.int8) % 2),
+                      ((np.arange(longest, dtype=np.int8) + 1) % 2))
+            for array in (times, *parity):
+                array.flags.writeable = False
+            cached = (times, starts, parity)
+            object.__setattr__(self, "_boundary_cache", cached)
+        return cached
+
+
+def _within_traps(offsets: np.ndarray) -> np.ndarray:
+    """Mask of consecutive flip pairs that belong to the same trap.
+
+    Entry ``i`` pairs flips ``i`` and ``i + 1``; shape ``(F - 1,)``.
+    """
+    n_flips = int(offsets[-1])
+    mask = np.ones(max(n_flips - 1, 0), dtype=bool)
+    cuts = offsets[1:-1]
+    mask[cuts[(cuts > 0) & (cuts < n_flips)] - 1] = False
+    return mask
+
+
+def _pooled(traces: list) -> tuple:
+    """``(initial states, offsets, flip times)`` of a list of traces."""
+    initial = np.array([trace.initial_state for trace in traces],
+                       dtype=np.int8)
+    counts = np.array([trace.n_transitions for trace in traces],
+                      dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flips = (np.concatenate([trace.times[1:-1] for trace in traces])
+             if traces else np.zeros(0, dtype=float))
+    return initial, offsets, flips
+
+
+def number_filled(traces, grid: np.ndarray,
+                  groups: np.ndarray | None = None) -> np.ndarray:
     """Return ``N_filled(t)`` on a grid: how many of the traces are filled.
 
     This is the multi-trap occupancy count that enters paper Eq. (3).
-    An empty trace list yields all-zeros (a trap-free device).  One array
-    pass: each pooled flip adds +-1 from its time on (right-open, as
-    :meth:`OccupancyTrace.state_at`), so ``t_stop`` sees the final states.
+    ``traces`` is a :class:`PopulationOccupancy` or a list of
+    :class:`OccupancyTrace` (pooled first; their windows may differ, and
+    the grid must lie in all of them).  An empty population yields
+    all-zeros (a trap-free device).  Each flip adds +-1 from its time on
+    (right-open, as :meth:`OccupancyTrace.state_at`), so ``t_stop`` sees
+    the final states.
+
+    With ``groups`` — trap offsets ``(G + 1,)`` from 0 to ``K`` — the
+    traps ``groups[g]:groups[g + 1]`` form device ``g`` and the result
+    is one count per device, shape ``(G,) + grid.shape``, from one pass:
+    every flip lands in a grid column by binary search, the +-1 steps
+    are binned per ``(device, column)`` and accumulated along time.
     """
     grid = np.asarray(grid, dtype=float)
-    if not traces:
-        return np.zeros(grid.shape, dtype=float)
-    lo = max(trace.t_start for trace in traces)
-    hi = min(trace.t_stop for trace in traces)
-    if np.any(grid < lo) or np.any(grid > hi):
+    if isinstance(traces, PopulationOccupancy):
+        lo, hi = traces.t_start, traces.t_stop
+        initial, offsets, flips = (traces.initial_states, traces.offsets,
+                                   traces.flip_times)
+    else:
+        traces = list(traces)
+        lo = max((trace.t_start for trace in traces), default=0.0)
+        hi = min((trace.t_stop for trace in traces), default=0.0)
+        initial, offsets, flips = _pooled(traces)
+    n_traps = initial.size
+    bounds = np.array([0, n_traps]) if groups is None \
+        else np.asarray(groups, dtype=np.int64)
+    if bounds.ndim != 1 or bounds.size < 1 or bounds[0] != 0 \
+            or bounds[-1] != n_traps or np.any(np.diff(bounds) < 0):
+        raise AnalysisError(f"groups must rise from 0 to {n_traps} traps")
+    if n_traps and not np.all((grid >= lo) & (grid <= hi)):
         raise AnalysisError(f"query times must lie in [{lo:g}, {hi:g}]")
-    flips = np.concatenate([trace.times[1:-1] for trace in traces])
-    order = np.argsort(flips, kind="stable")
-    left = np.concatenate([trace.states[:-1] for trace in traces])[order]
-    initial = sum(trace.initial_state for trace in traces)
-    counts = np.cumsum(np.concatenate(([initial], 1 - 2 * left.astype(np.int64))))
-    return counts[np.searchsorted(flips[order], grid, side="right")].astype(float)
+
+    points = grid.ravel()
+    order = None
+    if np.any(points[1:] < points[:-1]):
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+    n_groups, width = bounds.size - 1, points.size + 1
+    # A trap leaves state (initial + k) % 2 at its k-th flip.
+    per_trap = np.diff(offsets)
+    rank = np.arange(flips.size) - np.repeat(offsets[:-1], per_trap)
+    left = (np.repeat(initial, per_trap) + rank) % 2
+    group = np.repeat(np.arange(n_groups), np.diff(offsets[bounds]))
+    column = np.searchsorted(points, flips, side="left")
+    steps = np.bincount(group * width + column, weights=1 - 2 * left,
+                        minlength=n_groups * width)
+    start = np.concatenate(([0], np.cumsum(initial, dtype=np.int64)))
+    counts = np.cumsum(steps.reshape(n_groups, width)[:, :-1], axis=1,
+                       dtype=float) \
+        + (start[bounds[1:]] - start[bounds[:-1]])[:, None]
+    if order is not None:
+        counts[:, order] = counts.copy()
+    if groups is None:
+        return counts[0].reshape(grid.shape)
+    return counts.reshape((n_groups,) + grid.shape)

@@ -17,7 +17,7 @@ import numpy as np
 from ..devices.mosfet import MosfetParams
 from ..errors import SimulationError
 from ..markov.batch import simulate_traps_scalar
-from ..markov.occupancy import OccupancyTrace, number_filled
+from ..markov.occupancy import PopulationOccupancy, number_filled
 from ..traps.propensity import draw_initial_states, population_propensity
 from ..traps.trap import Trap
 from .current import RtnAmplitudeModel, VanDerZielModel, rtn_current_samples
@@ -33,7 +33,9 @@ class DeviceRtnResult:
     traps:
         The trap population that was simulated.
     occupancies:
-        One :class:`OccupancyTrace` per trap (paper Fig. 8 plots b, c).
+        The population's trajectories, a sequence of one
+        :class:`~repro.markov.occupancy.OccupancyTrace` per trap (paper
+        Fig. 8 plots b, c).
     n_filled:
         Filled-trap count sampled on the output grid (the ``N_filled``
         of Eq. 3).
@@ -42,14 +44,14 @@ class DeviceRtnResult:
     """
 
     traps: list[Trap]
-    occupancies: list[OccupancyTrace]
+    occupancies: PopulationOccupancy
     n_filled: np.ndarray
     trace: RTNTrace
 
     @property
     def total_transitions(self) -> int:
         """Total trap transitions across the population."""
-        return sum(occ.n_transitions for occ in self.occupancies)
+        return int(self.occupancies.n_transitions.sum())
 
 
 def generate_device_rtn(params: MosfetParams, traps: list[Trap],

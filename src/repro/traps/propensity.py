@@ -40,10 +40,22 @@ def propensity_sum(trap: Trap, tech: Technology) -> float:
     return 1.0 / (tech.tau0 * math.exp(tech.gamma_tunnel * trap.y_tr))
 
 
+def _checked_bias(v_gs) -> np.ndarray:
+    """``v_gs`` as a float array; NaN/inf would give NaN rate columns."""
+    v_gs = np.asarray(v_gs, dtype=float)
+    if not np.all(np.isfinite(v_gs)):
+        raise ModelError("gate bias must be finite")
+    return v_gs
+
+
 def log_beta_from_bias(v_gs, trap: Trap, tech: Technology):
-    """Return ``ln beta = ln g + (E_T - E_F)/kT`` at bias ``v_gs`` (Eq. 2)."""
+    """Return ``ln beta = ln g + (E_T - E_F)/kT`` at bias ``v_gs`` (Eq. 2).
+
+    A non-finite bias raises :class:`~repro.errors.ModelError`, here and
+    in :func:`rates_from_bias` and :func:`equilibrium_occupancy`.
+    """
     kt_ev = thermal_energy_ev(tech.temperature)
-    offset = trap_energy_offset(v_gs, trap, tech)
+    offset = trap_energy_offset(_checked_bias(v_gs), trap, tech)
     result = math.log(trap.degeneracy) + np.asarray(offset) / kt_ev
     return result if np.ndim(v_gs) else float(result)
 
@@ -73,14 +85,6 @@ def equilibrium_occupancy(v_gs, trap: Trap, tech: Technology):
     log_beta = np.asarray(log_beta_from_bias(v_gs, trap, tech))
     result = expit(-log_beta)
     return result if np.ndim(v_gs) else float(result)
-
-
-def _checked_bias(v_gs) -> np.ndarray:
-    """``v_gs`` as a float array; NaN/inf would give NaN rate columns."""
-    v_gs = np.asarray(v_gs, dtype=float)
-    if not np.all(np.isfinite(v_gs)):
-        raise ModelError("gate bias must be finite")
-    return v_gs
 
 
 def _trap_constants(traps: list, tech: Technology) -> tuple:

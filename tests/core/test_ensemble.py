@@ -174,6 +174,49 @@ class TestRatesAtCandidates:
         assert waveforms == []
 
 
+class TestFlatOccupancy:
+    def test_screen_makes_no_per_trap_traces(self, monkeypatch):
+        """The screen counts N_filled from the kernel's flat flip arrays:
+        no OccupancyTrace is built, and one grouped count per transistor
+        covers every cell."""
+        from repro.core import ensemble
+        from repro.markov.occupancy import OccupancyTrace
+
+        built = []
+        trusted = OccupancyTrace._trusted
+        init = OccupancyTrace.__init__
+
+        def counting_trusted(cls, times, states):
+            built.append("_trusted")
+            return trusted(times, states)
+
+        def counting_init(self, *args, **kwargs):
+            built.append("__init__")
+            init(self, *args, **kwargs)
+
+        counts = []
+        number_filled = ensemble.number_filled
+
+        def counting_number_filled(*args, **kwargs):
+            counts.append(args[0])
+            return number_filled(*args, **kwargs)
+
+        monkeypatch.setattr(OccupancyTrace, "_trusted",
+                            classmethod(counting_trusted))
+        monkeypatch.setattr(OccupancyTrace, "__init__", counting_init)
+        monkeypatch.setattr(ensemble, "number_filled",
+                            counting_number_filled)
+        config = EnsembleConfig(
+            n_cells=16, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=0)
+        result = EnsembleRunner(config).run(np.random.default_rng(5))
+        assert not result.kernel_fallbacks
+        assert sum(o.transitions for o in result.outcomes) > 0
+        assert built == []
+        assert len(counts) == len(result.kernel_stats) > 0
+
+
 class TestSeedCompatibility:
     def test_seeded_output_is_pinned(self):
         """Any change to the RNG order or the arithmetic of the screen

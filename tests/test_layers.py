@@ -2,8 +2,9 @@
 transient ``pre_step`` coupling inside ``repro.cosim.engine``, RTN
 source injection inside ``repro.core.methodology``, the SPICE package's
 private names inside ``repro.spice``, checkpoint writing inside
-``repro.core.scenario`` and per-trap propensity construction inside
-``repro.markov``.
+``repro.core.scenario``, per-trap propensity construction inside
+``repro.markov`` and trace materialisation inside
+``repro.markov.occupancy``.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -174,6 +175,21 @@ def test_checker_flags_propensity_cache_calls_outside_the_engine(tmp_path,
     assert "propensity_cache" in err
     assert "ensemble.py:1" not in err  # importing the name is not a call
     assert "engine.py" not in err  # the engine defines the cache
+
+
+def test_checker_flags_trusted_traces_outside_occupancy(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "markov").mkdir()
+    (tmp_path / "markov" / "occupancy.py").write_text(
+        "trace = OccupancyTrace._trusted(times, states)\n")
+    (tmp_path / "markov" / "batch.py").write_text(
+        "from .occupancy import OccupancyTrace\n"
+        "traces = [OccupancyTrace._trusted(t, s) for t, s in pairs]\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "batch.py:2" in err and "_trusted" in err
+    assert "batch.py:1" not in err  # importing the class is fine
+    assert "occupancy.py" not in err  # the flat type materialises traces
 
 
 def test_checker_catches_smuggled_futures(tmp_path):

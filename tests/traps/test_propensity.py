@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ class TestEquilibriumOccupancy:
         assert np.all(np.diff(occ) >= 0.0)
         assert occ[0] < 0.5 < occ[-1] or occ[-1] <= 0.5  # fills with bias
 
+
+
+class TestNonFiniteBias:
+    """The per-trap rate path refuses a NaN/inf bias like the population
+    path does; it used to return NaN rates with at most a warning."""
+
+    TRAP = Trap(y_tr=0.5e-9, e_tr=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("function", [log_beta_from_bias,
+                                          rates_from_bias,
+                                          equilibrium_occupancy])
+    def test_scalar_and_array_bias_rejected(self, function, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="finite"):
+                function(bad, self.TRAP, TECH_90NM)
+            with pytest.raises(ModelError, match="finite"):
+                function(np.array([0.0, bad, 1.0]), self.TRAP, TECH_90NM)
+
+    def test_finite_bias_unchanged(self):
+        lam_c, lam_e = rates_from_bias(0.5, self.TRAP, TECH_90NM)
+        assert isinstance(lam_c, float) and isinstance(lam_e, float)
+        column_c, _ = rates_from_bias(np.array([0.5]), self.TRAP, TECH_90NM)
+        assert column_c[0] == lam_c
+        assert isinstance(equilibrium_occupancy(0, self.TRAP, TECH_90NM),
+                          float)
 
 class TestTrapPropensityFactory:
     def test_bound_equals_eq1_sum(self):
