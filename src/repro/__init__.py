@@ -28,6 +28,6 @@ The supported entry points are collected in :mod:`repro.api`::
 
 __version__ = "1.0.0"
 
-from . import api, constants, errors, units
+from . import api, constants, errors
 
-__all__ = ["api", "constants", "errors", "units", "__version__"]
+__all__ = ["api", "constants", "errors", "__version__"]

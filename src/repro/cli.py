@@ -27,6 +27,25 @@ import numpy as np
 from .core.report import format_table
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def _cmd_cards(args) -> int:
     from .devices.technology import TECHNOLOGIES
     rows = []
@@ -307,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ensemble = sub.add_parser(
         "ensemble", help="batched array-scale Monte-Carlo run")
-    ensemble.add_argument("--cells", type=int, default=64,
+    ensemble.add_argument("--cells", type=_positive, default=64,
                           help="number of cells in the ensemble")
     ensemble.add_argument("--tech", default="90nm")
     ensemble.add_argument("--vdd", type=float, default=None)
@@ -317,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--threshold", type=float, default=0.02,
                           help="screening metric above which a cell is "
                                "flagged for SPICE verification")
-    ensemble.add_argument("--verify", type=int, default=4,
+    ensemble.add_argument("--verify", type=_non_negative, default=4,
                           help="max flagged cells to verify with SPICE")
     ensemble.add_argument("--backend", default=None, choices=backends,
                           help="verification execution backend (default: "
                                "shared when --workers > 1, else serial; "
                                "'shared' runs a persistent pool over a "
                                "shared-memory payload arena)")
-    ensemble.add_argument("--workers", type=int, default=None,
+    ensemble.add_argument("--workers", type=_positive, default=None,
                           help="processes for the verification passes")
     ensemble.add_argument("--margins", type=int, default=0,
                           help="cells to also solve a per-cell hold SNM for")
@@ -370,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one scenario's demonstration configuration")
     scenario_run.add_argument(
         "name", help="registry name (see `repro scenario list`)")
-    scenario_run.add_argument("--n", type=int, default=None,
+    scenario_run.add_argument("--n", type=_positive, default=None,
                               help="job count / sweep size of the "
                                    "demonstration configuration")
     scenario_run.add_argument("--seed", type=int, default=0,
@@ -378,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("--backend", default=None, choices=backends,
                               help="execution backend (default: shared "
                                    "when --workers > 1, else serial)")
-    scenario_run.add_argument("--workers", type=int, default=None,
+    scenario_run.add_argument("--workers", type=_positive, default=None,
                               help="worker processes for the parallel "
                                    "backends")
     scenario_run.add_argument("--checkpoint-dir", default=None,
@@ -399,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     retention = sub.add_parser("retention", help="DRAM VRT scan")
     retention.add_argument("--factor", type=float, default=3.0)
-    retention.add_argument("--trials", type=int, default=20)
+    retention.add_argument("--trials", type=_positive, default=20)
     retention.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser(

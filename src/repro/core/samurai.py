@@ -103,18 +103,3 @@ class Samurai:
                 mosfet.params, traps, record.times, record.v_drive,
                 record.i_d, rng, model=self.amplitude_model, label=name)
         return results
-
-    def describe_populations(self) -> dict:
-        """Summary statistics per transistor (for reports)."""
-        from ..traps.propensity import propensity_sum
-        tech = self.cell.spec.technology
-        summary = {}
-        for name, traps in self.trap_populations.items():
-            if traps:
-                rates = [propensity_sum(t, tech) for t in traps]
-                summary[name] = {"count": len(traps),
-                                 "rate_min": min(rates),
-                                 "rate_max": max(rates)}
-            else:
-                summary[name] = {"count": 0}
-        return summary

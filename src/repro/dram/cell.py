@@ -241,7 +241,7 @@ class RetentionScanScenario(scenario.Scenario):
         spec, trap = default_vrt_cell()
         options.setdefault("t_max", 3.0 * vrt_levels(spec)[0])
         return RetentionScanConfig(spec=spec, trap=trap,
-                                   n_trials=n or 16, **options)
+                                   n_trials=16 if n is None else n, **options)
 
     def format_value(self, config, value) -> str:
         finite = value[np.isfinite(value)]

@@ -1,4 +1,4 @@
-"""Stochastic-simulation kernels for two-state (and general) Markov chains.
+"""Stochastic-simulation kernels for two-state Markov chains.
 
 This package implements the computational core of SAMURAI (paper §III):
 
@@ -19,9 +19,6 @@ This package implements the computational core of SAMURAI (paper §III):
   rates, used as an independent cross-check of uniformisation.
 - :mod:`repro.markov.analytic` — closed-form occupancy probabilities,
   stationary autocorrelation and Lorentzian spectral densities.
-- :mod:`repro.markov.ctmc` — general N-state continuous-time Markov
-  chains with time-varying generators (an extension beyond the paper's
-  two-state traps).
 """
 
 from .analytic import (

@@ -216,12 +216,6 @@ class BatchPropensity:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_rates(cls, *, times: np.ndarray, capture: np.ndarray,
-                   emission: np.ndarray) -> "BatchPropensity":
-        """Build a batch from raw stacked rate arrays (keyword-only)."""
-        return cls(times=times, capture=capture, emission=emission)
-
-    @classmethod
     def from_propensities(cls, propensities, times: np.ndarray | None = None
                           ) -> "BatchPropensity":
         """Stack per-trap propensity objects into one batch.

@@ -70,27 +70,3 @@ def simulate_piecewise(breakpoints: np.ndarray, capture_rates: np.ndarray,
             builder.flip(current)
             state = 1 - state
     return builder.finish(float(breakpoints[-1]))
-
-
-def bias_steps_to_piecewise(step_times: np.ndarray, capture_levels: np.ndarray,
-                            emission_levels: np.ndarray, t_stop: float,
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert step-change descriptions into :func:`simulate_piecewise` inputs.
-
-    ``step_times[i]`` is when the rates switch *to*
-    ``(capture_levels[i], emission_levels[i])``; the last level holds
-    until ``t_stop``.  Returns ``(breakpoints, capture_rates,
-    emission_rates)``.
-    """
-    step_times = np.asarray(step_times, dtype=float)
-    capture_levels = np.asarray(capture_levels, dtype=float)
-    emission_levels = np.asarray(emission_levels, dtype=float)
-    if step_times.size == 0:
-        raise SimulationError("need at least one step time")
-    if capture_levels.shape != step_times.shape or \
-            emission_levels.shape != step_times.shape:
-        raise SimulationError("levels must match step_times in shape")
-    if t_stop <= step_times[-1]:
-        raise SimulationError("t_stop must exceed the last step time")
-    breakpoints = np.concatenate((step_times, [t_stop]))
-    return breakpoints, capture_levels, emission_levels

@@ -149,7 +149,7 @@ class RingSweepScenario(scenario.Scenario):
         return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
-        counts = tuple(3 + 2 * k for k in range(n or 2))
+        counts = tuple(3 + 2 * k for k in range(2 if n is None else n))
         return RingPeriodSweepConfig(stage_counts=counts, **options)
 
     def format_value(self, config, value) -> str:
@@ -220,7 +220,7 @@ class PllSweepScenario(scenario.Scenario):
         return scenario.config_fingerprint(config)
 
     def default_config(self, n: int | None = None, **options):
-        points = n or 3
+        points = 3 if n is None else n
         specs = tuple(PllSpec(c1=50e-12 * 2.0 ** k)
                       for k in range(points))
         return PllPulloutSweepConfig(specs=specs, **options)

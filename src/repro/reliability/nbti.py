@@ -166,7 +166,8 @@ class ReliabilityPopulationScenario(scenario.Scenario):
         tech = TECH_90NM
         return ReliabilityPopulationConfig(
             params=MosfetParams.nominal(tech, "n"),
-            profiler=TrapProfiler(tech), n_devices=n or 64, **options)
+            profiler=TrapProfiler(tech), n_devices=64 if n is None else n,
+            **options)
 
     def format_value(self, config, value) -> str:
         text = (f"{len(value)} devices, "

@@ -76,12 +76,6 @@ class RTNTrace:
         return np.interp(t, self.times, self.current)
 
     # ------------------------------------------------------------------
-    def resample(self, grid: np.ndarray) -> "RTNTrace":
-        """Return the trace interpolated onto a new grid."""
-        grid = np.asarray(grid, dtype=float)
-        return RTNTrace(times=grid, current=self.value_at(grid),
-                        label=self.label)
-
     def scaled(self, factor: float) -> "RTNTrace":
         """Return a copy with the current multiplied by ``factor``.
 

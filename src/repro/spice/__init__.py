@@ -18,11 +18,8 @@ Layout:
 - :mod:`repro.spice.dcop` — DC operating point (gmin/source stepping).
 - :mod:`repro.spice.transient` — transient analysis.
 - :mod:`repro.spice.waveform` — simulation results container.
-- :mod:`repro.spice.netlist` — text-deck parser.
 """
 
-from .ac import AcResult, ac_analysis
-from .adaptive import AdaptiveOptions, simulate_transient_adaptive
 from .circuit import Circuit
 from .dcop import dc_operating_point
 from .elements import (
@@ -32,15 +29,11 @@ from .elements import (
     Resistor,
     VoltageSource,
 )
-from .export import circuit_to_deck
-from .netlist import parse_netlist
 from .sources import DC, PULSE, PWL, SIN
 from .transient import TransientOptions, simulate_transient
 from .waveform import Waveform
 
 __all__ = [
-    "AcResult",
-    "AdaptiveOptions",
     "Capacitor",
     "Circuit",
     "CurrentSource",
@@ -53,10 +46,6 @@ __all__ = [
     "TransientOptions",
     "VoltageSource",
     "Waveform",
-    "ac_analysis",
-    "circuit_to_deck",
     "dc_operating_point",
-    "parse_netlist",
     "simulate_transient",
-    "simulate_transient_adaptive",
 ]

@@ -270,14 +270,6 @@ class StampProgram:
         return self._assembler(t, coeff, history, GMIN_FLOOR, source_scale,
                                source_scale != 1.0)
 
-    def capacitance_matrix(self) -> np.ndarray:
-        """The capacitor stamps with ``geq = C`` (the AC ``jωC`` pattern)."""
-        c = self._capacitance
-        pool = np.concatenate((np.zeros(3 + 2 * self._conductance.size),
-                               c, -c))
-        return self._accumulate(self._program(frozenset({"capacitor"})),
-                                pool, np.zeros(self._rhs_static))[0]
-
     def _accumulate(self, program, mat_pool, rhs_pool):
         """Sum the pools into ``(A, z)`` in the program's order."""
         n = self.n

@@ -222,7 +222,7 @@ class ArrayScenario(scenario.Scenario):
         from ..core.experiments import fig8_cell_spec, fig8_pattern
 
         options.setdefault("rtn_scale", 30.0)
-        return ArrayConfig(n_cells=n or 8, base_spec=fig8_cell_spec(),
+        return ArrayConfig(n_cells=8 if n is None else n, base_spec=fig8_cell_spec(),
                            pattern=fig8_pattern(bits=(1,)), **options)
 
     def format_value(self, config, value) -> str:

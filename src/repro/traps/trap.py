@@ -39,8 +39,3 @@ class Trap:
         if self.degeneracy <= 0.0:
             raise ModelError(
                 f"degeneracy must be positive, got {self.degeneracy}")
-
-    def with_label(self, label: str) -> "Trap":
-        """Return a relabelled copy."""
-        return Trap(y_tr=self.y_tr, e_tr=self.e_tr,
-                    degeneracy=self.degeneracy, label=label)

@@ -86,13 +86,3 @@ class TestGenerate:
         biases["M1"] = "oops"
         with pytest.raises(SimulationError):
             engine.generate(biases, rng)
-
-    def test_describe_populations(self, rng):
-        cell = build_sram_cell()
-        engine = Samurai.with_sampled_traps(cell, TrapProfiler(TECH_90NM),
-                                            rng)
-        summary = engine.describe_populations()
-        assert set(summary) == set(cell.transistors)
-        for name, info in summary.items():
-            if info["count"]:
-                assert info["rate_min"] <= info["rate_max"]

@@ -8,7 +8,7 @@ from scipy import stats
 
 from repro.errors import SimulationError
 from repro.markov.analytic import stationary_occupancy
-from repro.markov.piecewise import bias_steps_to_piecewise, simulate_piecewise
+from repro.markov.piecewise import simulate_piecewise
 from repro.markov.propensity import CallableTwoStatePropensity
 from repro.markov.uniformization import simulate_trap
 
@@ -97,27 +97,3 @@ class TestStatistics:
                 breakpoints, captures, emissions, rng_pw).state_at(grid)
             uni_counts += simulate_trap(prop, 0.0, 0.3, rng_uni).state_at(grid)
         assert np.max(np.abs(pw_counts - uni_counts)) / n_runs < 0.1
-
-
-class TestBiasStepsHelper:
-    def test_roundtrip(self):
-        bp, cap, emi = bias_steps_to_piecewise(
-            np.array([0.0, 1.0]), np.array([5.0, 1.0]), np.array([1.0, 5.0]),
-            t_stop=3.0)
-        assert bp.tolist() == [0.0, 1.0, 3.0]
-        assert cap.tolist() == [5.0, 1.0]
-        assert emi.tolist() == [1.0, 5.0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(SimulationError):
-            bias_steps_to_piecewise(np.array([]), np.array([]), np.array([]), 1.0)
-
-    def test_rejects_bad_t_stop(self):
-        with pytest.raises(SimulationError):
-            bias_steps_to_piecewise(np.array([0.0, 2.0]), np.ones(2), np.ones(2),
-                                    t_stop=2.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(SimulationError):
-            bias_steps_to_piecewise(np.array([0.0, 1.0]), np.ones(1), np.ones(2),
-                                    t_stop=3.0)

@@ -62,13 +62,6 @@ class TestInterpolation:
         assert trace.value_at(-1.0) == 0.0
         assert trace.value_at(10.0) == 0.0
 
-    def test_resample(self):
-        grid = np.linspace(0.0, 3.0, 13)
-        resampled = make_trace().resample(grid)
-        assert np.array_equal(resampled.times, grid)
-        assert resampled.value_at(1.0) == pytest.approx(2.0)
-        assert resampled.label == "m1"
-
 
 class TestAlgebra:
     def test_scaled(self):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.scenario import get_scenario
+from repro.errors import ReproError
 
 pytestmark = pytest.mark.tier1
 
@@ -80,6 +82,22 @@ class TestCommands:
         assert main(base + ["--verify", "4", "--resume", directory]) == 0
         out = capsys.readouterr().out
         assert f"checkpoint: {directory}" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--cells", "0"],
+        ["ensemble", "--verify", "-1"],
+        ["ensemble", "--workers", "0"],
+        ["ensemble", "--cells", "two"],
+        ["retention", "--trials", "0"],
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argv[1]}:" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_ensemble_rejects_bad_retry_arguments(self):
         with pytest.raises(ValueError):
@@ -188,3 +206,45 @@ class TestScenarioCommand:
         assert main(base + ["--resume", directory]) == 0
         out = capsys.readouterr().out
         assert "resumed" in out and "| 2" in out
+
+
+#: Every standalone scenario with the size of its demonstration config.
+STANDALONE_SIZES = {
+    "dram.retention": (16, lambda config: config.n_trials),
+    "sram.array": (8, lambda config: config.n_cells),
+    "reliability.nbti": (64, lambda config: config.n_devices),
+    "oscillators.ring": (2, lambda config: len(config.stage_counts)),
+    "oscillators.pll": (3, lambda config: len(config.specs)),
+}
+
+
+class TestScenarioSizes:
+    @pytest.mark.parametrize("name", sorted(STANDALONE_SIZES))
+    def test_run_rejects_zero_n_without_running(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "run", name, "--n", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --n:" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--n", "--workers"])
+    def test_run_rejects_negative_counts(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "run", "oscillators.pll", flag, "-3"])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(STANDALONE_SIZES))
+    def test_default_config_keeps_its_documented_size(self, name):
+        default, size = STANDALONE_SIZES[name]
+        entry = get_scenario(name)
+        assert size(entry.default_config(None)) == default
+        assert size(entry.default_config()) == default
+        assert size(entry.default_config(1)) == 1
+
+    @pytest.mark.parametrize("name", sorted(STANDALONE_SIZES))
+    def test_default_config_refuses_zero_size(self, name):
+        # ``n=0`` is a size, not "use the default".
+        with pytest.raises(ReproError):
+            get_scenario(name).default_config(0)
