@@ -2,7 +2,7 @@
 """Lint: one parallel executor, one co-simulation loop, one injection home,
 one MNA assembly, one checkpoint writer, one rate table per population,
 no caller of the propensity-table cache, one place that materialises
-occupancy traces.
+occupancy traces, no per-trap objects in sampled populations.
 
 Usage::
 
@@ -87,6 +87,15 @@ on demand by that class, the one caller of the unvalidated
 else under ``src/repro/`` is a second trace builder beside the flat
 type and fails the check; return a ``PopulationOccupancy`` (or build a
 validated ``OccupancyTrace``) instead.
+
+And for trap populations: the profiler samples a device's traps as
+columns, one :class:`repro.traps.trap.TrapPopulation`, and the rate
+table and the ensemble read those columns directly; a ``Trap`` is
+built only when a caller indexes or iterates a population.  A
+``Trap(`` call in ``traps/profiling.py`` or anywhere under ``core/`` is
+a per-trap object layer back on the sampling or screening path and
+fails the check; return or concatenate ``TrapPopulation`` columns
+instead.
 """
 
 from __future__ import annotations
@@ -125,6 +134,10 @@ CACHE_HOME = "core/engine.py"
 
 #: The one module that may call ``OccupancyTrace._trusted``.
 TRACE_HOME = "markov/occupancy.py"
+
+#: Paths (relative to src/repro; a trailing ``/`` is a package) that
+#: may not construct a ``Trap``: sampled populations are columns.
+TRAP_FREE = ("traps/profiling.py", "core/")
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -264,6 +277,12 @@ def main(argv: list) -> int:
                     path, line, "calls OccupancyTrace._trusted — traces "
                     "are materialised by PopulationOccupancy in "
                     "repro.markov.occupancy; return one instead"))
+        if relative.startswith(TRAP_FREE):
+            for line in calls_to(path, "Trap"):
+                violations.append((
+                    path, line, "constructs Trap — sampled populations "
+                    "are columns; build or concatenate a TrapPopulation "
+                    "instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

@@ -17,8 +17,8 @@ Kernels (paper Algorithm 1)
     :class:`OccupancyTrace`, :class:`BatchPropensity`,
     :func:`make_propensity`, :class:`UniformizationStats`
 Trap physics (paper Eqs. 1-2)
-    :class:`Trap`, :class:`TrapProfiler`, :func:`population_propensity`,
-    :func:`draw_initial_states`
+    :class:`Trap`, :class:`TrapPopulation`, :class:`TrapProfiler`,
+    :func:`population_propensity`, :func:`draw_initial_states`
 RTN synthesis (paper Eq. 3)
     :func:`generate_device_rtn`, :class:`RTNTrace`
 Cell & methodology (paper Fig. 8)
@@ -69,6 +69,7 @@ _EXPORTS = {
     "make_propensity": "repro.markov.propensity:make_propensity",
     # Trap physics.
     "Trap": "repro.traps.trap:Trap",
+    "TrapPopulation": "repro.traps.trap:TrapPopulation",
     "TrapProfiler": "repro.traps.profiling:TrapProfiler",
     "draw_initial_states": "repro.traps.propensity:draw_initial_states",
     "population_propensity": "repro.traps.propensity:population_propensity",

@@ -205,19 +205,33 @@ class PatternBench:
             thresholds=self.thresholds)
 
 
-def injection_trace(record: BiasRecord, current: np.ndarray,
-                    config: MethodologyConfig, label: str = "") -> RTNTrace:
-    """Step 3's trace for one transistor, ready to inject.
+def injection_currents(record: BiasRecord, current: np.ndarray,
+                       config: MethodologyConfig) -> np.ndarray:
+    """Step 3's arithmetic on generated RTN currents, one or many.
 
-    Multiplies a generated RTN current (sampled on ``record``'s grid)
-    by ``config.rtn_scale`` and, with ``config.clip_to_nominal``,
-    clamps it to the nominal current ``|record.i_d|``.
+    Multiplies ``current`` (sampled on ``record``'s grid: one trace of
+    shape ``(M,)`` or a block of traces ``(C, M)``) by
+    ``config.rtn_scale`` and, with ``config.clip_to_nominal``, clamps it
+    to the nominal current ``|record.i_d|``.  Each row of a block comes
+    out equal, bit for bit, to that row shaped alone.
     """
     current = current * config.rtn_scale
     if config.clip_to_nominal:
         limit = np.abs(record.i_d)
         current = np.clip(current, -limit, limit)
-    return RTNTrace(times=record.times, current=current, label=label)
+    return current
+
+
+def injection_trace(record: BiasRecord, current: np.ndarray,
+                    config: MethodologyConfig, label: str = "") -> RTNTrace:
+    """Step 3's trace for one transistor, ready to inject.
+
+    The :func:`injection_currents` of a generated RTN current (sampled
+    on ``record``'s grid) as an :class:`~repro.rtn.trace.RTNTrace`.
+    """
+    return RTNTrace(times=record.times,
+                    current=injection_currents(record, current, config),
+                    label=label)
 
 
 def run_fingerprint(spec: SramCellSpec | None, pattern: TestPattern | None,
@@ -268,7 +282,9 @@ def run_methodology(pattern: TestPattern, rng: np.random.Generator,
         Statistical trap profiler; defaults to the cell technology's
         standard profiler.  Ignored when ``trap_populations`` is given.
     trap_populations:
-        Explicit transistor name -> trap list (for controlled
+        Explicit transistor name -> trap population (a list of
+        :class:`~repro.traps.trap.Trap` or a
+        :class:`~repro.traps.trap.TrapPopulation`; for controlled
         experiments).
     config:
         Run knobs.

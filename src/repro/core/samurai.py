@@ -28,7 +28,9 @@ class Samurai:
     cell:
         The cell whose transistors are simulated.
     trap_populations:
-        Transistor name -> list of :class:`repro.traps.trap.Trap`.
+        Transistor name -> trap population (a
+        :class:`repro.traps.trap.TrapPopulation`, as sampled, or a list
+        of :class:`repro.traps.trap.Trap`).
     amplitude_model:
         RTN current amplitude model (default: paper Eq. 3).
     """

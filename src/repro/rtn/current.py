@@ -86,14 +86,18 @@ def rtn_current_samples(model: RtnAmplitudeModel, params: MosfetParams,
                         n_filled: np.ndarray) -> np.ndarray:
     """Evaluate ``I_RTN`` on a grid from bias samples and a filled count.
 
-    All three arrays must share a shape; the result is
-    ``amplitude(v_gs, i_d) * n_filled`` elementwise (paper Eq. 3 with
-    its ``N_filled(t)`` factor).
+    ``v_gs`` and ``i_d`` share one shape ``(M,)``; ``n_filled`` has that
+    shape too, or is a block ``(C, M)`` of counts of ``C`` devices that
+    share the biases.  The result is ``amplitude(v_gs, i_d) * n_filled``
+    elementwise (paper Eq. 3 with its ``N_filled(t)`` factor); the
+    amplitude is evaluated once and broadcast over a block's rows, so
+    each row equals that row's own call bit for bit.
     """
     v_gs = np.asarray(v_gs, dtype=float)
     i_d = np.asarray(i_d, dtype=float)
     n_filled = np.asarray(n_filled, dtype=float)
-    if not (v_gs.shape == i_d.shape == n_filled.shape):
+    if v_gs.shape != i_d.shape or n_filled.shape not in (
+            v_gs.shape, n_filled.shape[:1] + v_gs.shape):
         raise ModelError(
             f"shape mismatch: v_gs {v_gs.shape}, i_d {i_d.shape}, "
             f"n_filled {n_filled.shape}"

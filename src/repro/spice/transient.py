@@ -137,7 +137,7 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         All node voltages and branch currents over time, including t=0.
     """
     opts = options or TransientOptions()
-    check_time_span(t_stop, dt, "dt")
+    _check_time_span(t_stop, dt)
 
     program = StampProgram(circuit)
     n = program.n
@@ -208,19 +208,19 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         obs.inc("transient.steps", accepted)
         obs.inc("transient.halvings", total_halvings)
 
-    return package_waveform(circuit, times, solutions)
+    return _package_waveform(circuit, times, solutions)
 
 
-def check_time_span(t_stop: float, dt: float, dt_name: str) -> None:
+def _check_time_span(t_stop: float, dt: float) -> None:
     """Reject a non-positive or non-finite window or step."""
     if not (math.isfinite(t_stop) and t_stop > 0.0):
         raise SimulationError(
             f"t_stop must be positive and finite, got {t_stop}")
     if not (math.isfinite(dt) and 0.0 < dt <= t_stop):
-        raise SimulationError(f"{dt_name} must lie in (0, t_stop], got {dt}")
+        raise SimulationError(f"dt must lie in (0, t_stop], got {dt}")
 
 
-def package_waveform(circuit: Circuit, times: list,
+def _package_waveform(circuit: Circuit, times: list,
                      solutions: list) -> Waveform:
     """Node voltages and branch currents of the recorded solutions."""
     data = np.asarray(solutions)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..spice.circuit import Circuit
-from ..spice.dcop import dc_operating_point
+from ..spice.dcop import dc_sweep
 from ..spice.elements import Mosfet, VoltageSource
 from ..spice.sources import DC
 from ..spice.transient import simulate_transient
@@ -67,14 +67,8 @@ def half_cell_vtc(spec: SramCellSpec, mode: str = "hold",
     Mosfet("MPG", circuit, "bl", "wl", "out", "0", spec.device_params("M1"))
 
     sweep = np.linspace(0.0, vdd, points)
-    outputs = np.empty(points)
-    guess = {"out": vdd}
-    for index, value in enumerate(sweep):
-        vin.stimulus = DC(float(value))
-        solution = dc_operating_point(circuit, initial_guess=guess)
-        outputs[index] = solution["out"]
-        guess = dict(solution.voltages)
-    return sweep, outputs
+    solutions = dc_sweep(circuit, vin, sweep, initial_guess={"out": vdd})
+    return sweep, np.array([solution["out"] for solution in solutions])
 
 
 def _largest_square(x: np.ndarray, y: np.ndarray) -> float:
@@ -87,17 +81,15 @@ def _largest_square(x: np.ndarray, y: np.ndarray) -> float:
     the largest ``s`` with ``b + s <= f(a + s)``.
     """
     # f is monotone decreasing; its inverse maps y values back to x.
-    inv_domain = y[::-1]
-    inv_values = x[::-1]
-    best = 0.0
+    # Rows are anchors, columns candidate sides.
     s_grid = np.linspace(0.0, float(x[-1] - x[0]), 512)
-    for a in np.linspace(float(x[0]), float(x[-1]), 201):
-        b = float(np.interp(a, inv_domain, inv_values))
-        upper = np.interp(a + s_grid, x, y)
-        feasible = s_grid[b + s_grid <= upper]
-        if feasible.size:
-            best = max(best, float(feasible[-1]))
-    return best
+    anchors = np.linspace(float(x[0]), float(x[-1]), 201)
+    b = np.interp(anchors, y[::-1], x[::-1])
+    upper = np.interp(anchors[:, None] + s_grid, x, y)
+    feasible = b[:, None] + s_grid <= upper
+    # The last feasible side of each anchor that has one.
+    last = s_grid.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
+    return float(s_grid[last[feasible.any(axis=1)]].max(initial=0.0))
 
 
 def static_noise_margin(spec: SramCellSpec, mode: str = "hold",

@@ -3,7 +3,8 @@
 Implements paper §II:
 
 - :mod:`repro.traps.trap` — the :class:`Trap` description
-  (depth ``y_tr``, energy ``E_tr``, degeneracy ``g``).
+  (depth ``y_tr``, energy ``E_tr``, degeneracy ``g``), and a device's
+  population as columns, :class:`TrapPopulation`.
 - :mod:`repro.traps.band` — surface potential and the bias-dependent
   trap-to-Fermi energy offset ``(E_T - E_F)(V_gs)`` (the "function of
   E_tr, y_tr, V_gs and device parms" in paper Eq. 2, after Dunga).
@@ -11,7 +12,8 @@ Implements paper §II:
   propensity sum and the bias-dependent ratio ``beta``, assembled into
   kernel-ready propensity objects.
 - :mod:`repro.traps.profiling` — the statistical trap-profiling model
-  (Poisson trap counts over the gate-stack volume and an energy window).
+  (Poisson trap counts over the gate-stack volume and an energy window),
+  sampling each device's traps as a :class:`TrapPopulation`.
 """
 
 from .band import crossing_energy, surface_potential, trap_energy_offset
@@ -26,10 +28,11 @@ from .propensity import (
     rates_from_bias,
 )
 from .profiling import TrapProfiler
-from .trap import Trap
+from .trap import Trap, TrapPopulation
 
 __all__ = [
     "Trap",
+    "TrapPopulation",
     "TrapProfiler",
     "crossing_energy",
     "draw_initial_states",

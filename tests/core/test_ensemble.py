@@ -217,6 +217,83 @@ class TestFlatOccupancy:
         assert len(counts) == len(result.kernel_stats) > 0
 
 
+class TestScreenOnColumns:
+    def test_one_surface_potential_solve_per_drive_and_no_trap_objects(
+            self, monkeypatch):
+        """Traps are sampled as columns (no Trap is built), and each
+        transistor's rate table solves psi_s once on its drive, the
+        initial states reading the table's first column: at most six
+        surface-potential solves for the whole screen."""
+        from repro import obs
+        from repro.traps import band, profiling
+        from repro.traps.trap import Trap
+
+        spec = fig8_cell_spec()
+        profiling.TrapProfiler(spec.technology).energy_bounds(1e-9)  # warm
+        solves = []
+        surface_potential = band.surface_potential
+
+        def counting_solve(v_gb, tech):
+            solves.append(np.shape(v_gb))
+            return surface_potential(v_gb, tech)
+
+        traps = []
+        post_init = Trap.__post_init__
+
+        def counting_post_init(trap):
+            traps.append(trap)
+            post_init(trap)
+
+        monkeypatch.setattr(band, "surface_potential", counting_solve)
+        monkeypatch.setattr(profiling, "surface_potential", counting_solve)
+        monkeypatch.setattr(Trap, "__post_init__", counting_post_init)
+        config = EnsembleConfig(
+            n_cells=16, spec=spec, pattern=fig8_pattern(bits=(1,)),
+            rtn_scale=30.0, max_verified_cells=0)
+        # The traced run installs a fresh metrics registry; put the
+        # module's registry back afterwards.
+        monkeypatch.setattr(obs, "_metrics", obs.metrics())
+        with obs.enable_tracing():
+            result = EnsembleRunner(config).run(np.random.default_rng(5))
+        assert result.total_traps > 0
+        assert result.metrics_snapshot  # the run was traced
+        assert 0 < len(solves) == len(result.kernel_stats) <= 6
+        assert all(len(shape) == 1 for shape in solves)  # whole drives
+        assert traps == []
+
+    def test_corrupted_rows_cost_only_their_cells(self):
+        """A NaN row of a transistor's current block fails its own cell
+        with a 'finite' error and drops only that transistor from the
+        cell's metric and traces; untouched cells keep their screen."""
+        from repro.testing import faults
+
+        config = EnsembleConfig(
+            n_cells=8, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=0, keep_traces=True)
+        clean = EnsembleRunner(config).run(np.random.default_rng(2))
+        with faults.inject_faults(nan_rate=0.15, seed=4):
+            faulty = EnsembleRunner(config).run(np.random.default_rng(2))
+            hit = {(name, index) for index, traces in enumerate(clean.traces)
+                   for name in traces if faults.should("nan", (name, index))}
+        assert hit  # the plan corrupts some rows, not all
+        assert len(hit) < sum(len(traces) for traces in clean.traces)
+        for index, outcome in enumerate(faulty.outcomes):
+            lost = {name for name, cell in hit if cell == index}
+            assert (faulty.traces[index].keys()
+                    == clean.traces[index].keys() - lost)
+            for name, trace in faulty.traces[index].items():
+                assert np.array_equal(trace.current,
+                                      clean.traces[index][name].current)
+            if lost:
+                assert outcome.status == "failed"
+                assert "finite" in outcome.error
+            else:
+                assert outcome.status == "ok"
+                assert outcome.screen_metric == \
+                    clean.outcomes[index].screen_metric
+
+
 class TestSeedCompatibility:
     def test_seeded_output_is_pinned(self):
         """Any change to the RNG order or the arithmetic of the screen

@@ -115,8 +115,56 @@ class TestCurrentSamples:
             rtn_current_samples(VanDerZielModel(), NMOS_90,
                                 np.ones(2), np.ones(2), np.array([-1.0, 0.0]))
 
+    def test_block_shape_validation(self):
+        with pytest.raises(ModelError, match="shape"):
+            rtn_current_samples(VanDerZielModel(), NMOS_90, np.ones(3),
+                                np.ones(3), np.ones((2, 4)))
+        with pytest.raises(ModelError, match="shape"):
+            rtn_current_samples(VanDerZielModel(), NMOS_90, np.ones(3),
+                                np.ones(3), np.ones((2, 2, 3)))
+
     def test_physical_magnitude_90nm(self):
         """One filled trap at full drive: ~0.1 uA for the 90 nm device,
         i.e. the sub-percent modulation the paper scales by 30."""
         amp = VanDerZielModel().amplitude(NMOS_90, 1.0, 2.6e-4)
         assert 1e-8 < amp < 1e-6
+
+
+class TestBroadcastCurrents:
+    """Every cell's current in one ``(C, M)`` broadcast equals the
+    per-cell loop bit for bit: the Eq.-3 amplitude, the sign and the
+    step-3 scale and clip are elementwise."""
+
+    @pytest.mark.parametrize("model", [VanDerZielModel(), HungModel()])
+    @pytest.mark.parametrize("clip", [True, False])
+    def test_block_equals_per_cell_loop(self, model, clip):
+        from repro.core.methodology import (
+            MethodologyConfig,
+            injection_currents,
+            injection_trace,
+        )
+        from repro.sram.biases import BiasRecord
+
+        rng = np.random.default_rng(4)
+        m = 200
+        times = np.linspace(0.0, 2e-9, m)
+        v_drive = rng.uniform(0.0, 1.2, m)
+        i_d = rng.normal(0.0, 1e-4, m)
+        i_d[::17] = 0.0
+        record = BiasRecord(name="M1", times=times, v_drive=v_drive,
+                            i_d=i_d)
+        n_filled = rng.integers(0, 40, size=(9, m)).astype(float)
+        config = MethodologyConfig(rtn_scale=30.0, clip_to_nominal=clip)
+
+        block = rtn_current_samples(model, NMOS_90, v_drive, i_d,
+                                    n_filled) * np.sign(i_d)
+        shaped = injection_currents(record, block, config)
+        for row in range(n_filled.shape[0]):
+            alone = rtn_current_samples(model, NMOS_90, v_drive, i_d,
+                                        n_filled[row]) * np.sign(i_d)
+            assert np.array_equal(block[row], alone)
+            trace = injection_trace(record, alone, config, label="M1")
+            assert np.array_equal(shaped[row], trace.current)
+            # The screen metric is the row maximum.
+            assert (np.max(np.abs(shaped), axis=1)[row]
+                    == np.max(np.abs(trace.current)))

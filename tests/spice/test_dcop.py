@@ -9,7 +9,8 @@ from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
 from repro.errors import ConvergenceError, NetlistError
 from repro.spice.circuit import Circuit
-from repro.spice.dcop import dc_operating_point
+from repro.spice import dcop
+from repro.spice.dcop import dc_operating_point, dc_sweep
 from repro.spice.elements import (
     Capacitor,
     CurrentSource,
@@ -154,3 +155,70 @@ class TestNonlinearCircuits:
         sol = dc_operating_point(c)
         # Output follows the gate minus roughly a threshold.
         assert 0.2 < sol["out"] < 0.7
+
+
+def _inverter():
+    c = Circuit()
+    VoltageSource("VDD", c, "vdd", "0", DC(1.0))
+    vin = VoltageSource("VIN", c, "in", "0", DC(0.0))
+    Mosfet("MP", c, "out", "in", "vdd", "vdd", pmos())
+    Mosfet("MN", c, "out", "in", "0", "0", nmos())
+    return c, vin
+
+
+class TestDcSweep:
+    """One compiled program for a whole sweep, each point exactly
+    ``dc_operating_point`` seeded from the previous one."""
+
+    def test_equals_point_by_point_solves(self):
+        values = np.linspace(0.0, 1.0, 21)
+        circuit, vin = _inverter()
+        swept = dc_sweep(circuit, vin, values, initial_guess={"out": 1.0})
+        circuit, vin = _inverter()
+        guess = {"out": 1.0}
+        for value, solution in zip(values, swept):
+            vin.stimulus = DC(float(value))
+            alone = dc_operating_point(circuit, initial_guess=guess)
+            assert np.array_equal(solution.x, alone.x)
+            assert solution.voltages == alone.voltages
+            guess = dict(alone.voltages)
+        assert len(swept) == values.size
+        assert vin.stimulus(0.0) == 1.0  # left at the last value
+
+    def test_compiles_once(self, monkeypatch):
+        compiled = []
+        program = dcop.StampProgram
+
+        def counting(circuit):
+            compiled.append(circuit)
+            return program(circuit)
+
+        monkeypatch.setattr(dcop, "StampProgram", counting)
+        circuit, vin = _inverter()
+        dc_sweep(circuit, vin, np.linspace(0.0, 1.0, 9))
+        assert len(compiled) == 1
+
+    def test_every_point_keeps_the_continuation_ladder(self, monkeypatch):
+        """Plain Newton failing at one point falls back to gmin stepping
+        there (ten levels), and the sweep goes on."""
+        solve = dcop.solve_newton
+        calls = []
+
+        def failing_third_point(assemble, x0, options=None):
+            calls.append(len(calls))
+            if len(calls) == 3:  # the third point's plain Newton
+                raise ConvergenceError("injected", iterations=1,
+                                       residual=1.0)
+            return solve(assemble, x0, options)
+
+        monkeypatch.setattr(dcop, "solve_newton", failing_third_point)
+        circuit, vin = _inverter()
+        swept = dc_sweep(circuit, vin, np.linspace(0.0, 1.0, 5))
+        assert len(calls) == 1 + 1 + (1 + 10) + 1 + 1
+        assert len(swept) == 5
+        assert np.all(np.diff([s["out"] for s in swept]) < 1e-6)
+
+    def test_empty_circuit_rejected(self):
+        c = Circuit()
+        with pytest.raises(ConvergenceError):
+            dc_sweep(c, None, [0.0])

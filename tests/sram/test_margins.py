@@ -8,6 +8,7 @@ import pytest
 from repro.errors import AnalysisError
 from repro.sram.cell import SramCellSpec
 from repro.sram.margins import (
+    _largest_square,
     half_cell_vtc,
     static_noise_margin,
     wordline_write_margin,
@@ -33,6 +34,32 @@ class TestVtc:
         __, hold_out = half_cell_vtc(SramCellSpec(), mode="hold", points=31)
         __, read_out = half_cell_vtc(SramCellSpec(), mode="read", points=31)
         assert read_out[-1] > hold_out[-1] + 0.01
+
+
+def _largest_square_loop(x, y):
+    """Anchor by anchor: the reference for the one-pass grid search."""
+    best = 0.0
+    s_grid = np.linspace(0.0, float(x[-1] - x[0]), 512)
+    for a in np.linspace(float(x[0]), float(x[-1]), 201):
+        b = float(np.interp(a, y[::-1], x[::-1]))
+        feasible = s_grid[b + s_grid <= np.interp(a + s_grid, x, y)]
+        if feasible.size:
+            best = max(best, float(feasible[-1]))
+    return best
+
+
+class TestLargestSquare:
+    @pytest.mark.parametrize("mode", ["hold", "read"])
+    @pytest.mark.parametrize("vdd", [None, 0.7])
+    def test_grid_search_equals_the_anchor_loop(self, mode, vdd):
+        v_in, v_out = half_cell_vtc(SramCellSpec(vdd=vdd), mode=mode,
+                                    points=41)
+        for x, y in ((v_in, v_out), (v_out[::-1], v_in[::-1])):
+            assert _largest_square(x, y) == _largest_square_loop(x, y)
+
+    def test_flat_curve_has_no_square(self):
+        x = np.linspace(0.0, 1.0, 11)
+        assert _largest_square(x, np.zeros(11)) == 0.0
 
 
 class TestSnm:

@@ -3,8 +3,8 @@ transient ``pre_step`` coupling inside ``repro.cosim.engine``, RTN
 source injection inside ``repro.core.methodology``, the SPICE package's
 private names inside ``repro.spice``, checkpoint writing inside
 ``repro.core.scenario``, per-trap propensity construction inside
-``repro.markov`` and trace materialisation inside
-``repro.markov.occupancy``.
+``repro.markov``, trace materialisation inside
+``repro.markov.occupancy`` and per-trap objects off the sampling path.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -190,6 +190,28 @@ def test_checker_flags_trusted_traces_outside_occupancy(tmp_path, capsys):
     assert "batch.py:2" in err and "_trusted" in err
     assert "batch.py:1" not in err  # importing the class is fine
     assert "occupancy.py" not in err  # the flat type materialises traces
+
+
+def test_checker_flags_trap_objects_on_the_sampling_path(tmp_path, capsys):
+    checker = _load_checker()
+    for package in ("traps", "core", "dram"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "traps" / "trap.py").write_text(
+        "trap = Trap(y_tr=y, e_tr=e)\n")
+    (tmp_path / "traps" / "profiling.py").write_text(
+        "from .trap import Trap, TrapPopulation\n"
+        "traps = [Trap(y_tr=y, e_tr=e) for y, e in pairs]\n")
+    (tmp_path / "core" / "ensemble.py").write_text(
+        "import repro.traps.trap as t\nextra = t.Trap(1e-9, 0.1)\n")
+    (tmp_path / "dram" / "cell.py").write_text(
+        "defect = Trap(y_tr=y, e_tr=e)\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "profiling.py:2" in err and "ensemble.py:2" in err
+    assert "constructs Trap" in err
+    assert "profiling.py:1" not in err  # importing the class is fine
+    assert "trap.py" not in err  # the population builds Traps on access
+    assert "cell.py" not in err  # a single hand-placed trap is fine
 
 
 def test_checker_catches_smuggled_futures(tmp_path):
