@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import run_coupled, run_methodology
+from repro.core.coupled import run_coupled
+from repro.core.methodology import run_methodology
 from repro.core.experiments import fig8_cell_spec, fig8_config, fig8_pattern
 from repro.core.report import format_table, write_csv
 from repro.sram.cell import build_sram_cell

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compute_welch_psd, fit_one_over_f
+from repro.api import compute_welch_psd, fit_one_over_f
 from repro.core.report import format_table, write_csv
-from repro.devices import MosfetParams, TECH_22NM, TECH_180NM
+from repro.devices.mosfet import MosfetParams
+from repro.devices.technology import TECH_22NM, TECH_180NM
 from repro.devices.ekv import saturation_current
 from repro.markov.analytic import lorentzian_psd, superposed_lorentzian_psd
 from repro.rtn.current import VanDerZielModel
 from repro.rtn.generator import generate_constant_bias_rtn
-from repro.traps import TrapProfiler, propensity_sum, rates_from_bias
+from repro.traps.profiling import TrapProfiler
+from repro.traps.propensity import propensity_sum, rates_from_bias
 
 N_DEVICES = 25
 FREQ = np.logspace(1.0, 7.0, 120)

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import (
-    compute_autocovariance,
-    compute_welch_psd,
-    fit_lorentzian,
-)
+from repro.api import compute_autocovariance, compute_welch_psd, fit_lorentzian
 from repro.core.report import format_table, write_csv
-from repro.devices import MosfetParams, TECH_90NM, transconductance
-from repro.devices.ekv import saturation_current
+from repro.devices.ekv import saturation_current, transconductance
+from repro.devices.mosfet import MosfetParams
 from repro.devices.noise import thermal_noise_psd
+from repro.devices.technology import TECH_90NM
 from repro.markov.analytic import (
     lorentzian_corner_frequency,
     lorentzian_psd,
@@ -35,7 +32,9 @@ from repro.markov.analytic import (
 )
 from repro.rtn.current import VanDerZielModel
 from repro.rtn.generator import generate_constant_bias_rtn
-from repro.traps import Trap, crossing_energy, propensity_sum, rates_from_bias
+from repro.traps.band import crossing_energy
+from repro.traps.propensity import rates_from_bias
+from repro.traps.trap import Trap
 
 TECH = TECH_90NM
 DEVICE = MosfetParams.nominal(TECH, "n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import run_methodology
+from repro.core.methodology import run_methodology
 from repro.core.experiments import (
     fig8_cell_spec,
     fig8_config,

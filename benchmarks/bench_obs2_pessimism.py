@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import compute_welch_psd
+from repro.api import compute_welch_psd
 from repro.core.report import format_table, write_csv
 from repro.devices.technology import TECH_90NM
 from repro.markov.analytic import lorentzian_psd

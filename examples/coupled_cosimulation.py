@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import run_methodology
-from repro.core import run_coupled
+from repro.core.coupled import run_coupled
 from repro.core.experiments import fig8_cell_spec, fig8_config, fig8_pattern
 from repro.core.report import format_table
 from repro.markov.occupancy import number_filled

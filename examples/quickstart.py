@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compute_dwell_summary
 from repro.core.report import format_table, sparkline
-from repro.devices import MosfetParams, TECH_90NM, drain_current
-from repro.markov import stationary_occupancy
-from repro.api import Trap, generate_device_rtn
-from repro.traps import crossing_energy, rates_from_bias
+from repro.devices.ekv import drain_current
+from repro.devices.mosfet import MosfetParams
+from repro.devices.technology import TECH_90NM
+from repro.markov.analytic import stationary_occupancy
+from repro.api import Trap, compute_dwell_summary, generate_device_rtn
+from repro.traps.band import crossing_energy
+from repro.traps.propensity import rates_from_bias
 
 rng = np.random.default_rng(2011)
 tech = TECH_90NM

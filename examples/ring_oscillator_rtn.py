@@ -18,15 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.report import format_table, sparkline
-from repro.devices import TECH_90NM
-from repro.oscillators import (
+from repro.devices.technology import TECH_90NM
+from repro.oscillators.ring import (
     build_ring_oscillator,
     measure_periods,
     run_ring_with_rtn,
 )
 from repro.spice.transient import TransientOptions, simulate_transient
 from repro.api import Trap
-from repro.traps import crossing_energy
+from repro.traps.band import crossing_energy
 from repro.traps.propensity import propensity_sum
 
 RTN_SCALE = 150.0  # accelerated, as in the paper's Fig. 8 (x30 there)

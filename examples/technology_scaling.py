@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import fit_one_over_f
 from repro.core.report import format_table
-from repro.devices import MosfetParams, TECH_22NM, TECH_180NM
 from repro.devices.ekv import saturation_current
+from repro.devices.mosfet import MosfetParams
+from repro.devices.technology import TECH_22NM, TECH_180NM
 from repro.markov.analytic import superposed_lorentzian_psd
 from repro.rtn.current import VanDerZielModel
-from repro.api import TrapProfiler
-from repro.traps import rates_from_bias
+from repro.api import TrapProfiler, fit_one_over_f
+from repro.traps.propensity import rates_from_bias
 
 rng = np.random.default_rng(42)
 freq = np.logspace(1.0, 7.0, 120)

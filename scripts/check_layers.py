@@ -2,7 +2,8 @@
 """Lint: one parallel executor, one co-simulation loop, one injection home,
 one MNA assembly, one checkpoint writer, one rate table per population,
 no caller of the propensity-table cache, one place that materialises
-occupancy traces, no per-trap objects in sampled populations.
+occupancy traces, no per-trap objects in sampled populations, no
+re-exports from package ``__init__``s.
 
 Usage::
 
@@ -33,9 +34,9 @@ Exemptions cover ``multiprocessing`` only and carry their rationale:
 
 The same holds for RTN/circuit co-simulation: a transient ``pre_step``
 hook is how traps are coupled to a live circuit, and
-``cosim/engine.py`` (:func:`repro.cosim.run_trap_coupled`) is the one
-loop that does it.  A call passing ``pre_step=`` anywhere else is a
-second co-simulation loop and fails the check; circuit-specific
+``cosim/engine.py`` (:func:`repro.cosim.engine.run_trap_coupled`) is
+the one loop that does it.  A call passing ``pre_step=`` anywhere else
+is a second co-simulation loop and fails the check; circuit-specific
 co-simulators are adapters over the engine.
 
 Likewise for the Fig.-8 injected SPICE pass: ``core/methodology.py``
@@ -96,6 +97,15 @@ built only when a caller indexes or iterates a population.  A
 a per-trap object layer back on the sampling or screening path and
 fails the check; return or concatenate ``TrapPopulation`` columns
 instead.
+
+And for the public surface: :mod:`repro.api` is the one facade, and a
+package ``__init__.py`` holds only its docstring, the package guide.
+An import statement in any package ``__init__.py`` other than the
+root's (which binds ``api``, ``constants`` and ``errors``) and
+``obs/__init__.py`` (the instrumentation module itself) is a second
+way in beside the facade, and it loads every submodule it names
+whenever any one of them is imported; it fails the check.  Import from
+the defining submodule or from ``repro.api`` instead.
 """
 
 from __future__ import annotations
@@ -138,6 +148,9 @@ TRACE_HOME = "markov/occupancy.py"
 #: Paths (relative to src/repro; a trailing ``/`` is a package) that
 #: may not construct a ``Trap``: sampled populations are columns.
 TRAP_FREE = ("traps/profiling.py", "core/")
+
+#: The package ``__init__``s that may import (paths relative to src/repro).
+IMPORTING_INITS = ("__init__.py", "obs/__init__.py")
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
@@ -189,6 +202,13 @@ def calls_to(path: Path, name: str) -> list:
             if isinstance(node, ast.Call)
             and getattr(node.func, "id",
                         getattr(node.func, "attr", None)) == name]
+
+
+def import_lines(path: Path) -> list:
+    """Lines of every import statement anywhere in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def _absolute(relative: str, node: ast.ImportFrom) -> str:
@@ -283,6 +303,12 @@ def main(argv: list) -> int:
                     path, line, "constructs Trap — sampled populations "
                     "are columns; build or concatenate a TrapPopulation "
                     "instead"))
+        if path.name == "__init__.py" and relative not in IMPORTING_INITS:
+            for line in import_lines(path):
+                violations.append((
+                    path, line, "imports in a package __init__ — it "
+                    "holds only the package guide; import from the "
+                    "defining submodule or repro.api instead"))
         if not relative.startswith("spice/"):
             for line, name in private_spice_imports(path, relative):
                 violations.append((

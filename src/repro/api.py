@@ -3,7 +3,9 @@
 ``from repro.api import ...`` is the documented way into the library:
 everything here is covered by the statistical-equivalence and surface
 tests and is kept stable across refactors, whereas deep submodule paths
-(``repro.markov.uniformization`` etc.) may move.
+(``repro.markov.uniformization`` etc.) may move.  Package ``__init__``s
+re-export nothing: every other name is imported from the submodule
+that defines it.
 
 Imports are lazy (PEP 562): touching one name does not pull in the
 SPICE engine, scipy-heavy trap physics or the SRAM stack until that
@@ -38,8 +40,7 @@ Resilience (fault-tolerant execution)
 Execution engine (pluggable backends, see ``docs/performance.md``)
     :class:`ExecutionBackend`, :class:`SharedMemoryBackend`,
     :func:`get_backend`, :func:`available_backends`,
-    :func:`register_backend`, :class:`PropensityTableCache`,
-    :func:`propensity_cache`
+    :func:`register_backend`
 Observability (tracing / metrics / telemetry)
     :class:`Tracer`, :class:`Metrics`, :func:`enable_tracing`,
     :func:`profiled`, :class:`RunTelemetry`, :func:`load_telemetry`,
@@ -107,8 +108,6 @@ _EXPORTS = {
     "get_backend": "repro.core.engine:get_backend",
     "available_backends": "repro.core.engine:available_backends",
     "register_backend": "repro.core.engine:register_backend",
-    "PropensityTableCache": "repro.core.engine:PropensityTableCache",
-    "propensity_cache": "repro.core.engine:propensity_cache",
     # Observability.
     "Tracer": "repro.obs.tracer:Tracer",
     "Metrics": "repro.obs.metrics:Metrics",
@@ -119,24 +118,23 @@ _EXPORTS = {
     "telemetry_report": "repro.obs.telemetry:telemetry_report",
     "validate_chrome_trace": "repro.obs.tracer:validate_chrome_trace",
     # Analysis.
-    "compute_autocorrelation":
-        "repro.analysis:compute_autocorrelation",
-    "compute_autocovariance": "repro.analysis:compute_autocovariance",
-    "compute_welch_psd": "repro.analysis:compute_welch_psd",
-    "compute_periodogram_psd": "repro.analysis:compute_periodogram_psd",
+    "compute_autocorrelation": "repro.analysis.autocorr:autocorrelation",
+    "compute_autocovariance": "repro.analysis.autocorr:autocovariance",
+    "compute_welch_psd": "repro.analysis.psd:welch_psd",
+    "compute_periodogram_psd": "repro.analysis.psd:periodogram_psd",
     "compute_psd_from_autocovariance":
-        "repro.analysis:compute_psd_from_autocovariance",
-    "compute_dwell_summary": "repro.analysis:compute_dwell_summary",
+        "repro.analysis.psd:psd_from_autocovariance",
+    "compute_dwell_summary": "repro.analysis.dwell:summarise_dwells",
     "compute_dwell_exponentiality":
-        "repro.analysis:compute_dwell_exponentiality",
-    "fit_lorentzian": "repro.analysis:fit_lorentzian",
-    "fit_one_over_f": "repro.analysis:fit_one_over_f",
+        "repro.analysis.dwell:exponentiality_pvalue",
+    "fit_lorentzian": "repro.analysis.fitting:fit_lorentzian",
+    "fit_one_over_f": "repro.analysis.fitting:fit_one_over_f",
     # Verification.
-    "run_verification": "repro.verify:run_suite",
-    "VerificationReport": "repro.verify:VerificationReport",
-    "CheckResult": "repro.verify:CheckResult",
-    "AlphaBudget": "repro.verify:AlphaBudget",
-    "CaseGenerator": "repro.verify:CaseGenerator",
+    "run_verification": "repro.verify.suite:run_suite",
+    "VerificationReport": "repro.verify.result:VerificationReport",
+    "CheckResult": "repro.verify.result:CheckResult",
+    "AlphaBudget": "repro.verify.harness:AlphaBudget",
+    "CaseGenerator": "repro.verify.harness:CaseGenerator",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -88,7 +88,7 @@ def _cmd_cards(args) -> int:
 
 
 def _cmd_fig8(args) -> int:
-    from .core import run_methodology
+    from .core.methodology import run_methodology
     from .core.experiments import fig8_cell_spec, fig8_config, fig8_pattern
     rng = np.random.default_rng(args.seed)
     result = run_methodology(fig8_pattern(), rng, spec=fig8_cell_spec(),
@@ -310,7 +310,8 @@ def _cmd_retention(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import compare_golden, load_golden, run_suite
+    from .verify.golden import compare_golden, load_golden
+    from .verify.suite import run_suite
 
     report = run_suite(seed=args.seed, statistical=args.statistical,
                        alpha_total=args.alpha)

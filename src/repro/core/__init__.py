@@ -14,38 +14,3 @@
 - :mod:`repro.core.report` — ASCII tables and CSV emission for the
   benchmark harness.
 """
-
-from .coupled import CoupledResult, run_coupled
-from .ensemble import (
-    CellEnsembleOutcome,
-    EnsembleConfig,
-    EnsembleResult,
-    EnsembleRunner,
-)
-from .experiments import (
-    FIG8_BITS,
-    FIG8_RTN_SCALE,
-    fig8_cell_spec,
-    fig8_config,
-    fig8_pattern,
-)
-from .methodology import MethodologyConfig, MethodologyResult, run_methodology
-from .samurai import Samurai
-
-__all__ = [
-    "CellEnsembleOutcome",
-    "CoupledResult",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "EnsembleRunner",
-    "FIG8_BITS",
-    "FIG8_RTN_SCALE",
-    "MethodologyConfig",
-    "MethodologyResult",
-    "Samurai",
-    "fig8_cell_spec",
-    "fig8_config",
-    "fig8_pattern",
-    "run_coupled",
-    "run_methodology",
-]

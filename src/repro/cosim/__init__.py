@@ -7,11 +7,3 @@ feeds back as an opposing current source.  :mod:`repro.core.coupled`
 (the 6T cell) and :mod:`repro.oscillators.ring` (the ring oscillator)
 are adapters over it.
 """
-
-from .engine import TrapAttachment, TrapCoupledResult, run_trap_coupled
-
-__all__ = [
-    "TrapAttachment",
-    "TrapCoupledResult",
-    "run_trap_coupled",
-]

@@ -14,38 +14,3 @@ We substitute a from-scratch but self-consistent stack:
 - :mod:`repro.devices.noise` — thermal-noise spectral density and
   inversion carrier density (the ``N`` of paper Eq. 3).
 """
-
-from .ekv import (
-    drain_current,
-    drain_current_derivatives,
-    inversion_charge_density,
-    transconductance,
-)
-from .mosfet import MosfetParams
-from .noise import carrier_number_density, thermal_noise_psd
-from .technology import (
-    TECH_22NM,
-    TECH_45NM,
-    TECH_90NM,
-    TECH_180NM,
-    TECHNOLOGIES,
-    Technology,
-    get_technology,
-)
-
-__all__ = [
-    "MosfetParams",
-    "TECH_180NM",
-    "TECH_22NM",
-    "TECH_45NM",
-    "TECH_90NM",
-    "TECHNOLOGIES",
-    "Technology",
-    "carrier_number_density",
-    "drain_current",
-    "drain_current_derivatives",
-    "get_technology",
-    "inversion_charge_density",
-    "thermal_noise_psd",
-    "transconductance",
-]

@@ -8,23 +8,3 @@ Restle [22] / Umeda [23]).  Because the defect toggles slowly compared
 to a retention interval, repeated retention measurements of the *same*
 cell jump between two discrete values — the VRT signature.
 """
-
-from .cell import (
-    DramCellSpec,
-    RetentionModel,
-    RetentionResult,
-    RetentionScanConfig,
-    default_vrt_cell,
-    retention_distribution,
-    simulate_retention,
-)
-
-__all__ = [
-    "DramCellSpec",
-    "RetentionModel",
-    "RetentionResult",
-    "RetentionScanConfig",
-    "default_vrt_cell",
-    "retention_distribution",
-    "simulate_retention",
-]

@@ -20,55 +20,3 @@ This package implements the computational core of SAMURAI (paper §III):
 - :mod:`repro.markov.analytic` — closed-form occupancy probabilities,
   stationary autocorrelation and Lorentzian spectral densities.
 """
-
-from .analytic import (
-    lorentzian_psd,
-    occupancy_probability,
-    occupancy_probability_constant,
-    stationary_autocorrelation,
-    stationary_autocovariance,
-    stationary_occupancy,
-)
-from .batch import (
-    BatchPropensity,
-    BatchUniformizationStats,
-    simulate_traps_batch,
-    simulate_traps_scalar,
-)
-from .gillespie import simulate_constant
-from .occupancy import OccupancyTrace, PopulationOccupancy, number_filled
-from .piecewise import simulate_piecewise
-from .propensity import (
-    CallableTwoStatePropensity,
-    ConstantTwoStatePropensity,
-    SampledTwoStatePropensity,
-    TwoStatePropensity,
-    make_propensity,
-)
-from .uniformization import UniformizationStats, simulate_trap, simulate_trap_detailed
-
-__all__ = [
-    "BatchPropensity",
-    "BatchUniformizationStats",
-    "CallableTwoStatePropensity",
-    "ConstantTwoStatePropensity",
-    "OccupancyTrace",
-    "PopulationOccupancy",
-    "SampledTwoStatePropensity",
-    "TwoStatePropensity",
-    "UniformizationStats",
-    "lorentzian_psd",
-    "make_propensity",
-    "number_filled",
-    "occupancy_probability",
-    "occupancy_probability_constant",
-    "simulate_constant",
-    "simulate_piecewise",
-    "simulate_trap",
-    "simulate_trap_detailed",
-    "simulate_traps_batch",
-    "simulate_traps_scalar",
-    "stationary_autocorrelation",
-    "stationary_autocovariance",
-    "stationary_occupancy",
-]

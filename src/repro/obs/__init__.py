@@ -40,34 +40,26 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import clock
-from .metrics import Counter, Gauge, Histogram, Metrics
+from .metrics import Metrics
 from .profile import profiled
-from .telemetry import RunTelemetry, load_telemetry, telemetry_report
-from .tracer import NULL_SPAN, Span, SpanRecord, Tracer, validate_chrome_trace
+from .tracer import NULL_SPAN, Tracer, validate_chrome_trace
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Metrics",
-    "RunTelemetry",
-    "Span",
-    "SpanRecord",
     "Tracer",
     "clock",
+    "complete_span",
     "disable",
     "enable",
     "enable_tracing",
     "enabled",
     "inc",
     "instant",
-    "load_telemetry",
     "metrics",
     "observe",
     "profiled",
     "set_gauge",
     "span",
-    "telemetry_report",
     "tracer",
     "validate_chrome_trace",
 ]

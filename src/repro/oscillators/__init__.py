@@ -8,33 +8,3 @@ co-simulate a trap population against the live node voltages (the
 oscillator's bias is never stationary, so the coupled treatment is the
 only honest one) and measure the per-cycle period jitter RTN induces.
 """
-
-from .pll import PllSpec, pull_out_frequency, simulate_pll_with_rtn
-from .ring import (
-    RingOscillator,
-    build_ring_oscillator,
-    measure_periods,
-    run_ring_with_rtn,
-)
-from .sweeps import (
-    PllPulloutSweepConfig,
-    RingPeriodSweepConfig,
-    RingSweepPoint,
-    pll_pullout_sweep,
-    ring_period_sweep,
-)
-
-__all__ = [
-    "PllPulloutSweepConfig",
-    "PllSpec",
-    "RingOscillator",
-    "RingPeriodSweepConfig",
-    "RingSweepPoint",
-    "build_ring_oscillator",
-    "measure_periods",
-    "pll_pullout_sweep",
-    "pull_out_frequency",
-    "ring_period_sweep",
-    "run_ring_with_rtn",
-    "simulate_pll_with_rtn",
-]

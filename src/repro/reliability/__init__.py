@@ -12,19 +12,3 @@ fluctuation in operation.
   NBTI mechanism, RTN fluctuation metrics, and the cross-device
   correlation study.
 """
-
-from .nbti import (
-    DeviceReliability,
-    ReliabilityPopulationConfig,
-    nbti_threshold_shift,
-    rtn_fluctuation,
-    sample_reliability_population,
-)
-
-__all__ = [
-    "DeviceReliability",
-    "ReliabilityPopulationConfig",
-    "nbti_threshold_shift",
-    "rtn_fluctuation",
-    "sample_reliability_population",
-]

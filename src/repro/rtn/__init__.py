@@ -11,18 +11,3 @@ Implements paper §II-C and the per-device driver around Algorithm 1:
 - :mod:`repro.rtn.ye_baseline` — the Ye-et-al. [10] white-noise two-stage
   baseline the paper compares against (stationary by construction).
 """
-
-from .current import HungModel, RtnAmplitudeModel, VanDerZielModel
-from .generator import DeviceRtnResult, generate_device_rtn
-from .trace import RTNTrace
-from .ye_baseline import YeBaselineGenerator
-
-__all__ = [
-    "DeviceRtnResult",
-    "HungModel",
-    "RTNTrace",
-    "RtnAmplitudeModel",
-    "VanDerZielModel",
-    "YeBaselineGenerator",
-    "generate_device_rtn",
-]

@@ -19,33 +19,3 @@ Layout:
 - :mod:`repro.spice.transient` — transient analysis.
 - :mod:`repro.spice.waveform` — simulation results container.
 """
-
-from .circuit import Circuit
-from .dcop import dc_operating_point
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Mosfet,
-    Resistor,
-    VoltageSource,
-)
-from .sources import DC, PULSE, PWL, SIN
-from .transient import TransientOptions, simulate_transient
-from .waveform import Waveform
-
-__all__ = [
-    "Capacitor",
-    "Circuit",
-    "CurrentSource",
-    "DC",
-    "Mosfet",
-    "PULSE",
-    "PWL",
-    "Resistor",
-    "SIN",
-    "TransientOptions",
-    "VoltageSource",
-    "Waveform",
-    "dc_operating_point",
-    "simulate_transient",
-]

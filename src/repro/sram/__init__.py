@@ -17,32 +17,3 @@ Implements the circuit side of the paper's methodology (Fig. 8):
 - :mod:`repro.sram.array` — Monte-Carlo array bit-error statistics
   (paper future-work #3).
 """
-
-from .array import ArrayConfig, ArrayResult
-from .biases import BiasRecord, extract_biases
-from .cell import SramCell, SramCellSpec, TRANSISTOR_NAMES, build_sram_cell
-from .detectors import OpOutcome, OpResult, classify_operations
-from .injection import attach_rtn_sources
-from .margins import static_noise_margin, wordline_write_margin
-from .patterns import Operation, PatternWaveforms, TestPattern, write_pattern
-
-__all__ = [
-    "ArrayConfig",
-    "ArrayResult",
-    "BiasRecord",
-    "Operation",
-    "OpOutcome",
-    "OpResult",
-    "PatternWaveforms",
-    "SramCell",
-    "SramCellSpec",
-    "TRANSISTOR_NAMES",
-    "TestPattern",
-    "attach_rtn_sources",
-    "build_sram_cell",
-    "classify_operations",
-    "extract_biases",
-    "static_noise_margin",
-    "wordline_write_margin",
-    "write_pattern",
-]

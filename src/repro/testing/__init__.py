@@ -4,7 +4,3 @@
 harness the resilience tests use to prove each recovery path; it is
 stdlib-only and inert unless explicitly armed.
 """
-
-from __future__ import annotations
-
-__all__ = ["faults"]

@@ -15,34 +15,3 @@ Implements paper §II:
   (Poisson trap counts over the gate-stack volume and an energy window),
   sampling each device's traps as a :class:`TrapPopulation`.
 """
-
-from .band import crossing_energy, surface_potential, trap_energy_offset
-from .propensity import (
-    draw_initial_states,
-    equilibrium_occupancy,
-    equilibrium_occupancy_population,
-    log_beta_from_bias,
-    population_propensity,
-    propensity_sum,
-    rates_for_population,
-    rates_from_bias,
-)
-from .profiling import TrapProfiler
-from .trap import Trap, TrapPopulation
-
-__all__ = [
-    "Trap",
-    "TrapPopulation",
-    "TrapProfiler",
-    "crossing_energy",
-    "draw_initial_states",
-    "equilibrium_occupancy",
-    "equilibrium_occupancy_population",
-    "log_beta_from_bias",
-    "population_propensity",
-    "propensity_sum",
-    "rates_for_population",
-    "rates_from_bias",
-    "surface_potential",
-    "trap_energy_offset",
-]

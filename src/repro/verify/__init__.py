@@ -27,68 +27,3 @@ bend the physics:
 See ``docs/verification.md`` for the oracle catalogue and the
 tolerance/alpha budgeting rules.
 """
-
-from __future__ import annotations
-
-from .golden import (
-    compare_golden,
-    compute_golden_statistics,
-    load_golden,
-    save_golden,
-)
-from .harness import (
-    AlphaBudget,
-    Case,
-    CaseGenerator,
-    PropertyOutcome,
-    run_property,
-    shrink_case,
-)
-from .oracles import (
-    check_batch_scalar_equivalence,
-    check_dwell_times,
-    check_propensity_sum_invariant,
-    check_retention_law,
-    check_stationary_occupancy,
-    check_transient_occupancy,
-    pooled_dwell_times,
-    retention_probability,
-    sample_stationary_population,
-)
-from .result import CheckResult, VerificationReport
-from .spice_checks import (
-    check_dcop_kcl,
-    check_sram_bistability,
-    check_transient_charge_conservation,
-    check_transient_rc_analytic,
-)
-from .suite import run_suite
-
-__all__ = [
-    "AlphaBudget",
-    "Case",
-    "CaseGenerator",
-    "CheckResult",
-    "PropertyOutcome",
-    "VerificationReport",
-    "check_batch_scalar_equivalence",
-    "check_dcop_kcl",
-    "check_dwell_times",
-    "check_propensity_sum_invariant",
-    "check_retention_law",
-    "check_sram_bistability",
-    "check_stationary_occupancy",
-    "check_transient_charge_conservation",
-    "check_transient_occupancy",
-    "check_transient_rc_analytic",
-    "compare_golden",
-    "compute_golden_statistics",
-    "load_golden",
-    "pooled_dwell_times",
-    "retention_probability",
-    "run_property",
-    "run_suite",
-    "sample_stationary_population",
-    "save_golden",
-    "shrink_case",
-]

@@ -120,7 +120,7 @@ def coupled_digest(result) -> str:
 class TestSeedCompatibility:
     def test_seeded_output_is_pinned(self):
         """Any change to the RNG order of the shared co-simulation loop
-        (:func:`repro.cosim.run_trap_coupled`) changes this digest; a
+        (:func:`repro.cosim.engine.run_trap_coupled`) changes this digest; a
         deliberate change must re-pin it with a seed-compat note."""
         traps = {name: [fast_trap(0.45), fast_trap(0.55)]
                  for name in TRANSISTOR_NAMES}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import run_methodology
+from repro.core.methodology import run_methodology
 from repro.core.experiments import (
     FIG8_BITS,
     FIG8_RTN_SCALE,

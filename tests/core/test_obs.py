@@ -3,7 +3,7 @@ redesigned diagnostics surface it feeds.
 
 Covers span nesting and the Chrome ``trace_event`` round-trip, metrics
 merging across forked worker processes, the disabled-mode no-op
-contract, the ``compute_*`` estimator names in ``repro.analysis``,
+contract, the ``compute_*`` estimator names in ``repro.api``,
 the Newton success-path observability record, and the :class:`RunTelemetry` serialisation
 contract.
 """
@@ -364,11 +364,18 @@ class TestRunTelemetry:
 
     def test_analysis_old_names_are_gone(self):
         import repro.analysis as analysis
+        from repro import api
+        from repro.analysis import dwell, psd
 
-        assert analysis.compute_welch_psd is not None
-        for name in ("welch_psd", "summarise_dwells", "does_not_exist"):
+        assert api.compute_welch_psd is psd.welch_psd is not None
+        assert api.compute_dwell_summary is dwell.summarise_dwells
+        for module, name in ((psd, "compute_welch_psd"),
+                             (dwell, "compute_dwell_summary"),
+                             (analysis, "welch_psd"),
+                             (analysis, "summarise_dwells"),
+                             (analysis, "does_not_exist")):
             with pytest.raises(AttributeError):
-                getattr(analysis, name)
+                getattr(module, name)
 
     def test_api_exports_observability_surface(self):
         from repro import api

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cosim import TrapAttachment, run_trap_coupled
+from repro.cosim.engine import TrapAttachment, run_trap_coupled
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError

@@ -60,6 +60,26 @@ class TestLaziness:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_entry_points_load_only_what_they_run(self):
+        # Package __init__s re-export nothing, so the CLI skips the SciPy
+        # modules only oracles and baselines use, and the ensemble
+        # skips the packages it never calls.
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "for name in ('scipy.signal', 'scipy.stats', 'scipy.integrate',\n"
+            "             'scipy.optimize'):\n"
+            "    assert name not in sys.modules, name\n"
+            "import repro.api\n"
+            "repro.api.EnsembleRunner\n"
+            "for name in ('repro.rtn.ye_baseline', 'repro.markov.analytic',\n"
+            "             'repro.analysis', 'repro.verify', 'repro.cosim'):\n"
+            "    assert name not in sys.modules, name\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_access_caches_in_module_globals(self):
         api.__dict__.pop("OccupancyTrace", None)
         first = api.OccupancyTrace

@@ -4,7 +4,8 @@ source injection inside ``repro.core.methodology``, the SPICE package's
 private names inside ``repro.spice``, checkpoint writing inside
 ``repro.core.scenario``, per-trap propensity construction inside
 ``repro.markov``, trace materialisation inside
-``repro.markov.occupancy`` and per-trap objects off the sampling path.
+``repro.markov.occupancy``, per-trap objects off the sampling path and
+imports out of package ``__init__``s (``repro.api`` is the one facade).
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -212,6 +213,29 @@ def test_checker_flags_trap_objects_on_the_sampling_path(tmp_path, capsys):
     assert "profiling.py:1" not in err  # importing the class is fine
     assert "trap.py" not in err  # the population builds Traps on access
     assert "cell.py" not in err  # a single hand-placed trap is fine
+
+
+def test_checker_flags_imports_in_package_inits(tmp_path, capsys):
+    checker = _load_checker()
+    for package in ("obs", "core", "traps"):
+        (tmp_path / package).mkdir()
+    (tmp_path / "__init__.py").write_text(
+        '"""Root."""\nfrom . import api, constants, errors\n')
+    (tmp_path / "obs" / "__init__.py").write_text(
+        '"""Instruments."""\nfrom .tracer import Tracer\n')
+    (tmp_path / "core" / "__init__.py").write_text(
+        '"""Engine guide."""\n\nfrom .ensemble import EnsembleRunner\n')
+    (tmp_path / "core" / "ensemble.py").write_text(
+        "from ..traps.trap import TrapPopulation\n")
+    (tmp_path / "traps" / "__init__.py").write_text(
+        '"""Trap guide."""\n\n\ndef helper():\n    import numpy\n')
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "core/__init__.py:3" in err and "traps/__init__.py:5" in err
+    assert "package __init__" in err
+    assert "ensemble.py" not in err  # submodules import freely
+    assert "obs/__init__.py" not in err  # the instrumentation module
+    assert f"{tmp_path}/__init__.py" not in err  # the root binds api
 
 
 def test_checker_catches_smuggled_futures(tmp_path):

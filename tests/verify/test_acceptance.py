@@ -22,9 +22,9 @@ import pytest
 from repro.core.scenario import get_scenario, run_scenario
 from repro.dram.cell import RetentionModel
 from repro.testing.faults import inject_faults
-from repro.verify import run_suite
 from repro.verify.harness import AlphaBudget
 from repro.verify.oracles import check_retention_law
+from repro.verify.suite import run_suite
 
 pytestmark = pytest.mark.tier2
 

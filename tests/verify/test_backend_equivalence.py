@@ -10,7 +10,7 @@ Two layers of evidence, per the engine's contract:
 2. **Statistical law.**  The PR-5 oracles (stationary occupancy, dwell
    laws, batch/scalar Welch equivalence) must pass on trap populations
    simulated *inside shared-memory workers*, under one family-wise
-   :class:`~repro.verify.AlphaBudget`.
+   :class:`~repro.verify.harness.AlphaBudget`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import pytest
 
 from repro.core.engine import get_backend
 from repro.core.resilience import RetryPolicy
-from repro.verify import (
-    AlphaBudget,
+from repro.verify.harness import AlphaBudget
+from repro.verify.oracles import (
     check_batch_scalar_equivalence,
     check_dwell_times,
     check_stationary_occupancy,

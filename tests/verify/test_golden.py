@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from repro.errors import AnalysisError
-from repro.verify import (
+from repro.verify.golden import (
+    DEFAULT_SEED,
+    GOLDEN_SCHEMA,
     compare_golden,
     compute_golden_statistics,
     load_golden,
     save_golden,
 )
-from repro.verify.golden import DEFAULT_SEED, GOLDEN_SCHEMA
 
 pytestmark = pytest.mark.tier1
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.verify import (
+from repro.verify.harness import (
     AlphaBudget,
     Case,
     CaseGenerator,
-    CheckResult,
     run_property,
     shrink_case,
 )
+from repro.verify.result import CheckResult
 
 pytestmark = pytest.mark.tier1
 

@@ -11,7 +11,7 @@ from repro.errors import AnalysisError
 from repro.markov.batch import BatchPropensity, simulate_traps_batch
 from repro.testing.seeding import derive_rng
 from repro.traps.trap import Trap
-from repro.verify import (
+from repro.verify.oracles import (
     check_batch_scalar_equivalence,
     check_dwell_times,
     check_propensity_sum_invariant,

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import AnalysisError
-from repro.verify import CheckResult, VerificationReport
+from repro.verify.result import CheckResult, VerificationReport
 
 pytestmark = pytest.mark.tier1
 

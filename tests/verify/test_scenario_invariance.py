@@ -11,7 +11,7 @@ migrated workload to it:
 2. **Statistical reducers.**  The reduced distributions of the two
    statistical workloads (DRAM retention times, NBTI/RTN device
    metrics) must agree across backends under one family-wise
-   :class:`~repro.verify.AlphaBudget` — the law-level restatement of
+   :class:`~repro.verify.harness.AlphaBudget` — the law-level restatement of
    the same contract, which survives even if a future change trades
    exact identity for a documented reseed.
 3. **Checkpoint -> kill -> resume.**  A non-SRAM scenario interrupted
@@ -28,7 +28,7 @@ from scipy import stats
 import repro.core.scenario as scenario_module
 from repro import obs
 from repro.core.scenario import run_scenario
-from repro.verify import AlphaBudget
+from repro.verify.harness import AlphaBudget
 
 pytestmark = pytest.mark.tier2
 

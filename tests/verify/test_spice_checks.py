@@ -6,7 +6,7 @@ import pytest
 
 from repro.devices.technology import TECH_45NM, TECH_90NM
 from repro.sram.cell import SramCellSpec, build_sram_cell
-from repro.verify import (
+from repro.verify.spice_checks import (
     check_dcop_kcl,
     check_sram_bistability,
     check_transient_charge_conservation,

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.verify import run_suite
+from repro.verify.suite import run_suite
 
 pytestmark = pytest.mark.tier1
 
