@@ -3,7 +3,7 @@
 one MNA assembly, one checkpoint writer, one rate table per population,
 no caller of the propensity-table cache, one place that materialises
 occupancy traces, no per-trap objects in sampled populations, no
-re-exports from package ``__init__``s.
+re-exports from package ``__init__``s, no private NumPy/SciPy API.
 
 Usage::
 
@@ -106,6 +106,15 @@ root's (which binds ``api``, ``constants`` and ``errors``) and
 way in beside the facade, and it loads every submodule it names
 whenever any one of them is imported; it fails the check.  Import from
 the defining submodule or from ``repro.api`` instead.
+
+And for NumPy and SciPy: the SPICE engine's seeded waveforms are
+bit-identical to its scalar reference through public calls such as
+``np.linalg.solve``, and only the public API keeps that contract
+portable across builds and versions.  A private module or name of
+either (any dotted part starting with ``_`` that is not a dunder, such
+as ``numpy.linalg._umath_linalg``), imported or reached as an attribute of
+an imported NumPy/SciPy name, fails the check anywhere under
+``src/repro/``; use the public function instead.
 """
 
 from __future__ import annotations
@@ -154,6 +163,9 @@ IMPORTING_INITS = ("__init__.py", "obs/__init__.py")
 
 #: The package whose private names no module outside it may import.
 SPICE_PACKAGE = "repro.spice"
+
+#: Third-party packages whose private modules and names no module may use.
+FOREIGN_PACKAGES = ("numpy", "scipy")
 
 
 def _banned(module: str | None) -> str | None:
@@ -220,12 +232,22 @@ def _absolute(relative: str, node: ast.ImportFrom) -> str:
     return ".".join(base + ([node.module] if node.module else []))
 
 
+def _private_part(part: str) -> bool:
+    """``_name`` is private; a dunder (``__version__``) is not."""
+    return part.startswith("_") and not (
+        part.startswith("__") and part.endswith("__"))
+
+
 def _private(dotted: str) -> bool:
-    return any(part.startswith("_") for part in dotted.split("."))
+    return any(_private_part(part) for part in dotted.split("."))
 
 
-def private_spice_imports(path: Path, relative: str) -> list:
-    """(line, name) pairs importing a private name of ``repro.spice``."""
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def private_imports(path: Path, relative: str, packages: tuple) -> list:
+    """(line, name) pairs importing a private name of one of ``packages``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     hits = []
     for node in ast.walk(tree):
@@ -237,11 +259,49 @@ def private_spice_imports(path: Path, relative: str) -> list:
         else:
             continue
         for name in names:
-            if (name == SPICE_PACKAGE
-                    or name.startswith(SPICE_PACKAGE + ".")) \
+            if any(_within(name, package) for package in packages) \
                     and _private(name):
                 hits.append((node.lineno, name))
     return hits
+
+
+def private_attributes(path: Path, packages: tuple) -> list:
+    """(line, name) pairs reaching a private attribute of a name bound
+    by an import of one of ``packages`` (``np._core``, ``linalg._x``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import numpy.linalg` binds `numpy`.
+                local = alias.asname or alias.name.split(".")[0]
+                bound[local] = alias.name if alias.asname \
+                    else alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    bound = {local: name for local, name in bound.items()
+             if any(_within(name, package) for package in packages)}
+    hits = []
+    for node in ast.walk(tree):
+        parts = []
+        target = node
+        while isinstance(target, ast.Attribute):
+            parts.append(target.attr)
+            target = target.value
+        if (isinstance(node, ast.Attribute) and isinstance(target, ast.Name)
+                and target.id in bound
+                and any(_private_part(part) for part in parts)):
+            hits.append((node.lineno,
+                         ".".join([bound[target.id], *reversed(parts)])))
+    # An outer attribute and its inner chain are one use: keep the
+    # longest name per line.
+    longest = {}
+    for line, name in hits:
+        if len(name) > len(longest.get(line, "")):
+            longest[line] = name
+    return sorted(longest.items())
 
 
 def main(argv: list) -> int:
@@ -310,11 +370,18 @@ def main(argv: list) -> int:
                     "holds only the package guide; import from the "
                     "defining submodule or repro.api instead"))
         if not relative.startswith("spice/"):
-            for line, name in private_spice_imports(path, relative):
+            for line, name in private_imports(path, relative,
+                                              (SPICE_PACKAGE,)):
                 violations.append((
                     path, line, f"imports private {name} — MNA assembly "
                     "belongs to repro.spice.mna; use a public "
                     "StampProgram assembler instead"))
+        for line, name in private_imports(path, relative, FOREIGN_PACKAGES) \
+                + private_attributes(path, FOREIGN_PACKAGES):
+            violations.append((
+                path, line, f"uses private {name} — only the public "
+                "NumPy/SciPy API keeps bit-identical results portable "
+                "across builds; call the public function instead"))
     for path, line, message in violations:
         print(f"{path}:{line}: {message}", file=sys.stderr)
     print(f"{len(files)} modules checked ({len(EXEMPT)} may import "

@@ -75,29 +75,32 @@ def _core_current(params: MosfetParams, v_gb, v_db, v_sb):
     return i_s * (interpolation_f(x_f) - interpolation_f(x_r))
 
 
-def _f_and_prime(u):
-    """``(F(u), F'(u))`` sharing one softplus evaluation."""
-    half = np.asarray(u, dtype=float) / 2.0
-    sp = _softplus(half)
-    return sp * sp, sp * expit(half)
-
-
 def core_derivatives(vt0, slope, v_t, i_s, v_gb, v_db, v_sb):
     """Return ``(i, di/dv_gb, di/dv_db, di/dv_sb)`` for the NMOS core.
 
     The device constants (see :func:`device_constants`) and the
-    bulk-referenced voltages may be scalars or equal-length arrays; every
-    operation is elementwise, so an array call gives each device the same
-    bits as a scalar call.
+    bulk-referenced voltages may be scalars or arrays that broadcast
+    together; every operation is elementwise, so an array call gives
+    each device the same bits as a scalar call.  The forward and reverse
+    levels ``(x_f, x_r)`` are stacked on a leading axis, so they share
+    one softplus and one sigmoid: ``F = sp^2`` and ``F' = sp * expit``
+    with ``sp = ln(1 + e^{x/2})``.
     """
-    x_f, x_r = _core_levels(vt0, slope, v_t, v_gb, v_db, v_sb)
-    f_f, fp_f = _f_and_prime(x_f)
-    f_r, fp_r = _f_and_prime(x_r)
-    i = i_s * (f_f - f_r)
-    di_dvg = i_s * (fp_f - fp_r) / (slope * v_t)
-    di_dvd = i_s * fp_r / v_t
-    di_dvs = -i_s * fp_f / v_t
-    return i, di_dvg, di_dvd, di_dvs
+    v_p = (np.asarray(v_gb, dtype=float) - vt0) / slope
+    terminals = (v_sb, v_db)
+    if not getattr(v_sb, "shape", None) == getattr(v_db, "shape", None) \
+            == v_p.shape:
+        terminals = np.broadcast_arrays(v_sb, v_db, v_p)[:2]
+    half = (v_p - np.array(terminals, dtype=float)) / v_t / 2.0
+    sp = _softplus(half)
+    f = sp * sp
+    fp = sp * expit(half)
+    i = i_s * (f[0] - f[1])
+    di_dvg = i_s * (fp[0] - fp[1]) / (slope * v_t)
+    # -(i_s F'_f / v_t) has the bits of (-i_s) F'_f / v_t: IEEE products
+    # and quotients are symmetric under negation.
+    di_dv = i_s * fp / v_t
+    return i, di_dvg, di_dv[1], -di_dv[0]
 
 
 def drain_current(params: MosfetParams, v_g, v_d, v_s, v_b=0.0):

@@ -22,6 +22,11 @@ input order starting from 0.0, so every entry receives the same float
 additions, in the same order, as a scalar stamp-by-stamp loop would
 perform — assembly is bit-identical to that loop (the reference kept in
 ``tests/spice/reference_stamps.py``).
+
+The values live in :class:`StampPools`, allocated once and refilled per
+time point.  The stimuli are part of that refill: an assembler either
+calls them at its time point or takes their values from the caller
+(the transient evaluates pure sources once on its whole step grid).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .elements import (
     VoltageSource,
 )
 
-__all__ = ["GMIN_FLOOR", "GROUND", "StampProgram"]
+__all__ = ["GMIN_FLOOR", "GROUND", "StampPools", "StampProgram"]
 
 #: Permanent conductance to ground on every node [S].
 GMIN_FLOOR = 1e-12
@@ -64,9 +69,9 @@ class StampProgram:
     index arrays.
 
     Compile once per analysis call (elements, parameters and branch
-    indices are read here); stimuli are read from the elements each
-    time an assembler is built, because co-simulation hooks and sweeps
-    replace them between solves.
+    indices are read here).  The stimuli are not compiled: co-simulation
+    hooks and sweeps replace them between solves, so they are read from
+    the elements when pools are refilled (:meth:`stimuli`).
 
     The value pools hold, in this order:
 
@@ -131,11 +136,9 @@ class StampProgram:
             self._hi = np.where(nmos, terminals, bulk)
             self._lo = np.where(nmos, bulk, terminals)
             self._jac_cols = np.stack((g, d, s, b))
-            live = self._jac_cols != GROUND
-            # Per Jacobian column: None (every device skips it), True
-            # (none does) or the mask of devices whose column is live.
-            self._live = [None if not row.any() else
-                          True if row.all() else row for row in live]
+            # Ground columns of the equivalent current, zeroed before
+            # the ordered sum (subtracting +0.0 changes no bit).
+            self._ground_cols = self._jac_cols == GROUND
 
         mat_static = 3 + 2 * n_r + 2 * n_c
         rhs_static = n_v + 2 * n_i + 2 * n_c
@@ -189,6 +192,7 @@ class StampProgram:
                           "mosfet")
         self._tables = (self._table(mat, n), self._table(rhs, 0))
         self._programs: dict = {}
+        self._companions: dict = {}
 
     @staticmethod
     def _table(quadruples, row_stride):
@@ -229,10 +233,19 @@ class StampProgram:
         xe = np.concatenate((x, _GROUND_SLOT))
         return xe[self._cap_nodes[0]] - xe[self._cap_nodes[1]]
 
-    def _companion_conductance(self, coeff: IntegrationCoeff) -> np.ndarray:
-        if coeff.method == "be":
-            return self._capacitance / coeff.dt
-        return 2.0 * self._capacitance / coeff.dt
+    def _companion_conductance(self, coeff: IntegrationCoeff) -> tuple:
+        """``(geq, -geq)`` of the capacitors, cached per ``(method, dt)``."""
+        key = (coeff.method, coeff.dt)
+        pair = self._companions.get(key)
+        if pair is None:
+            if coeff.method == "be":
+                geq = self._capacitance / coeff.dt
+            else:
+                geq = 2.0 * self._capacitance / coeff.dt
+            pair = self._companions[key] = (geq, -geq)
+            for values in pair:
+                values.flags.writeable = False
+        return pair
 
     def initial_history(self, x: np.ndarray) -> tuple:
         """Capacitor state ``(v, i)`` at the t=0 solution (UIC: i = 0)."""
@@ -243,21 +256,28 @@ class StampProgram:
         """Capacitor state after an accepted step ending at ``x``."""
         v_prev, i_prev = history
         v_new = self._branch_voltages(x)
-        i_new = self._companion_conductance(coeff) * (v_new - v_prev)
+        i_new = self._companion_conductance(coeff)[0] * (v_new - v_prev)
         if coeff.method != "be":
             i_new = i_new - i_prev
         return v_new, i_new
 
     # -- assemblers -----------------------------------------------------
+    def stimuli(self) -> list:
+        """The independent sources' stimuli in RHS pool order: voltage
+        sources, then current sources, each in netlist order."""
+        return [e.stimulus for e in self._vsources + self._isources]
+
     def dc_assembler(self, t: float = 0.0, gmin: float = GMIN_FLOOR,
                      source_scale: float = 1.0):
         """Newton assembler ``x -> (A, z)`` of the DC system at time ``t``.
 
         Capacitors are open.  Source and non-source entries are summed
         separately and then combined, with the source RHS scaled by
-        ``source_scale`` (the source-stepping homotopy).
+        ``source_scale`` (the source-stepping homotopy).  The assembler
+        owns its pools.
         """
-        return self._assembler(t, None, None, gmin, source_scale, True)
+        return StampPools(self, gmin).assembler(t, None, None, source_scale,
+                                                separate=True)
 
     def transient_assembler(self, t: float, coeff: IntegrationCoeff,
                             history: tuple, source_scale: float = 1.0):
@@ -266,9 +286,9 @@ class StampProgram:
         ``history`` is the capacitor state from :meth:`initial_history`
         or :meth:`advance`.  At ``source_scale`` 1 every entry is one
         ordered sum; otherwise the sources are summed apart and scaled.
+        The assembler owns its pools.
         """
-        return self._assembler(t, coeff, history, GMIN_FLOOR, source_scale,
-                               source_scale != 1.0)
+        return StampPools(self).assembler(t, coeff, history, source_scale)
 
     def _accumulate(self, program, mat_pool, rhs_pool):
         """Sum the pools into ``(A, z)`` in the program's order."""
@@ -279,63 +299,120 @@ class StampProgram:
         return matrix, np.bincount(rhs_target, rhs_pool[rhs_slot],
                                    minlength=n)
 
-    def _assembler(self, t, coeff, history, gmin, source_scale, separate):
-        kinds = _ALL
-        if coeff is None:
-            kinds = kinds - {"capacitor"}
-            geq = ieq = np.zeros(self._capacitance.size)
-        else:
-            v_prev, i_prev = history
-            geq = self._companion_conductance(coeff)
-            ieq = -geq * v_prev
-            if coeff.method != "be":
-                ieq = ieq - i_prev
-        parts = (kinds - _SOURCES, _SOURCES) if separate else (kinds,)
-        programs = [self._program(part) for part in parts]
-        # Stimuli are evaluated once per assembler (one per time point),
-        # not once per Newton iterate.
-        values = [float(e.stimulus(t)) for e in self._vsources]
-        currents = np.array([float(e.stimulus(t)) for e in self._isources])
-        n_m = self._n_mos
-        mat_pool = np.concatenate((
-            [gmin, 1.0, -1.0], self._conductance, -self._conductance,
-            geq, -geq, np.empty(8 * n_m)))
-        rhs_pool = np.concatenate((values, currents, -currents, ieq, -ieq,
-                                   np.empty(2 * n_m)))
-        # MOSFET rows written in place each iterate: J, -J and -I_eq, I_eq.
-        jacobian = mat_pool[self._mat_static:].reshape(8, n_m)
-        equivalent = rhs_pool[self._rhs_static:].reshape(2, n_m)
-
-        def assemble(x: np.ndarray):
-            if n_m:
-                self._mosfet_values(x, jacobian, equivalent)
-            sums = [self._accumulate(program, mat_pool, rhs_pool)
-                    for program in programs]
-            if not separate:
-                return sums[0]
-            (matrix, rhs), (source_matrix, source_rhs) = sums
-            return matrix + source_matrix, rhs + source_scale * source_rhs
-
-        return assemble
-
-    def _mosfet_values(self, x: np.ndarray, jacobian: np.ndarray,
-                       equivalent: np.ndarray) -> None:
-        """Write ``(J, -J)`` and ``(-I_eq, I_eq)`` at ``x`` in place."""
-        xe = np.concatenate((x, _GROUND_SLOT))
+    def _mosfet_values(self, xe: np.ndarray, jacobian: np.ndarray,
+                       equivalent: np.ndarray, terms: np.ndarray) -> None:
+        """Write ``(J, -J)`` and ``(-I_eq, I_eq)`` in place at the
+        ground-padded iterate ``xe`` (``xe[-1]`` is 0.0); ``terms`` is
+        ``(5, n_mos)`` scratch."""
         u = xe[self._hi] - xe[self._lo]
         i_core, dg, dd, ds = core_derivatives(
             self._vt0, self._slope, self._v_t, self._i_spec, u[0], u[1], u[2])
         jacobian[0], jacobian[1], jacobian[2] = dg, dd, ds
         np.negative(dg + dd + ds, out=jacobian[3])
         np.negative(jacobian[:4], out=jacobian[4:])
-        # Equivalent current I - sum_k J_k x_k, ground columns skipped
-        # (not multiplied by zero, which could flip the sign of a zero).
-        current = self._sign * i_core
-        terms = jacobian[:4] * xe[self._jac_cols]
-        for live, term in zip(self._live, terms):
-            if live is True:
-                current = current - term
-            elif live is not None:
-                current = np.where(live, current - term, current)
-        np.negative(current, out=equivalent[0])
-        equivalent[1] = current
+        # Equivalent current I - J_g x_g - J_d x_d - J_s x_s - J_b x_b,
+        # subtracted in that order along axis 0.  A ground column's term
+        # is +0.0, not J * 0.0, whose sign could flip a -0.0 current.
+        np.multiply(self._sign, i_core, out=terms[0])
+        np.multiply(jacobian[:4], xe[self._jac_cols], out=terms[1:])
+        np.putmask(terms[1:], self._ground_cols, 0.0)
+        np.subtract.reduce(terms, axis=0, out=equivalent[1])
+        np.negative(equivalent[1], out=equivalent[0])
+
+
+class StampPools:
+    """The matrix and RHS value pools of a :class:`StampProgram`, plus a
+    ground-padded iterate buffer, allocated once and refilled in place.
+
+    The static entries (``gmin, +1, -1`` and the resistor conductances)
+    are written here, once.  :meth:`assembler` refills the time-point
+    entries (capacitor ``geq``/``ieq`` and the stimuli) and returns an
+    assembler that writes the MOSFET entries at each iterate.
+
+    **Ownership.**  Every assembler built from one pools object reads
+    the same arrays, so it holds the values of the *latest*
+    :meth:`assembler` call.  Whoever builds the pools owns them and
+    must not use an assembler after building one for another time
+    point: :meth:`StampProgram.dc_assembler` and
+    :meth:`StampProgram.transient_assembler` build fresh pools for each
+    assembler they return, and ``simulate_transient`` builds one pools
+    object per run, whose assemblers (the plain solve's, then the
+    recovery ladder's for the same step, which differ only in the source
+    scale) are done with before the next step refills it.
+    """
+
+    def __init__(self, program: StampProgram,
+                 gmin: float = GMIN_FLOOR) -> None:
+        self.program = program
+        n_r = program._conductance.size
+        n_c = program._capacitance.size
+        n_m = program._n_mos
+        n_v, n_i = len(program._vsources), len(program._isources)
+        mat_static, rhs_static = program._mat_static, program._rhs_static
+        self._mat = mat = np.zeros(mat_static + 8 * n_m)
+        mat[:3] = gmin, 1.0, -1.0
+        mat[3:3 + n_r] = program._conductance
+        np.negative(program._conductance, out=mat[3 + n_r:3 + 2 * n_r])
+        self._rhs = rhs = np.zeros(rhs_static + 2 * n_m)
+        self._geq = mat[3 + 2 * n_r:mat_static].reshape(2, n_c)
+        self._stimuli = rhs[:n_v + n_i]
+        self._currents = rhs[n_v:n_v + 2 * n_i].reshape(2, n_i)
+        self._ieq = rhs[n_v + 2 * n_i:rhs_static].reshape(2, n_c)
+        # MOSFET rows written in place each iterate: J, -J and -I_eq, I_eq.
+        self._jacobian = mat[mat_static:].reshape(8, n_m)
+        self._equivalent = rhs[rhs_static:].reshape(2, n_m)
+        self._xe = np.zeros(program.n + 1)
+        self._terms = np.empty((5, n_m))
+
+    def assembler(self, t: float, coeff: IntegrationCoeff | None,
+                  history: tuple | None, source_scale: float = 1.0,
+                  separate: bool | None = None, stimuli=None):
+        """Refill the pools for the time point ``t`` and return its
+        Newton assembler ``x -> (A, z)``.
+
+        ``coeff is None`` assembles the DC system (capacitors open).
+        ``separate`` sums the source entries apart and scales them by
+        ``source_scale``; by default only when the scale is not 1.
+        ``stimuli`` are the source values at ``t`` in
+        :meth:`StampProgram.stimuli` order, when already evaluated;
+        otherwise each stimulus is called at ``t`` now.
+        """
+        program = self.program
+        if separate is None:
+            separate = source_scale != 1.0
+        kinds = _ALL
+        if coeff is None:
+            kinds = kinds - {"capacitor"}
+        else:
+            v_prev, i_prev = history
+            geq, neg_geq = program._companion_conductance(coeff)
+            self._geq[0], self._geq[1] = geq, neg_geq
+            ieq = self._ieq[0]
+            np.multiply(neg_geq, v_prev, out=ieq)
+            if coeff.method != "be":
+                np.subtract(ieq, i_prev, out=ieq)
+            np.negative(ieq, out=self._ieq[1])
+        if stimuli is None:
+            stimuli = [float(stimulus(t)) for stimulus in program.stimuli()]
+        self._stimuli[:] = stimuli
+        np.negative(self._currents[0], out=self._currents[1])
+
+        parts = (kinds - _SOURCES, _SOURCES) if separate else (kinds,)
+        programs = [program._program(part) for part in parts]
+        mat_pool, rhs_pool, xe = self._mat, self._rhs, self._xe
+        jacobian, equivalent = self._jacobian, self._equivalent
+        terms = self._terms
+        n, n_m = program.n, program._n_mos
+        accumulate = program._accumulate
+
+        def assemble(x: np.ndarray):
+            if n_m:
+                xe[:n] = x
+                program._mosfet_values(xe, jacobian, equivalent, terms)
+            if not separate:
+                return accumulate(programs[0], mat_pool, rhs_pool)
+            (matrix, rhs), (source_matrix, source_rhs) = [
+                accumulate(part, mat_pool, rhs_pool) for part in programs]
+            return matrix + source_matrix, rhs + source_scale * source_rhs
+
+        return assemble

@@ -17,6 +17,7 @@ stage that saved the solve.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -261,26 +262,30 @@ def _newton_once(assemble: Callable, x0: np.ndarray,
                    if last_change is not None else ""),
                 iterations=iteration, residual=last_change,
             ) from exc
-        if not np.all(np.isfinite(x_new)):
+        # |x_new|.max() is NaN or inf exactly when x_new is not finite;
+        # it also sets the damping cap and, undamped, the tolerance.
+        magnitude = float(np.abs(x_new).max(initial=0.0))
+        if not math.isfinite(magnitude):
             raise ConvergenceError(
                 f"non-finite solution at Newton iteration {iteration}",
                 iterations=iteration, residual=last_change,
             )
         delta = x_new - x
-        step = np.abs(delta).max(initial=0.0)
+        step = float(np.abs(delta).max(initial=0.0))
         # Damping: clip the per-iteration change, but let the cap scale
         # with the proposed solution's magnitude so circuits living at
         # large absolute voltages (linear networks under big injections)
         # still converge in a handful of iterations.
-        allowed = max(opts.max_step,
-                      0.25 * float(np.abs(x_new).max(initial=0.0)))
+        allowed = max(opts.max_step, 0.25 * magnitude)
         if step > allowed:
             delta *= allowed / step
             x = x + delta
+            last_change = float(np.abs(delta).max(initial=0.0))
+            magnitude = float(np.abs(x).max(initial=0.0))
         else:
             x = x_new
-        last_change = float(np.abs(delta).max(initial=0.0))
-        tolerance = opts.abstol + opts.reltol * np.abs(x).max(initial=0.0)
+            last_change = step
+        tolerance = opts.abstol + opts.reltol * magnitude
         if last_change <= tolerance:
             return x, iteration + 1, last_change
     raise ConvergenceError(

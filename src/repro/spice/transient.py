@@ -10,10 +10,18 @@ seeded from the previous solution.  On Newton failure the step is
 halved (up to a retry budget) and re-attempted; the first few steps use
 backward Euler to damp the UIC start-up transient before switching to
 trapezoidal integration.
+
+Every (sub)step reads its stimuli at its end time.  When no ``pre_step``
+hook is set and every stimulus is a pure :mod:`.sources` type, each is
+called once on the whole nominal step grid (the loop's own time
+accumulation) and a step reads its row; a time off that grid (a halved
+step) calls the stimuli then.  A hooked run, or one with any other
+stimulus (a co-simulation's held value), calls them at every step.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,9 +32,14 @@ from .. import obs
 from ..errors import ConvergenceError, SimulationError
 from .circuit import Circuit
 from .elements import IntegrationCoeff
-from .mna import StampProgram
+from .mna import StampPools, StampProgram
 from .newton import NewtonOptions, NewtonRecovery, solve_newton
+from .sources import DC, PULSE, PWL, SIN
 from .waveform import Waveform
+
+#: Stimulus types that read nothing but their own frozen fields and
+#: whose array call gives every time the bits of a scalar call.
+_PURE_STIMULI = (DC, PULSE, PWL, SIN)
 
 
 @dataclass(frozen=True)
@@ -149,14 +162,20 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
     else:
         x = program.unknown_vector(initial_voltages)
     history = program.initial_history(x)
+    # One set of pools per run, refilled for every (sub)step; each
+    # step's assemblers are done with before the next step's is built.
+    pools = StampPools(program)
+    grid = _StimulusGrid(program, t_stop, dt,
+                         hooked=opts.pre_step is not None)
 
     def assemble_factory(t_new: float, coeff: IntegrationCoeff,
                          source_scale: float = 1.0):
         # Source-stepping homotopy scales only the independent sources'
         # RHS, leaving the nonlinear-device stamps untouched (mirrors the
-        # DC operating-point continuation).
-        return program.transient_assembler(t_new, coeff, history,
-                                           source_scale)
+        # DC operating-point continuation).  A time off the nominal grid
+        # (a halved step) reads the stimuli now.
+        return pools.assembler(t_new, coeff, history, source_scale,
+                               stimuli=grid.get(t_new))
 
     times = [0.0]
     solutions = [x.copy()]
@@ -209,6 +228,40 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         obs.inc("transient.halvings", total_halvings)
 
     return _package_waveform(circuit, times, solutions)
+
+
+class _StimulusGrid:
+    """Stimulus values at the end of every nominal step.
+
+    The times are accumulated as the stepping loop accumulates them, and
+    each stimulus is called once on all of them.  Empty for a hooked run
+    (the hook may swap stimuli between steps) and when a stimulus is not
+    one of :data:`_PURE_STIMULI` (it may hold state that changes during
+    the run, like a co-simulation's held value).
+    """
+
+    def __init__(self, program: StampProgram, t_stop: float, dt: float,
+                 hooked: bool) -> None:
+        self.times: list = []
+        stimuli = program.stimuli()
+        if hooked or any(type(stimulus) not in _PURE_STIMULI
+                         for stimulus in stimuli):
+            return
+        t = 0.0
+        while t < t_stop - 1e-15 * t_stop:
+            t += min(dt, t_stop - t)
+            self.times.append(t)
+        grid = np.array(self.times)
+        self.table = np.empty((grid.size, len(stimuli)))
+        for column, stimulus in enumerate(stimuli):
+            self.table[:, column] = stimulus(grid)
+
+    def get(self, t: float):
+        """The row at ``t``, or ``None`` when ``t`` is not a grid time."""
+        index = bisect.bisect_left(self.times, t)
+        if index < len(self.times) and self.times[index] == t:
+            return self.table[index]
+        return None
 
 
 def _check_time_span(t_stop: float, dt: float) -> None:

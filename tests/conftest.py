@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,17 @@ def rng_factory():
     def make(seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
     return make
+
+
+@pytest.fixture
+def waveform_digest():
+    """``digest(waveform) -> str``: BLAKE2b over the sample times and
+    every signal's bytes, by name, so a moved bit changes it."""
+    def digest(waveform) -> str:
+        hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(waveform.times.tobytes())
+        for name in sorted(waveform.signals):
+            hasher.update(name.encode())
+            hasher.update(waveform[name].tobytes())
+        return hasher.hexdigest()
+    return digest

@@ -10,7 +10,7 @@ import pytest
 from repro.core.coupled import run_coupled
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
-from repro.sram.cell import SramCellSpec, TRANSISTOR_NAMES, build_sram_cell
+from repro.sram.cell import TRANSISTOR_NAMES, build_sram_cell
 from repro.sram.patterns import write_pattern
 from repro.traps.band import crossing_energy
 from repro.traps.trap import Trap

@@ -9,7 +9,11 @@ import pytest
 
 import repro.core.methodology as methodology_module
 from repro.core.experiments import fig8_cell_spec, fig8_config, fig8_pattern
-from repro.core.methodology import MethodologyConfig, run_methodology
+from repro.core.methodology import (
+    MethodologyConfig,
+    PatternBench,
+    run_methodology,
+)
 from repro.devices.technology import TECH_90NM
 from repro.errors import SimulationError
 from repro.markov.occupancy import number_filled
@@ -174,3 +178,26 @@ class TestSeedCompatibility:
             spec=fig8_cell_spec(), config=fig8_config(rtn_scale=30.0))
         assert set(injected) == set(result.cell.transistors)
         assert methodology_digest(result, injected) == expected
+
+    def test_injected_bench_pass_is_pinned(self, monkeypatch,
+                                           waveform_digest):
+        """One Fig.-8 step-3 transient on its own: the bench rerun with
+        a seeded run's injected traces.  Any change to the SPICE
+        engine's arithmetic (assembly, EKV, Newton, stepping, stimuli)
+        moves this digest."""
+        injected: dict = {}
+        real = methodology_module.attach_rtn_sources
+
+        def capturing(cell, traces, scale=1.0):
+            injected.update(traces)
+            return real(cell, traces, scale=scale)
+
+        monkeypatch.setattr(methodology_module, "attach_rtn_sources",
+                            capturing)
+        pattern, config = fig8_pattern(bits=(1,)), fig8_config(30.0)
+        run_methodology(pattern, np.random.default_rng(2),
+                        spec=fig8_cell_spec(), config=config)
+        bench = PatternBench.build(fig8_cell_spec(), pattern, config)
+        waveform, verdicts = bench.simulate(injected)
+        assert [v.outcome for v in verdicts]
+        assert waveform_digest(waveform) == "ca84e695b7afdc123f035e99367584dc"

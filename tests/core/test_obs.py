@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import threading
-import warnings
 
 import numpy as np
 import pytest

@@ -9,6 +9,8 @@ zero-drive equilibrium otherwise.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,26 @@ class TestAmplifierRtn:
             initial_voltages={"vdd": 1.0, "d": 0.6}, record_every=4)
         assert result.total_transitions() == sum(
             t.n_transitions for t in result.occupancies["M1"])
+
+
+class TestSeedCompatibility:
+    def test_coupled_run_is_pinned(self, waveform_digest):
+        """A seeded live-coupled run: its waveform bytes and every
+        trap's flips.  The hook swaps no stimulus here, but the held
+        source is read at every step; a change to that contract or to
+        the engine's arithmetic moves this digest."""
+        result = run_trap_coupled(
+            common_source_amp(),
+            [TrapAttachment("M1", (fast_trap(0.5), fast_trap(0.45)),
+                            rtn_scale=300.0)],
+            4e-9, 2e-11, np.random.default_rng(3),
+            initial_voltages={"vdd": 1.0, "d": 0.6})
+        assert result.total_transitions() > 0
+        flips = [trace.times.tobytes() + trace.states.tobytes()
+                 for trace in result.occupancies["M1"]]
+        assert waveform_digest(result.waveform) == "94fa8d847bab97569755c16eb469b29c"
+        assert hashlib.blake2b(b"".join(flips),
+                               digest_size=16).hexdigest() == "45f93d380a38eea567c3c50088b53245"
 
 
 # ---------------------------------------------------------------------------

@@ -129,3 +129,23 @@ class TestSIN:
             SIN(0.0, 1.0, 0.0)
         with pytest.raises(NetlistError):
             SIN(0.0, 1.0, 1.0, damping=-1.0)
+
+
+@pytest.mark.parametrize("source", [
+    DC(0.7),
+    PULSE(v1=0.0, v2=1.2, delay=1e-9, rise=1e-10, fall=2e-10, width=3e-10,
+          period=1.5e-9),
+    PWL(times=(0.0, 1e-9, 2.5e-9, 4e-9), values=(0.0, 1.2, -0.3, 0.9)),
+    SIN(0.5, 0.4, 1.3e9, delay=2e-10, damping=1e8),
+], ids=["DC", "PULSE", "PWL", "SIN"])
+def test_array_call_gives_the_scalar_bits(source):
+    """A transient evaluates a pure source once on its whole step grid
+    and reads the rows as the scalar calls would have returned them."""
+    t = 0.0
+    times = []
+    while t < 5e-9:
+        t += min(1.3e-11, 5e-9 - t)
+        times.append(t)
+    grid = source(np.array(times))
+    scalar = np.array([source(t) for t in times])
+    assert grid.tobytes() == scalar.tobytes()

@@ -192,3 +192,26 @@ def test_stimuli_are_read_when_the_assembler_is_built():
     source.stimulus = DC(2.5)
     __, rhs = program.dc_assembler()(np.zeros(program.n))
     assert rhs[source.branch_index] == 2.5
+
+
+def test_an_assembler_keeps_its_own_pools():
+    """Each public assembler owns its pools: building another one, for
+    another time and state, does not change what the first assembles."""
+    from repro.sram.cell import build_sram_cell
+
+    circuit = build_sram_cell().circuit
+    for element in circuit.elements:
+        if isinstance(element, VoltageSource) and element.name == "VWL":
+            element.stimulus = PWL(times=(0.0, 1e-9), values=(0.0, 1.0))
+    program = StampProgram(circuit)
+    x = np.random.default_rng(7).uniform(-0.1, 1.3, program.n)
+    state, _ = histories(
+        circuit, list(np.random.default_rng(8).uniform(-0.1, 1.3, 200)))
+    early = program.transient_assembler(
+        2e-10, IntegrationCoeff("be", 1e-12), state)
+    expected = early(x)
+    program.transient_assembler(8e-10, IntegrationCoeff("trap", 3e-12),
+                                program.advance(x, IntegrationCoeff(
+                                    "trap", 3e-12), state), 0.5)(x)
+    program.dc_assembler(5e-10, 1e-5, 0.25)(x)
+    assert same_bytes(early(x), expected)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.devices.mosfet import MosfetParams
 from repro.devices.technology import TECH_90NM
-from repro.errors import NetlistError, SimulationError
+from repro.errors import NetlistError, RecoveredWarning, SimulationError
 from repro.spice.circuit import Circuit
 from repro.spice.elements import (
     Capacitor,
@@ -17,6 +19,7 @@ from repro.spice.elements import (
     VoltageSource,
     attach_mosfet_parasitics,
 )
+from repro.spice.newton import NewtonOptions
 from repro.spice.sources import DC, PULSE, PWL, SIN
 from repro.spice.transient import TransientOptions, simulate_transient
 
@@ -148,6 +151,115 @@ class TestLinearAccuracy:
         wf = simulate_transient(c, 2e-6, 1e-8)
         assert wf.at("in", 0.5e-6) == pytest.approx(0.5, abs=0.01)
         assert wf.at("in", 1.5e-6) == pytest.approx(0.5, abs=0.01)
+
+
+class Recorded:
+    """A stimulus that is not a ``sources`` type: it reads ``inner`` and
+    records every time it is evaluated at."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.times = []
+
+    def __call__(self, t):
+        self.times.append(float(t))
+        return self.inner(t)
+
+
+class Held:
+    """A mutable stimulus (like the co-simulation's held sources) that
+    changes after every read: the k-th read returns ``0.1 * k``."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __call__(self, t):
+        self.reads += 1
+        return 0.1 * self.reads
+
+
+#: 0 V until 0.45 us, 3 V from 0.55 us: a 0.1 us step across the ramp
+#: moves the source 1.5 V, which two damped Newton iterates (0.5 V cap)
+#: cannot cover; an eighth step (0.375 V) converges in two.
+STEEP = PWL(times=(0.0, 0.45e-6, 0.55e-6, 1e-6), values=(0.0, 0.0, 3.0, 3.0))
+TWO_ITERATES = TransientOptions(newton=NewtonOptions(max_iterations=2))
+
+
+def driven_rc(stimulus) -> tuple:
+    """An RC low-pass driven by ``stimulus`` (tau = 1 us), and its source."""
+    c = Circuit("driven-rc")
+    source = VoltageSource("V1", c, "in", "0", stimulus)
+    Resistor("R1", c, "in", "out", 1e3)
+    Capacitor("C1", c, "out", "0", 1e-9)
+    return c, source
+
+
+class TestStimulusContract:
+    """Sources are evaluated at every (sub)step's end time; a hook's
+    swap and a stateful stimulus are seen from the next step on."""
+
+    def test_pre_step_swap_is_honoured_from_the_next_step(self):
+        before = PWL(times=(0.0, 1e-6), values=(0.0, 1.0))
+        after = PWL(times=(0.0, 1e-6), values=(2.0, 1.0))
+        circuit, source = driven_rc(before)
+        calls = []
+
+        def swap(t, x):
+            calls.append(t)
+            if len(calls) == 6:  # before the 6th step, at t_5
+                source.stimulus = after
+
+        wf = simulate_transient(circuit, 1e-6, 1e-7,
+                                options=TransientOptions(pre_step=swap))
+        assert wf.times.size == 11
+        assert wf["in"][1:6] == pytest.approx(before(wf.times[1:6]),
+                                              rel=1e-12, abs=1e-15)
+        assert wf["in"][6:] == pytest.approx(after(wf.times[6:]),
+                                             rel=1e-12, abs=1e-15)
+
+    def test_mutable_stimulus_is_read_at_every_step(self):
+        held = Held()
+        circuit, _ = driven_rc(held)
+        wf = simulate_transient(circuit, 1e-6, 1e-7)
+        steps = wf.times.size - 1
+        assert held.reads == steps
+        assert wf["in"][1:] == pytest.approx(0.1 * np.arange(1, steps + 1),
+                                             rel=1e-12)
+
+    def test_halved_step_reads_the_stimuli_at_its_sub_step_times(self):
+        recorded = Recorded(STEEP)
+        circuit, _ = driven_rc(recorded)
+        reference = simulate_transient(circuit, 1e-6, 1e-7,
+                                       options=TWO_ITERATES)
+        grid = set(reference.times.tolist())
+        off_grid = [t for t in recorded.times if t not in grid]
+        # The steps across the ramp were halved until their sub-steps
+        # converged: 0.45 us, then 0.4625 us (an eighth step) and on.
+        assert off_grid
+        for t_sub in (0.45e-6, 0.4625e-6, 0.5125e-6):
+            assert any(t == pytest.approx(t_sub, rel=1e-9) for t in off_grid)
+        # The pure source gives the same bytes as the recorded one.
+        circuit, _ = driven_rc(STEEP)
+        wf = simulate_transient(circuit, 1e-6, 1e-7, options=TWO_ITERATES)
+        assert wf.times.tobytes() == reference.times.tobytes()
+        for name in reference.signals:
+            assert wf[name].tobytes() == reference[name].tobytes()
+
+
+class TestSeedCompatibility:
+    """Pinned waveform bytes; a deliberate change must re-pin them."""
+
+    def test_recovered_transient_is_pinned(self, waveform_digest):
+        # One halving allowed: the steps across the ramp exhaust it and
+        # finish in the recovery ladder.
+        circuit, _ = driven_rc(STEEP)
+        options = TransientOptions(newton=NewtonOptions(max_iterations=2),
+                                   max_halvings=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wf = simulate_transient(circuit, 1e-6, 1e-7, options=options)
+        assert any(isinstance(w.message, RecoveredWarning) for w in caught)
+        assert waveform_digest(wf) == "d1e7998ca73e6857d72cdf5f1adcc3e3"
 
 
 class TestEnergyAndCharge:

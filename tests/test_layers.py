@@ -4,8 +4,9 @@ source injection inside ``repro.core.methodology``, the SPICE package's
 private names inside ``repro.spice``, checkpoint writing inside
 ``repro.core.scenario``, per-trap propensity construction inside
 ``repro.markov``, trace materialisation inside
-``repro.markov.occupancy``, per-trap objects off the sampling path and
-imports out of package ``__init__``s (``repro.api`` is the one facade).
+``repro.markov.occupancy``, per-trap objects off the sampling path,
+imports out of package ``__init__``s (``repro.api`` is the one facade)
+and no private NumPy/SciPy API anywhere.
 
 Runs ``scripts/check_layers.py`` in-process (tier-1, so a violation
 fails every CI lane, not just the lint job) and pins down the checker's
@@ -111,6 +112,30 @@ def test_checker_flags_private_spice_imports_outside_spice(tmp_path, capsys):
     assert "cell.py:2" not in err  # public names are fine
     assert "cell.py:4" not in err  # other packages are not this rule's
     assert "dcop.py" not in err  # the SPICE package may use its own
+
+
+def test_checker_flags_private_numpy_and_scipy_anywhere(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "spice").mkdir()
+    (tmp_path / "spice" / "newton.py").write_text(
+        "from numpy.linalg import _umath_linalg\n"
+        "import numpy.linalg._umath_linalg as fast\n"
+        "from scipy.special._ufuncs import expit\n"
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "solve = np.linalg._umath_linalg.solve1\n"
+        "core = linalg._umath_linalg\n"
+        "public = np.linalg.solve, np.__version__\n"
+        "from numpy.linalg import solve, LinAlgError\n"
+        "from ._helpers import x\n")
+    assert checker.main([str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    for line in (1, 2, 3):
+        assert f"newton.py:{line}:" in err
+    assert "numpy.linalg._umath_linalg.solve1" in err  # newton.py:6
+    assert "newton.py:7:" in err
+    for line in (4, 5, 8, 9, 10):
+        assert f"newton.py:{line}:" not in err  # public, or our own
 
 
 def test_checker_flags_checkpoints_outside_the_scenario_layer(tmp_path,
