@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--backend", default=None, choices=backends,
                           help="verification execution backend (default: "
                                "shared when --workers > 1, else serial; "
-                               "'shared' runs a persistent pool over a "
+                               "'shared' runs a per-run pool over a "
                                "shared-memory payload arena)")
     ensemble.add_argument("--workers", type=_positive, default=None,
                           help="processes for the verification passes")

@@ -7,13 +7,15 @@ Every fan-out in the package goes through
 ``serial``
     The in-process loop (single helper thread for timeout supervision).
 ``shared``
-    The one parallel executor: a persistent worker pool over one
+    The one parallel executor: a per-run worker pool over one
     :mod:`multiprocessing.shared_memory` arena.  Every numpy array in
     every job payload — trace buffers, occupancy tables, bias grids —
-    is written into the arena **once** (deduplicated across jobs), and
-    workers receive only small pickled descriptors whose array leaves
-    resolve to zero-copy read-only views of the arena.  Work is handed
-    out in *adaptive chunks*: large while the queue is deep (amortising
+    is written into the arena **once** (deduplicated across jobs).  The
+    job list itself is pickled once per run, its array leaves as arena
+    references; each worker receives that blob when it is spawned,
+    decodes it on its first job, and from then on gets only
+    ``(index, attempt, key)`` per job.  Work is handed out in
+    *adaptive chunks*: large while the queue is deep (amortising
     queue latency), shrinking toward single jobs near the tail so no
     worker idles behind a straggler.  A worker that crashes or hangs
     past its job's timeout is reaped (killed), its running job charged
@@ -190,7 +192,10 @@ class _ArenaPickler(pickle.Pickler):
         self._builder = builder
 
     def persistent_id(self, obj):
-        if isinstance(obj, np.ndarray) and obj.dtype != object:
+        # An array under one alignment unit (a SeedSequence's 4-word
+        # pool, say) rides inline: its arena slot would cost more.
+        if isinstance(obj, np.ndarray) and obj.dtype != object \
+                and obj.nbytes >= _ALIGN:
             return (_ARENA_TAG, self._builder.intern(obj))
         return None
 
@@ -324,20 +329,31 @@ def _dump_error(error: BaseException) -> bytes:
             f"{type(error).__name__}: {error}"))
 
 
+#: The frame a worker sends after the last job of a chunk.
+_CHUNK_DONE = pickle.dumps((None, None, None, None, None))
+
+
 def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
-                   plan_blob: bytes, task_queue, result_conn,
-                   progress) -> None:
+                   plan_blob: bytes, jobs_blob: bytes, task_queue,
+                   result_conn, progress) -> None:
     """Worker-process main loop of the shared backend.
 
     Module-level and driven purely by picklable arguments, so it runs
     under any multiprocessing start method (``fork`` *and* ``spawn``).
+    ``jobs_blob`` is the run's whole job list, pickled once by the
+    parent with its arrays in the arena; the worker decodes it on its
+    first job and indexes it from then on, so a chunk carries only
+    ``(index, attempt, key)`` per job.  The ``arena`` fault site fires
+    per ``(key, attempt)`` before the job's payload is read.
+
     Per job it stamps ``(job index, start time)`` into the shared
     ``progress`` array — the parent's only window into a worker that
     has stopped answering — runs the job via the same
     :func:`~repro.core.resilience._execute_job` shim as every other
-    backend (fault sites fire *here*, in the worker), and ships the
-    small result, with the start stamp, back over this worker's
-    private pipe.  The pipe is
+    backend (fault sites fire *here*, in the worker), and sends one
+    result frame, pickled once, with the start stamp, over this
+    worker's private pipe.  One frame per job means a worker's death
+    never loses a job it has finished.  The pipe is
     deliberately not a shared queue: queue feeder threads serialise
     under one cross-process lock, and a worker dying (crash fault,
     timeout SIGKILL) while its feeder holds that lock would wedge every
@@ -358,30 +374,28 @@ def _shared_worker(worker_id: int, shm_name, table, fn_blob: bytes,
         fn = pickle.loads(fn_blob)
         plan = pickle.loads(plan_blob)
         faults.install(plan)
+        jobs = None
         while True:
             chunk = task_queue.get()
             if chunk is None:
                 break
-            for index, attempt, key_blob, payload_blob in chunk:
+            for index, attempt, key in chunk:
                 started = time.monotonic()
                 progress[base + 1] = started
                 progress[base] = float(index)
-                key = pickle.loads(key_blob)
                 try:
                     faults.fire("arena", key, attempt)
-                    payload = _arena_loads(payload_blob, buffer, table)
-                    value = _execute_job(fn, payload, key, attempt, plan)
+                    if jobs is None:
+                        jobs = _arena_loads(jobs_blob, buffer, table)
+                    value = _execute_job(fn, jobs[index], key, attempt, plan)
                 except BaseException as exc:  # noqa: B036 - relayed to parent
-                    result_conn.send((index, attempt, False,
-                                      _dump_error(exc), started))
+                    frame = (index, attempt, False, _dump_error(exc), started)
                 else:
-                    result_conn.send((index, attempt, True,
-                                      pickle.dumps(
-                                          value,
-                                          protocol=pickle.HIGHEST_PROTOCOL),
-                                      started))
+                    frame = (index, attempt, True, value, started)
+                result_conn.send_bytes(
+                    pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
                 progress[base] = -1.0
-            result_conn.send((None, None, None, None, None))
+            result_conn.send_bytes(_CHUNK_DONE)
     finally:
         try:
             result_conn.close()
@@ -433,12 +447,14 @@ class _WorkerHandle:
 
 @register_backend
 class SharedMemoryBackend(ExecutionBackend):
-    """Persistent worker pool over a shared-memory payload arena.
+    """Per-run worker pool over a shared-memory payload arena.
 
-    Jobs go out in :func:`adaptive_chunk_size` chunks.  Workers start
-    with the platform's default multiprocessing start method; ``spawn``
-    — the macOS/Windows default — is fully supported: workers rebuild
-    state from pickled blobs and attach the arena by name.
+    Every worker is spawned by :meth:`run` and has exited when it
+    returns or raises.  Jobs go out in :func:`adaptive_chunk_size`
+    chunks.  Workers start with the platform's default multiprocessing
+    start method; ``spawn`` — the macOS/Windows default — is fully
+    supported: workers rebuild state from pickled blobs and attach the
+    arena by name.
     """
 
     name = "shared"
@@ -459,20 +475,19 @@ class SharedMemoryBackend(ExecutionBackend):
         context = multiprocessing.get_context()
 
         run_started = obs.clock.monotonic()
+        fn_blob = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
+        plan_blob = pickle.dumps(faults.active(),
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+        # The job list goes out once: one blob for the whole run, handed
+        # to each worker as it is spawned.
         builder = _ArenaBuilder()
-        payload_blobs = [builder.dumps(job) for job in jobs]
-        key_blobs = [pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-                     for key in keys]
+        jobs_blob = builder.dumps(jobs)
         shm, table = builder.seal()
         if obs.enabled():
             obs.inc("engine.arena.arrays", builder.n_arrays)
             obs.inc("engine.arena.dedup_hits", builder.dedup_hits)
             obs.set_gauge("engine.arena.bytes",
                           float(builder.nbytes if builder.n_arrays else 0))
-
-        fn_blob = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-        plan_blob = pickle.dumps(faults.active(),
-                                 protocol=pickle.HIGHEST_PROTOCOL)
         # Per worker: [current job index or -1, start stamp].  Raw (no
         # lock): single-writer per slot, word-sized stores.
         progress = context.Array("d", 2 * n_workers, lock=False)
@@ -490,15 +505,14 @@ class SharedMemoryBackend(ExecutionBackend):
             process = context.Process(
                 target=_shared_worker,
                 args=(worker_id, shm_name, table, fn_blob, plan_blob,
-                      task_queue, writer, progress),
+                      jobs_blob, task_queue, writer, progress),
                 daemon=True)
             process.start()
             writer.close()  # keep EOF detection honest on worker death
             progress[2 * worker_id] = -1.0
             return _WorkerHandle(process, task_queue, reader)
 
-        pool = {worker_id: spawn(worker_id)
-                for worker_id in range(n_workers)}
+        pool: dict = {}
         results = {i: JobResult(key=keys[i]) for i in range(len(jobs))}
         first_started: list = [None] * len(jobs)
         # Per job: time.monotonic() when its latest attempt was handed to
@@ -506,6 +520,8 @@ class SharedMemoryBackend(ExecutionBackend):
         issued_at: list = [0.0] * len(jobs)
         terminal: set = set()
         pending: deque = deque((i, 1, 0.0) for i in range(len(jobs)))
+        # Per job: how many entries it has in ``pending``.
+        queued: list = [1] * len(jobs)
         # One free (uncharged) requeue per (index, attempt) whose worker
         # died before stamping it as started; a crasher that keeps
         # slipping through unobserved gets charged on the next death.
@@ -520,6 +536,7 @@ class SharedMemoryBackend(ExecutionBackend):
                     and policy.retryable(error):
                 pending.append((index, attempt + 1,
                                 now + policy.delay(attempt + 1)))
+                queued[index] += 1
                 return
             result = results[index]
             if error is None:
@@ -534,6 +551,7 @@ class SharedMemoryBackend(ExecutionBackend):
             if not ran and (index, attempt) not in requeue_grants:
                 requeue_grants.add((index, attempt))
                 pending.appendleft((index, attempt, 0.0))
+                queued[index] += 1
                 if obs.enabled():
                     obs.inc("jobs.requeues")
                 return
@@ -541,10 +559,13 @@ class SharedMemoryBackend(ExecutionBackend):
 
         def drop_duplicates(index: int) -> None:
             """Forget queued retries of a job that just resolved."""
+            if not queued[index]:
+                return
             for _ in range(len(pending)):
                 item = pending.popleft()
                 if item[0] != index:
                     pending.append(item)
+            queued[index] = 0
 
         def pop_ready_chunk(now: float) -> list:
             size = adaptive_chunk_size(len(pending), n_workers)
@@ -556,11 +577,12 @@ class SharedMemoryBackend(ExecutionBackend):
                 if ready_at > now:
                     pending.append((index, attempt, ready_at))
                     continue
+                queued[index] -= 1
                 chunk.append((index, attempt))
             return chunk
 
         def handle_message(worker_id: int, message) -> None:
-            index, attempt, ok, blob, started = message
+            index, attempt, ok, body, started = message
             handle = pool.get(worker_id)
             if index is None:  # chunk finished
                 if handle is not None and not handle.outstanding:
@@ -574,15 +596,16 @@ class SharedMemoryBackend(ExecutionBackend):
                 obs.observe("jobs.queue_wait_s", started - issued_at[index])
             drop_duplicates(index)
             if ok:
-                settle(index, attempt, None, value=pickle.loads(blob))
+                settle(index, attempt, None, value=body)
             else:
-                settle(index, attempt, pickle.loads(blob))
+                settle(index, attempt, pickle.loads(body))
 
         def drain(worker_id: int, handle: _WorkerHandle) -> None:
             """Deliver every complete frame sitting in one worker's pipe."""
             try:
                 while handle.reader.poll():
-                    handle_message(worker_id, handle.reader.recv())
+                    handle_message(worker_id,
+                                   pickle.loads(handle.reader.recv_bytes()))
             except (EOFError, OSError):
                 pass  # worker died; crash supervision reaps it
 
@@ -624,6 +647,10 @@ class SharedMemoryBackend(ExecutionBackend):
 
         chunks_issued = 0
         try:
+            # Spawned inside the try: a failed spawn still shuts down
+            # the workers already running.
+            for worker_id in range(n_workers):
+                pool[worker_id] = spawn(worker_id)
             while len(terminal) < len(jobs):
                 now = obs.clock.monotonic()
                 for worker_id, handle in pool.items():
@@ -643,8 +670,8 @@ class SharedMemoryBackend(ExecutionBackend):
                     if obs.enabled():
                         obs.observe("engine.chunk_jobs", float(len(chunk)))
                     handle.task_queue.put(
-                        [(index, attempt, key_blobs[index],
-                          payload_blobs[index]) for index, attempt in chunk])
+                        [(index, attempt, keys[index])
+                         for index, attempt in chunk])
 
                 readers = {handle.reader: worker_id
                            for worker_id, handle in pool.items()}

@@ -117,7 +117,7 @@ class EnsembleConfig:
         1 stays serial.
     backend:
         Execution backend for the verification jobs: ``"serial"``,
-        ``"shared"`` (persistent workers over one shared-memory payload
+        ``"shared"`` (per-run workers over one shared-memory payload
         arena — see :mod:`repro.core.engine`), or ``None`` for
         :func:`~repro.core.engine.resolve_backend`'s choice (``shared``
         when ``workers > 1``, else ``serial``).

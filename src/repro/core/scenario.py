@@ -31,10 +31,12 @@ scenario-level ``scenario`` site), checkpoint/resume via
 :class:`~repro.obs.telemetry.RunTelemetry` document.
 
 **Determinism and backend invariance.**  Per-job RNG streams come from
-:func:`repro.testing.seeding.spawn_rngs`, keyed by
-``(seed, "scenario", scenario.name)`` and the job index — job *k*
-draws from its own generator regardless of which worker runs it, in
-which order, after how many retries.  Results are therefore
+:func:`repro.testing.seeding.spawn_seeds`, keyed by
+``(seed, "scenario", scenario.name)`` and the job index.  Job *k*
+carries its ``SeedSequence`` child, not a generator, and every attempt
+builds a fresh generator from it — so job *k* draws the same stream
+regardless of which worker runs it, in which order, after how many
+retries.  Results are therefore
 order-independent and *backend-invariant by construction*: the tier-2
 invariance suite asserts identical ``(status, value, attempts)``
 triples for every migrated workload across both backends.
@@ -63,7 +65,7 @@ import numpy as np
 from .. import obs
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
-from ..testing.seeding import derive_seed, spawn_rngs
+from ..testing.seeding import derive_seed, spawn_seeds
 from .engine import resolve_backend
 from .resilience import (
     JOB_STATUSES,
@@ -98,13 +100,16 @@ class ScenarioJob:
     index:
         Job position in the plan (also the default job key).
     seed:
-        Root seed of the run (for provenance; the generator below is
+        Root seed of the run (for provenance; the stream below is
         already derived from it).
-    rng:
-        This job's private generator — spawned from
-        ``(seed, "scenario", scenario)`` by job index, so the stream is
+    seed_sequence:
+        This job's private stream — the ``SeedSequence`` child spawned
+        from ``(seed, "scenario", scenario)`` by job index.  Each
+        attempt builds its generator from it afresh, so the stream is
         identical no matter which backend, worker or retry runs the
-        job.
+        job, and no attempt leaves state in the job for the next one
+        (a shared-backend worker reuses one decoded job across
+        attempts).
     payload:
         The scenario-specific work description (picklable; numpy array
         leaves ride the shared-memory arena on the ``shared`` backend).
@@ -116,7 +121,7 @@ class ScenarioJob:
     scenario: str
     index: int
     seed: int
-    rng: np.random.Generator
+    seed_sequence: np.random.SeedSequence
     payload: object
     kernel: Callable
 
@@ -128,12 +133,14 @@ def execute_scenario_job(job: ScenarioJob):
     execution backend (and every multiprocessing start method) can run
     it.  The ``scenario`` fault site fires *here*, in the worker, keyed
     by ``(scenario name, job index)`` — the deterministic-injection
-    contract every other site follows.
+    contract every other site follows.  The kernel's generator is built
+    from the job's ``SeedSequence`` on every call, so a retry starts
+    the job's stream from its beginning.
     """
     from ..testing import faults
 
     faults.fire("scenario", (job.scenario, job.index))
-    return job.kernel(job.payload, job.rng)
+    return job.kernel(job.payload, np.random.default_rng(job.seed_sequence))
 
 
 class Scenario:
@@ -393,8 +400,8 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
         The scenario's configuration object (passed verbatim to
         :meth:`Scenario.plan` / :meth:`Scenario.reduce`).
     seed:
-        Root seed; per-job generators come from
-        :func:`repro.testing.seeding.spawn_rngs` keyed by
+        Root seed; per-job streams come from
+        :func:`repro.testing.seeding.spawn_seeds` keyed by
         ``(seed, "scenario", name)`` and the job index, so any job is
         reproducible in isolation and the run is backend-invariant.
     backend:
@@ -444,10 +451,11 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     if len(keys) != len(plan):
         raise ValueError("scenario keys must match the plan one-to-one")
     root = derive_seed(seed, "scenario", scenario.name)
-    rngs = spawn_rngs(root, len(plan))
+    streams = spawn_seeds(root, len(plan))
     kernel = scenario.kernel
     jobs = [ScenarioJob(scenario=scenario.name, index=index, seed=seed,
-                        rng=rngs[index], payload=payload, kernel=kernel)
+                        seed_sequence=streams[index], payload=payload,
+                        kernel=kernel)
             for index, payload in enumerate(plan)]
     timings["plan"] = clock.monotonic() - run_started
 

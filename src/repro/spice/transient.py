@@ -15,8 +15,10 @@ Every (sub)step reads its stimuli at its end time.  When no ``pre_step``
 hook is set and every stimulus is a pure :mod:`.sources` type, each is
 called once on the whole nominal step grid (the loop's own time
 accumulation) and a step reads its row; a time off that grid (a halved
-step) calls the stimuli then.  A hooked run, or one with any other
-stimulus (a co-simulation's held value), calls them at every step.
+step) calls the stimuli then, and when halved sub-steps end a step off
+the grid the rest of the grid is rebuilt from there.  A hooked run, or
+one with any other stimulus (a co-simulation's held value), calls them
+at every step.
 """
 
 from __future__ import annotations
@@ -216,6 +218,8 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
                 sub_t += sub_step
                 sub_remaining -= sub_step
             t = sub_t
+            if halvings:
+                grid.follow(t)
             accepted += 1
             if accepted % opts.record_every == 0 \
                     or t >= t_stop - 1e-15 * t_stop:
@@ -238,23 +242,40 @@ class _StimulusGrid:
     (the hook may swap stimuli between steps) and when a stimulus is not
     one of :data:`_PURE_STIMULI` (it may hold state that changes during
     the run, like a co-simulation's held value).
+
+    Halved sub-steps can add up a few ulps off the grid; :meth:`follow`
+    then rebuilds the rest of the grid from the time the loop reached,
+    so the later nominal steps read it again.
     """
 
     def __init__(self, program: StampProgram, t_stop: float, dt: float,
                  hooked: bool) -> None:
         self.times: list = []
-        stimuli = program.stimuli()
+        self.stimuli = program.stimuli()
+        self.t_stop = t_stop
+        self.dt = dt
         if hooked or any(type(stimulus) not in _PURE_STIMULI
-                         for stimulus in stimuli):
+                         for stimulus in self.stimuli):
+            self.stimuli = []
             return
-        t = 0.0
-        while t < t_stop - 1e-15 * t_stop:
-            t += min(dt, t_stop - t)
+        self._fill(0.0)
+
+    def _fill(self, t: float) -> None:
+        """Tabulate the nominal step ends from ``t`` on."""
+        self.times = []
+        while t < self.t_stop - 1e-15 * self.t_stop:
+            t += min(self.dt, self.t_stop - t)
             self.times.append(t)
         grid = np.array(self.times)
-        self.table = np.empty((grid.size, len(stimuli)))
-        for column, stimulus in enumerate(stimuli):
+        self.table = np.empty((grid.size, len(self.stimuli)))
+        for column, stimulus in enumerate(self.stimuli):
             self.table[:, column] = stimulus(grid)
+
+    def follow(self, t: float) -> None:
+        """Rebuild the rest of the grid from ``t`` when a halved step
+        ended there, off the grid."""
+        if self.stimuli and self.get(t) is None:
+            self._fill(t)
 
     def get(self, t: float):
         """The row at ``t``, or ``None`` when ``t`` is not a grid time."""

@@ -23,9 +23,11 @@ The ensemble engine and the fault-tolerant executor expose a handful of
     :class:`~repro.rtn.trace.RTNTrace`).
 ``arena``
     Raise a :class:`~repro.errors.SimulationError` in a shared-memory
-    worker just before it decodes a job payload from the arena (models
-    a corrupted payload descriptor; exercises the shared backend's
-    retry path without touching the job function).
+    worker just before it reads a job's payload, keyed by ``(job key,
+    attempt)``.  A worker decodes the run's job list once, on its first
+    job, and the site fires before that decode too (models a corrupted
+    payload descriptor; exercises the shared backend's retry path
+    without touching the job function).
 ``scenario``
     Raise a :class:`~repro.errors.SimulationError` in the scenario job
     shim, before the kernel runs, keyed by ``(scenario name, job

@@ -10,6 +10,9 @@ integration.  The statistical half of backend invariance lives in
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
@@ -273,11 +276,98 @@ class TestSharedBackendResilience:
         assert all("arena decode" in r.error for r in results)
         assert all(r.attempts == 2 for r in results)
 
+    def test_unpicklable_job_function_leaves_no_arena_block(
+            self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        blocks = []
+        seal = _ArenaBuilder.seal
+
+        def recording_seal(builder):
+            shm, table = seal(builder)
+            blocks.append(shm.name)
+            return shm, table
+
+        monkeypatch.setattr(_ArenaBuilder, "seal", recording_seal)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            SharedMemoryBackend().run(lambda payload: payload,
+                                      make_jobs(2), keys=[0, 1])
+        for name in blocks:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
     def test_arena_site_inert_on_in_parent_backends(self):
         with inject_faults(arena_rate=1.0, seed=5):
             results = get_backend("serial").run(
                 scaled_sum, make_jobs(4), keys=list(range(4)))
         assert all(r.status == "ok" for r in results)
+
+
+class _Killed(BaseException):
+    """Stands in for a kill signal raised from the ``on_result`` hook."""
+
+
+def _kill(result):
+    raise _Killed
+
+
+class TestSharedBackendWorkersExit:
+    """Every worker :meth:`SharedMemoryBackend.run` spawns has exited
+    when it returns or raises, on every path."""
+
+    @staticmethod
+    def _run(jobs=12, workers=3, **kwargs):
+        assert multiprocessing.active_children() == []
+        return SharedMemoryBackend().run(
+            scaled_sum, make_jobs(jobs), keys=list(range(jobs)),
+            workers=workers, **kwargs)
+
+    def test_normal_path(self):
+        self._run()
+        assert multiprocessing.active_children() == []
+
+    def test_crash_drill(self):
+        with inject_faults(crash_rate=0.3, seed=7):
+            self._run(24, policy=RetryPolicy(attempts=3))
+        assert multiprocessing.active_children() == []
+
+    def test_hang_reaped_by_timeout(self):
+        with inject_faults(hang_rate=1.0, hang_seconds=10.0, seed=1):
+            self._run(3, workers=2,
+                      policy=RetryPolicy(attempts=1, timeout=0.3))
+        assert multiprocessing.active_children() == []
+
+    def test_failed_spawn(self, monkeypatch):
+        """A spawn that fails part-way still takes down the workers
+        already started."""
+        from multiprocessing.process import BaseProcess
+
+        start = BaseProcess.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise OSError("no more processes")
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start_once)
+        with pytest.raises(OSError, match="no more processes"):
+            self._run()
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_base_exception_from_on_result(self):
+        with pytest.raises(_Killed):
+            self._run(on_result=_kill)
+        assert multiprocessing.active_children() == []
+
+    def test_base_exception_while_a_worker_hangs(self):
+        """The kill reaches a worker stuck in a job (no timeout set)."""
+        with inject_faults(hang_rate=0.5, hang_seconds=10.0, seed=3):
+            with pytest.raises(_Killed):
+                self._run(on_result=_kill)
+        assert multiprocessing.active_children() == []
 
 
 # ======================================================================

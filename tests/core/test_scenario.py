@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core.scenario import (
     get_scenario,
     run_scenario,
 )
+from repro.errors import SimulationError
 from repro.testing.faults import inject_faults
 from repro.testing.seeding import derive_seed, spawn_rngs
 
@@ -62,6 +64,29 @@ class CountingScenario(ToyScenario):
     kernel that records every job it actually runs."""
 
     kernel = staticmethod(_counting_kernel)
+
+
+def _draw_then_fail_once(payload, rng):
+    """Draws, then fails the job's first attempt (a marker file in the
+    payload's directory remembers it across worker processes)."""
+    directory, index = payload
+    draw = float(rng.random())
+    marker = Path(directory) / f"{index}.tried"
+    if not marker.exists():
+        marker.touch()
+        raise SimulationError("first attempt fails after its draw")
+    return {"payload": index, "draw": draw}
+
+
+class FlakyScenario(ToyScenario):
+    """The toy scenario's streams, with jobs whose first attempt draws
+    and then fails; ``config`` is ``(directory, n)``."""
+
+    kernel = staticmethod(_draw_then_fail_once)
+
+    def plan(self, config):
+        directory, n = config
+        return [(directory, index) for index in range(n)]
 
 
 @pytest.fixture
@@ -157,6 +182,17 @@ class TestRunScenario:
         root = derive_seed(11, "scenario", "test.toy")
         expected = [rng.random() for rng in spawn_rngs(root, 4)]
         assert [v["draw"] for v in run.value] == expected
+
+    @pytest.mark.parametrize("backend", ["serial", "shared"])
+    def test_a_retry_restarts_the_job_stream(self, tmp_path, backend):
+        """A retry after a failed attempt that drew draws what an
+        attempt that did not fail draws, on every backend."""
+        clean = run_scenario(ToyScenario, 3, seed=5)
+        retried = run_scenario(FlakyScenario, (str(tmp_path), 3), seed=5,
+                               backend=backend, workers=2)
+        assert [r.status for r in retried.results] == ["recovered"] * 3
+        assert [r.attempts for r in retried.results] == [2] * 3
+        assert retried.value == clean.value
 
     def test_seeds_are_scenario_scoped(self):
         class Renamed(ToyScenario):

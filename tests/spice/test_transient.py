@@ -245,6 +245,26 @@ class TestStimulusContract:
         for name in reference.signals:
             assert wf[name].tobytes() == reference[name].tobytes()
 
+    def test_steps_after_a_drifted_halving_read_the_grid(self, monkeypatch):
+        # The halved step that ends the ramp adds up one ulp short of
+        # the grid (5.999999999999999e-07 against 6e-07); the steps after
+        # it still read tabulated rows instead of calling the source.
+        calls = []
+        pwl_call = PWL.__call__
+
+        def recording(self, t):
+            calls.append(t)
+            return pwl_call(self, t)
+
+        monkeypatch.setattr(PWL, "__call__", recording)
+        circuit, _ = driven_rc(STEEP)
+        wf = simulate_transient(circuit, 1e-6, 1e-7, options=TWO_ITERATES)
+        scalar = [t for t in calls if np.ndim(t) == 0]
+        tables = [t for t in calls if np.ndim(t) == 1]
+        assert 0.6e-6 not in wf.times.tolist()  # the run did drift
+        assert max(scalar) < 0.6e-6
+        assert [len(t) for t in tables] == [10, 4]
+
 
 class TestSeedCompatibility:
     """Pinned waveform bytes; a deliberate change must re-pin them."""
