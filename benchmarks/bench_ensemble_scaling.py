@@ -142,14 +142,15 @@ def _time_backend_jobs(name: str, jobs, workers: int) -> float:
     return elapsed
 
 
-def _time_backend_ensemble(name: str, cells: int, workers: int) -> float:
+def _time_backend_ensemble(cells: int, workers: int) -> float:
+    """One ensemble run; ``workers`` picks the backend (cold)."""
     from repro.core.ensemble import EnsembleConfig, EnsembleRunner
     from repro.core.experiments import fig8_cell_spec, fig8_pattern
 
     config = EnsembleConfig(
         n_cells=cells, spec=fig8_cell_spec(),
         pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
-        workers=workers, backend=name)
+        workers=workers)
     t0 = time.perf_counter()
     result = EnsembleRunner(config).run(np.random.default_rng(20110314))
     elapsed = time.perf_counter() - t0
@@ -157,8 +158,9 @@ def _time_backend_ensemble(name: str, cells: int, workers: int) -> float:
     return elapsed
 
 
-def _time_backend_dram(name: str, trials: int, workers: int) -> float:
-    """One dram.retention scenario run on ``name`` (cold, spin-up in)."""
+def _time_backend_dram(trials: int, workers: int) -> float:
+    """One dram.retention scenario run; ``workers`` picks the backend
+    (cold, spin-up in)."""
     from repro.core.scenario import run_scenario
     from repro.dram.cell import (
         RetentionScanConfig,
@@ -172,7 +174,7 @@ def _time_backend_dram(name: str, trials: int, workers: int) -> float:
                                  t_max=3.0 * slow)
     t0 = time.perf_counter()
     run = run_scenario("dram.retention", config, seed=20110314,
-                       backend=name, workers=workers)
+                       workers=workers)
     elapsed = time.perf_counter() - t0
     assert run.complete and len(run.value) == trials
     return elapsed
@@ -195,15 +197,15 @@ def test_execution_backend_axis(benchmark, out_dir, quick):
     arena_arrays = int(counters["engine.arena.arrays"])
     dedup_hits = int(counters["engine.arena.dedup_hits"])
 
-    ensemble = {name: _time_backend_ensemble(name, cells, cell_workers)
-                for name in ("serial", "shared")}
+    ensemble = {"serial": _time_backend_ensemble(cells, 1),
+                "shared": _time_backend_ensemble(cells, cell_workers)}
     ensemble_speedup = ensemble["serial"] / ensemble["shared"]
 
     # A scenario-layer workload on the same axis: the dram.retention
     # scan is ODE-bound with tiny payloads, the opposite corner of the
     # workload space from the transport fan-out above.
-    dram = {name: _time_backend_dram(name, trials, trial_workers)
-            for name in ("serial", "shared")}
+    dram = {"serial": _time_backend_dram(trials, 1),
+            "shared": _time_backend_dram(trials, trial_workers)}
     dram_speedup = dram["serial"] / dram["shared"]
 
     rows = [

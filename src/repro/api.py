@@ -37,10 +37,9 @@ Scenarios (declarative workloads over the engine)
 Resilience (fault-tolerant execution)
     :class:`RetryPolicy`, :class:`JobResult`, :func:`run_jobs`,
     :class:`RunCheckpoint`, :func:`inject_faults`
-Execution engine (pluggable backends, see ``docs/performance.md``)
-    :class:`ExecutionBackend`, :class:`SharedMemoryBackend`,
-    :func:`get_backend`, :func:`available_backends`,
-    :func:`register_backend`
+Execution engine (``workers`` picks the backend, see
+``docs/performance.md``)
+    :class:`SharedMemoryBackend`, :func:`get_backend`
 Observability (tracing / metrics / telemetry)
     :class:`Tracer`, :class:`Metrics`, :func:`enable_tracing`,
     :func:`profiled`, :class:`RunTelemetry`, :func:`load_telemetry`,
@@ -53,7 +52,7 @@ Analysis (estimators behind the validation figures)
     :func:`fit_lorentzian`, :func:`fit_one_over_f`
 Verification (statistical correctness harness)
     :func:`run_verification`, :class:`VerificationReport`,
-    :class:`CheckResult`, :class:`AlphaBudget`, :class:`CaseGenerator`
+    :class:`CheckResult`, :class:`AlphaBudget`
 """
 
 from __future__ import annotations
@@ -103,11 +102,8 @@ _EXPORTS = {
     "RunCheckpoint": "repro.core.resilience:RunCheckpoint",
     "inject_faults": "repro.testing.faults:inject_faults",
     # Execution engine.
-    "ExecutionBackend": "repro.core.engine:ExecutionBackend",
     "SharedMemoryBackend": "repro.core.engine:SharedMemoryBackend",
     "get_backend": "repro.core.engine:get_backend",
-    "available_backends": "repro.core.engine:available_backends",
-    "register_backend": "repro.core.engine:register_backend",
     # Observability.
     "Tracer": "repro.obs.tracer:Tracer",
     "Metrics": "repro.obs.metrics:Metrics",
@@ -134,7 +130,6 @@ _EXPORTS = {
     "VerificationReport": "repro.verify.result:VerificationReport",
     "CheckResult": "repro.verify.result:CheckResult",
     "AlphaBudget": "repro.verify.harness:AlphaBudget",
-    "CaseGenerator": "repro.verify.harness:CaseGenerator",
 }
 
 __all__ = sorted(_EXPORTS)

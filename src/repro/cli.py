@@ -7,8 +7,9 @@ Small, scriptable entry points over the library's main flows:
 - ``ensemble`` — batched array-scale Monte-Carlo write-error prediction
   (``--trace-out``/``--metrics-out``/``--profile`` export observability);
 - ``report`` — render a telemetry or Chrome-trace JSON as tables;
-- ``scenario`` — list the registered workload scenarios or run one on a
-  chosen execution backend (``scenario list`` / ``scenario run``);
+- ``scenario`` — list the registered workload scenarios or run one,
+  in-process or on ``--workers`` processes (``scenario list`` /
+  ``scenario run``);
 - ``snm`` — static noise margins of a cell;
 - ``traps`` — sample and summarise a device's trap population;
 - ``retention`` — DRAM VRT retention scan;
@@ -120,7 +121,7 @@ def _cmd_ensemble(args) -> int:
         n_cells=args.cells, spec=spec, pattern=fig8_pattern(),
         rtn_scale=args.scale, screen_threshold=args.threshold,
         max_verified_cells=args.verify, workers=args.workers,
-        backend=args.backend, margin_samples=args.margins, retry=retry,
+        margin_samples=args.margins, retry=retry,
         checkpoint_dir=checkpoint_dir, resume=bool(args.resume))
     rng = np.random.default_rng(args.seed)
     runner = EnsembleRunner(config)
@@ -274,8 +275,7 @@ def _cmd_scenario(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checkpoint_dir = args.resume if args.resume else args.checkpoint_dir
-    run = run_scenario(entry, config, seed=args.seed,
-                       backend=args.backend, workers=args.workers,
+    run = run_scenario(entry, config, seed=args.seed, workers=args.workers,
                        checkpoint_dir=checkpoint_dir,
                        resume=bool(args.resume))
     counts = run.counts
@@ -336,9 +336,6 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .core.engine import available_backends
-
-    backends = available_backends()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SAMURAI reproduction command-line interface")
@@ -367,13 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "flagged for SPICE verification")
     ensemble.add_argument("--verify", type=_non_negative, default=4,
                           help="max flagged cells to verify with SPICE")
-    ensemble.add_argument("--backend", default=None, choices=backends,
-                          help="verification execution backend (default: "
-                               "shared when --workers > 1, else serial; "
-                               "'shared' runs a per-run pool over a "
-                               "shared-memory payload arena)")
     ensemble.add_argument("--workers", type=_positive, default=None,
-                          help="processes for the verification passes")
+                          help="processes for the verification passes "
+                               "(more than 1 runs a per-run pool over a "
+                               "shared-memory payload arena)")
     ensemble.add_argument("--margins", type=_non_negative, default=0,
                           help="cells to also solve a per-cell hold SNM for")
     ensemble.add_argument("--top", type=_non_negative, default=10,
@@ -424,12 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "demonstration configuration")
     scenario_run.add_argument("--seed", type=int, default=0,
                               help="root seed of the per-job RNG streams")
-    scenario_run.add_argument("--backend", default=None, choices=backends,
-                              help="execution backend (default: shared "
-                                   "when --workers > 1, else serial)")
     scenario_run.add_argument("--workers", type=_positive, default=None,
-                              help="worker processes for the parallel "
-                                   "backends")
+                              help="worker processes (more than 1 runs "
+                                   "the jobs on the shared-memory pool)")
     scenario_run.add_argument("--checkpoint-dir", default=None,
                               help="directory for periodic snapshots of "
                                    "completed jobs")

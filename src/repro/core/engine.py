@@ -1,8 +1,8 @@
-"""Pluggable execution backends for ensemble-scale job fan-out.
+"""The two execution backends behind ensemble-scale job fan-out.
 
 Every fan-out in the package goes through
-:func:`repro.core.resilience.run_jobs`, which hands the job list to a
-*backend* — a named, registered, swappable object.  Two ship:
+:func:`repro.core.resilience.run_jobs`, which hands the job list to
+one of two backends:
 
 ``serial``
     The in-process loop (single helper thread for timeout supervision).
@@ -22,9 +22,9 @@ Every fan-out in the package goes through
     an attempt, its unstarted chunk-mates requeued for free, and a
     fresh worker respawned in its slot.
 
-:func:`resolve_backend` is the single place a ``(backend, workers)``
-request becomes a backend: an explicit backend wins, otherwise
-``shared`` runs ``workers > 1`` and ``serial`` everything else.
+``workers`` is the one execution setting.  :func:`resolve_backend` is
+the single place it becomes a backend: ``shared`` runs ``workers > 1``
+and ``serial`` everything else.
 
 Both backends speak the same contract as ``run_jobs``: retry with
 backoff per :class:`~repro.core.resilience.RetryPolicy`, per-job
@@ -43,7 +43,7 @@ the population table is lazy and cheap to build, so the ensemble calls
 :func:`~repro.traps.propensity.population_propensity` directly.  Its
 removal is pending.
 
-See ``docs/performance.md`` for the backend selection guide and the
+See ``docs/performance.md`` for choosing a worker count and the
 shared-memory caveats on spawn-start platforms (macOS/Windows).
 """
 
@@ -71,15 +71,12 @@ from .resilience import (
 )
 
 __all__ = [
-    "ExecutionBackend",
     "PropensityTableCache",
     "SerialBackend",
     "SharedMemoryBackend",
     "adaptive_chunk_size",
-    "available_backends",
     "get_backend",
     "propensity_cache",
-    "register_backend",
     "resolve_backend",
 ]
 
@@ -94,83 +91,13 @@ _ALIGN = 64
 _ARENA_TAG = "repro.arena"
 
 
-# ======================================================================
-# Backend protocol + registry
-# ======================================================================
+class SerialBackend:
+    """In-process execution (the ``workers<=1`` path of ``run_jobs``).
 
-class ExecutionBackend:
-    """One way of running ``fn(job)`` over many jobs, resiliently.
-
-    Subclasses implement :meth:`run` with ``run_jobs`` semantics: never
-    raise on job failure, return one terminal
+    Like :class:`SharedMemoryBackend`, :meth:`run` never raises on job
+    failure and returns one terminal
     :class:`~repro.core.resilience.JobResult` per job, in job order.
     """
-
-    #: Registry name (``serial`` / ``shared`` / ...).
-    name: str = "?"
-
-    def run(self, fn, jobs, *, keys, workers: int | None = None,
-            policy: RetryPolicy | None = None,
-            on_result=None) -> list:
-        raise NotImplementedError
-
-
-_BACKENDS: dict = {}
-
-
-def register_backend(cls) -> type:
-    """Register an :class:`ExecutionBackend` subclass under ``cls.name``.
-
-    Usable as a decorator; later registrations override earlier ones,
-    so tests can shadow a backend with an instrumented double.
-    """
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def available_backends() -> tuple:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(spec) -> ExecutionBackend:
-    """Resolve a backend name / class / instance to an instance.
-
-    Raises
-    ------
-    ValueError
-        For an unknown backend name.
-    """
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, ExecutionBackend):
-        return spec()
-    try:
-        cls = _BACKENDS[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown execution backend {spec!r}; available: "
-            f"{', '.join(available_backends())}") from None
-    return cls()
-
-
-def resolve_backend(backend=None, workers: int | None = None
-                    ) -> ExecutionBackend:
-    """The backend that runs a ``(backend, workers)`` request.
-
-    An explicit ``backend`` (name, class or instance) goes through
-    :func:`get_backend`; ``None`` picks ``shared`` for ``workers > 1``
-    and ``serial`` otherwise.  Callers read ``.name`` off the result
-    for telemetry.
-    """
-    if backend is None:
-        backend = "shared" if (workers or 0) > 1 else "serial"
-    return get_backend(backend)
-
-
-@register_backend
-class SerialBackend(ExecutionBackend):
-    """In-process execution (the ``workers<=1`` path of ``run_jobs``)."""
 
     name = "serial"
 
@@ -445,8 +372,7 @@ class _WorkerHandle:
         self.idle = True
 
 
-@register_backend
-class SharedMemoryBackend(ExecutionBackend):
+class SharedMemoryBackend:
     """Per-run worker pool over a shared-memory payload arena.
 
     Every worker is spawned by :meth:`run` and has exited when it
@@ -737,6 +663,30 @@ class SharedMemoryBackend(ExecutionBackend):
                                   chunks=chunks_issued,
                                   arena_arrays=builder.n_arrays)
         return [results[i] for i in range(len(jobs))]
+
+
+def get_backend(name: str):
+    """A fresh backend by name: ``"serial"`` or ``"shared"``.
+
+    Raises
+    ------
+    ValueError
+        For any other name.
+    """
+    for cls in (SerialBackend, SharedMemoryBackend):
+        if name == cls.name:
+            return cls()
+    raise ValueError(f"unknown execution backend {name!r}; available: "
+                     "serial, shared")
+
+
+def resolve_backend(workers: int | None = None):
+    """The backend that runs ``workers`` workers.
+
+    ``shared`` for ``workers > 1``, ``serial`` for ``None`` or fewer.
+    Callers read ``.name`` off the result for telemetry.
+    """
+    return get_backend("shared" if (workers or 0) > 1 else "serial")
 
 
 # ======================================================================

@@ -36,7 +36,7 @@ The pipeline:
    re-simulated through the real injected SPICE pass (with their own
    ``vt_shifts``) and classified into write errors exactly like the
    per-cell methodology.  The fan-out is the ``sram.verify`` scenario,
-   executed on the configured :mod:`repro.core.engine` backend.
+   executed in-process, or on ``workers`` worker processes.
 5. **Margins**: the nominal static noise margin is computed once;
    ``margin_samples`` adds a per-cell hold-SNM distribution.
 
@@ -69,7 +69,6 @@ from ..spice.transient import simulate_transient  # noqa: F401
 from ..sram.detectors import OpOutcome
 from ..traps.propensity import draw_initial_states, population_propensity
 from ..traps.trap import TrapPopulation
-from .engine import get_backend, resolve_backend
 from .methodology import (
     MethodologyConfig,
     PatternBench,
@@ -113,14 +112,11 @@ class EnsembleConfig:
         pass; the highest-metric cells go first.  ``None`` verifies all
         flagged cells; a negative cap is rejected.
     workers:
-        Process count for sharding the verification passes; ``None`` or
-        1 stays serial.
-    backend:
-        Execution backend for the verification jobs: ``"serial"``,
-        ``"shared"`` (per-run workers over one shared-memory payload
-        arena — see :mod:`repro.core.engine`), or ``None`` for
-        :func:`~repro.core.engine.resolve_backend`'s choice (``shared``
-        when ``workers > 1``, else ``serial``).
+        The one execution setting of the verification passes: ``None``
+        or 1 runs them in-process (the ``serial`` backend); more shards
+        them over that many worker processes (the ``shared`` backend,
+        one shared-memory payload arena — see
+        :mod:`repro.core.engine`).
     keep_traces:
         Keep the synthesised per-cell RTN traces on the result
         (``result.traces[cell][transistor]``) — off by default because
@@ -156,7 +152,6 @@ class EnsembleConfig:
     screen_threshold: float = 0.02
     max_verified_cells: int | None = None
     workers: int | None = None
-    backend: str | None = None
     keep_traces: bool = False
     margin_samples: int = 0
     methodology: MethodologyConfig = field(default_factory=MethodologyConfig)
@@ -186,8 +181,6 @@ class EnsembleConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume requires checkpoint_dir")
-        if self.backend is not None:
-            get_backend(self.backend)  # ValueError for an unknown name
 
     def fingerprint(self) -> dict:
         """Identity of a run for checkpoint compatibility checks.
@@ -685,14 +678,14 @@ class EnsembleRunner:
                         pattern, traces[i] if traces else cell_traces(i),
                         method)
                     for i in verify}
-        backend = resolve_backend(config.backend, config.workers)
-        verdicts = run_scenario(
+        verification = run_scenario(
             VerifyScenario, (payloads, config.fingerprint()),
-            backend=backend, workers=config.workers,
+            workers=config.workers,
             policy=config.retry or RetryPolicy(),
             checkpoint_dir=config.checkpoint_dir,
             checkpoint_every=config.checkpoint_every,
-            resume=config.resume).value
+            resume=config.resume)
+        verdicts = verification.value
         phase_started = _phase_done("verification", phase_started)
 
         # Step 5: margins.
@@ -702,7 +695,7 @@ class EnsembleRunner:
                                 clean_failures=clean_failures,
                                 kernel_stats=kernel_stats,
                                 kernel_fallbacks=kernel_fallbacks,
-                                backend=backend.name,
+                                backend=verification.backend,
                                 traces=traces)
         unverified = JobResult(key=None, attempts=0)
         for index in range(config.n_cells):

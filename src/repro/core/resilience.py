@@ -3,7 +3,7 @@
 The ensemble's statistical value depends on *completing* large cell
 populations: one diverging Newton solve or one crashed worker must
 cost one cell (at worst), never the run.  This module provides the
-pieces the execution backends thread through:
+pieces the two execution backends thread through:
 
 - :func:`run_jobs` — the one entry point for fanning a job list out:
   it retries transient failures with exponential backoff, enforces a
@@ -197,8 +197,7 @@ def _finish(result: JobResult, error: BaseException | None,
 
 def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
              policy: RetryPolicy | None = None,
-             on_result: Callable | None = None,
-             backend=None) -> list:
+             on_result: Callable | None = None) -> list:
     """Run ``fn(job)`` over every job, surviving worker failures.
 
     Parameters
@@ -211,21 +210,18 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
         Per-job identifiers for results and fault-site decisions;
         defaults to the job index.
     workers:
-        Worker-process count; ``None``/``0``/``1`` runs in-process (a
-        single helper thread supervises the timeout when one is
-        configured).
+        The one execution setting: ``None``/``0``/``1`` runs in-process
+        on the ``serial`` backend (a single helper thread supervises the
+        timeout when one is configured); more runs that many worker
+        processes on the ``shared`` backend
+        (:func:`repro.core.engine.resolve_backend`).  See
+        ``docs/performance.md``.
     policy:
         Retry/backoff/timeout policy; defaults to ``RetryPolicy()``.
     on_result:
         Callback invoked with each :class:`JobResult` as it reaches a
         terminal status, in completion order — the ensemble's
         incremental checkpoint hook.
-    backend:
-        Execution backend — a name (``serial`` / ``shared``), an
-        :class:`~repro.core.engine.ExecutionBackend` class or instance,
-        or ``None`` to let :func:`repro.core.engine.resolve_backend`
-        pick (``shared`` when ``workers > 1``, else ``serial``).  See
-        ``docs/performance.md``.
 
     Returns
     -------
@@ -239,7 +235,7 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
     # Lazy import: engine builds on this module's primitives.
     from .engine import resolve_backend
 
-    return resolve_backend(backend, workers).run(
+    return resolve_backend(workers).run(
         fn, jobs, keys=keys, workers=workers, policy=policy or RetryPolicy(),
         on_result=on_result)
 

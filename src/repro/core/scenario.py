@@ -5,7 +5,7 @@ its own dispatch code: the SRAM ensemble fanned verification jobs
 through :func:`~repro.core.resilience.run_jobs`, while the DRAM VRT
 scan, the NBTI device populations and the oscillator sweeps each ran a
 bare sequential Python loop over one shared, threaded RNG — so none of
-them could use the execution backends, the retry/timeout resilience,
+them could use the parallel engine, the retry/timeout resilience,
 the checkpoint/resume machinery or the obs instrumentation that PRs
 3–6 built for the ensemble alone.
 
@@ -20,10 +20,10 @@ A :class:`Scenario` is the declarative answer: a workload is
   :class:`~repro.core.resilience.JobResult` list (in job order) back
   into the workload's domain result.
 
-:func:`run_scenario` executes any registered scenario on any
-:mod:`repro.core.engine` backend through
+:func:`run_scenario` executes any registered scenario through
 :func:`~repro.core.resilience.run_jobs`, so every scenario inherits —
-for free — backend selection (``serial`` / ``shared``),
+for free — parallel execution (``workers > 1`` runs the ``shared``
+worker pool of :mod:`repro.core.engine`),
 retry/backoff/timeout policies, worker-crash recovery, deterministic
 fault-injection sites (:mod:`repro.testing.faults`, including the
 scenario-level ``scenario`` site), checkpoint/resume via
@@ -231,8 +231,7 @@ class ScenarioRegistry:
     """Name -> :class:`Scenario` instance registry.
 
     Later registrations override earlier ones, so tests can shadow a
-    scenario with an instrumented double — the same convention as
-    :func:`repro.core.engine.register_backend`.
+    scenario with an instrumented double.
     """
 
     def __init__(self) -> None:
@@ -325,7 +324,8 @@ class ScenarioRun:
     seed:
         Root seed of the run.
     backend:
-        Execution backend name that carried the jobs.
+        Name of the execution backend that carried the jobs
+        (``serial`` or ``shared``, as ``workers`` picked it).
     results:
         Terminal :class:`JobResult` per job, in job order (resumed
         jobs carry their checkpointed outcome).
@@ -386,11 +386,11 @@ class ScenarioRun:
 
 
 def run_scenario(scenario, config=None, *, seed: int = 0,
-                 backend=None, workers: int | None = None,
+                 workers: int | None = None,
                  policy: RetryPolicy | None = None,
                  checkpoint_dir=None, checkpoint_every: int = 8,
                  resume: bool = False) -> ScenarioRun:
-    """Plan, execute and reduce one scenario on an execution backend.
+    """Plan, execute and reduce one scenario.
 
     Parameters
     ----------
@@ -404,14 +404,10 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
         :func:`repro.testing.seeding.spawn_seeds` keyed by
         ``(seed, "scenario", name)`` and the job index, so any job is
         reproducible in isolation and the run is backend-invariant.
-    backend:
-        Execution backend — a name (``serial`` / ``shared``), an
-        :class:`~repro.core.engine.ExecutionBackend` class or instance,
-        or ``None`` for ``shared`` when ``workers > 1``, else
-        ``serial``.  Resolution always goes through
-        :func:`repro.core.engine.resolve_backend`.
     workers:
-        Worker-process count for the parallel backends.
+        The one execution setting: ``None`` or 1 runs the jobs
+        in-process, more runs them on that many worker processes
+        (:func:`repro.core.engine.resolve_backend`).
     policy:
         Retry/backoff/timeout policy; defaults to
         :class:`~repro.core.resilience.RetryPolicy`.
@@ -439,7 +435,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires checkpoint_dir")
     policy = policy or RetryPolicy()
-    backend = resolve_backend(backend, workers)
+    backend = resolve_backend(workers).name
 
     timings: dict = {}
     run_started = clock.monotonic()
@@ -511,7 +507,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
                 checkpoint.save(fingerprint)
                 completed_since_save = 0
 
-    # Phase 2: execute on the engine. run_jobs + the backend carry the
+    # Phase 2: execute on the engine. run_jobs and its backend carry the
     # whole resilience/obs/faults contract; a partial run (kill, crash)
     # leaves its completed jobs in the checkpoint for the next resume.
     phase_started = clock.monotonic()
@@ -521,7 +517,7 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     try:
         run_jobs(execute_scenario_job, [jobs[p] for p in pending],
                  keys=[keys[p] for p in pending], workers=workers,
-                 policy=policy, on_result=settle, backend=backend)
+                 policy=policy, on_result=settle)
     finally:
         # Saved even when nothing ran, so every checkpointed run leaves
         # a manifest whose fingerprint guards the next resume.
@@ -536,11 +532,11 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     timings["total"] = clock.monotonic() - run_started
 
     run = ScenarioRun(scenario=scenario.name, seed=int(seed),
-                      backend=backend.name, results=results, value=value,
+                      backend=backend, results=results, value=value,
                       resumed=resumed, timings=timings)
     if obs.enabled():
         run.metrics_snapshot = obs.metrics().snapshot()
         obs.complete_span("scenario.run", run_started, timings["total"],
                           scenario=scenario.name, jobs=len(plan),
-                          resumed=len(resumed), backend=backend.name)
+                          resumed=len(resumed), backend=backend)
     return run

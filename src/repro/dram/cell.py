@@ -212,7 +212,7 @@ class RetentionScanScenario(scenario.Scenario):
     The plan builds the cell's :class:`RetentionModel` once; each job
     re-writes the cell and measures one retention time with its own
     spawned generator, so trial *k* is reproducible in isolation and
-    the scan parallelises across any backend.  The reducer returns the
+    the scan parallelises across any number of workers.  The reducer returns the
     retention-time array (``inf`` = survived the window), matching
     :func:`retention_distribution`.
     """
@@ -257,7 +257,7 @@ scenario.register_scenario(RetentionScanScenario)
 
 def retention_distribution(spec: DramCellSpec, trap: Trap,
                            rng: np.random.Generator, n_trials: int,
-                           t_max: float = 1e-3, *, backend=None,
+                           t_max: float = 1e-3, *,
                            workers: int | None = None) -> np.ndarray:
     """Repeated retention measurements of the same cell (VRT scan).
 
@@ -268,7 +268,7 @@ def retention_distribution(spec: DramCellSpec, trap: Trap,
     Thin wrapper over the ``dram.retention`` scenario: ``rng`` now only
     seeds the scan (one draw), and each trial runs on its own spawned
     stream — so trial *k* is reproducible in isolation and the scan
-    accepts any execution ``backend``/``workers``.  Sequences differ
+    runs on any number of ``workers``.  Sequences differ
     from the pre-scenario shared-generator threading at the same seed;
     the distribution is unchanged.
     """
@@ -276,7 +276,7 @@ def retention_distribution(spec: DramCellSpec, trap: Trap,
         RetentionScanScenario,
         RetentionScanConfig(spec=spec, trap=trap, n_trials=n_trials,
                             t_max=t_max),
-        seed=int(rng.integers(2**63)), backend=backend, workers=workers)
+        seed=int(rng.integers(2**63)), workers=workers)
     return run.value
 
 

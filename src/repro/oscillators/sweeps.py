@@ -3,7 +3,7 @@
 The sweep loops the examples and benches used to hand-roll — "one ring
 per stage count", "one pull-out bisection per loop spec" — are natural
 scenario plans: every sweep point is an independent job, so the sweeps
-inherit the execution backends, resilience and checkpointing from
+inherit parallel execution, resilience and checkpointing from
 :mod:`repro.core.scenario` instead of running bare ``for`` loops.
 
 Two scenarios ship here:
@@ -34,8 +34,6 @@ __all__ = [
     "RingPeriodSweepConfig",
     "RingSweepPoint",
     "RingSweepScenario",
-    "pll_pullout_sweep",
-    "ring_period_sweep",
 ]
 
 
@@ -160,18 +158,6 @@ class RingSweepScenario(scenario.Scenario):
 scenario.register_scenario(RingSweepScenario)
 
 
-def ring_period_sweep(config: RingPeriodSweepConfig, *, seed: int = 0,
-                      backend=None, workers: int | None = None) -> list:
-    """Measure ring periods over ``config.stage_counts``.
-
-    Thin wrapper over the ``oscillators.ring`` scenario; returns the
-    :class:`RingSweepPoint` list in stage-count order.
-    """
-    run = scenario.run_scenario(RingSweepScenario, config, seed=seed,
-                                backend=backend, workers=workers)
-    return run.value
-
-
 # ----------------------------------------------------------------------
 # PLL pull-out-frequency sweep.
 
@@ -230,15 +216,3 @@ class PllSweepScenario(scenario.Scenario):
 
 
 scenario.register_scenario(PllSweepScenario)
-
-
-def pll_pullout_sweep(config: PllPulloutSweepConfig, *, seed: int = 0,
-                      backend=None, workers: int | None = None
-                      ) -> np.ndarray:
-    """Pull-out frequencies [Hz] for every loop in ``config.specs``.
-
-    Thin wrapper over the ``oscillators.pll`` scenario.
-    """
-    run = scenario.run_scenario(PllSweepScenario, config, seed=seed,
-                                backend=backend, workers=workers)
-    return run.value

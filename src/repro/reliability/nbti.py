@@ -188,8 +188,7 @@ def sample_reliability_population(params: MosfetParams,
                                   n_devices: int,
                                   stress_bias: float | None = None,
                                   operating_bias: float | None = None,
-                                  *, backend=None,
-                                  workers: int | None = None) -> list:
+                                  *, workers: int | None = None) -> list:
     """Sample devices and evaluate both reliability metrics on each.
 
     Returns a list of :class:`DeviceReliability`; feed it to
@@ -198,7 +197,7 @@ def sample_reliability_population(params: MosfetParams,
     Thin wrapper over the ``reliability.nbti`` scenario: ``rng`` now
     only seeds the run (one draw), and each device samples its traps
     from its own spawned stream — reproducible in isolation and
-    parallelisable via ``backend``/``workers``.  Sequences differ from
+    parallelisable via ``workers``.  Sequences differ from
     the pre-scenario shared-generator threading at the same seed; the
     population law is unchanged.
     """
@@ -207,7 +206,7 @@ def sample_reliability_population(params: MosfetParams,
         ReliabilityPopulationConfig(
             params=params, profiler=profiler, n_devices=n_devices,
             stress_bias=stress_bias, operating_bias=operating_bias),
-        seed=int(rng.integers(2**63)), backend=backend, workers=workers)
+        seed=int(rng.integers(2**63)), workers=workers)
     return run.value
 
 

@@ -13,10 +13,8 @@ bend the physics:
   batch-vs-scalar kernel equivalence;
 - :mod:`repro.verify.spice_checks` — KCL residuals, charge
   conservation, RC closed form, 6T DC-op bistability;
-- :mod:`repro.verify.harness` — seed-derived case generators over trap
-  parameters, bias waveforms and technology cards, Bonferroni
-  :class:`AlphaBudget` bookkeeping, and shrinking-by-bisection for
-  failing cases;
+- :mod:`repro.verify.harness` — the Bonferroni :class:`AlphaBudget`
+  that every statistical check draws its significance level from;
 - :mod:`repro.verify.golden` — committed golden *statistics* (never
   raw traces) with provenance, regenerated via
   ``scripts/check_golden.py``;

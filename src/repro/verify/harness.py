@@ -1,44 +1,21 @@
-"""Deterministic property harness: cases, alpha budgets, shrinking.
+"""The family-wise false-positive budget of the statistical checks.
 
-The statistical oracles in :mod:`repro.verify.oracles` test *one*
-scenario; the property harness sweeps them over seed-derived families
-of scenarios — trap parameters, bias waveforms, technology cards —
-while keeping two guarantees the paper-grade claim needs:
-
-1. **Determinism.**  Every case carries its own seed, derived from the
-   root seed and the case index via the shared convention in
-   :mod:`repro.testing.seeding`.  A failing case replays bit-for-bit
-   from ``(root_seed, index)`` — no hidden global state, ever.
-2. **Controlled false positives.**  Statistical checks consume
-   fractions of one family-wise :class:`AlphaBudget` (Bonferroni), so
-   a tier-2 run over hundreds of cases still has a provably small
-   probability of flaking on a correct kernel.
-
-When a case fails, :func:`shrink_case` bisects its numeric parameters
-toward nominal values, one at a time, to report the *smallest*
-perturbation that still fails — the statistical analogue of
-property-testing shrinkers.
+Every statistical oracle in :mod:`repro.verify.oracles`, the
+``repro verify`` suite and the tier-2 invariance suites draws its
+significance level from one :class:`AlphaBudget`, split by Bonferroni.
+A run of many checks on a correct kernel then fails with probability
+at most the budget's ``total``, whatever the number of checks.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import AnalysisError
-from ..testing.seeding import derive_rng, derive_seed
-from .result import CheckResult
 
-__all__ = [
-    "AlphaBudget",
-    "Case",
-    "CaseGenerator",
-    "PropertyOutcome",
-    "run_property",
-    "shrink_case",
-]
+__all__ = ["AlphaBudget"]
 
 
 @dataclass(frozen=True)
@@ -77,211 +54,3 @@ class AlphaBudget:
         if weights.size == 0 or np.any(weights <= 0.0):
             raise AnalysisError("weights must be positive and non-empty")
         return list(self.total * weights / weights.sum())
-
-
-@dataclass(frozen=True)
-class Case:
-    """One generated scenario: named parameters plus a private seed.
-
-    Attributes
-    ----------
-    index:
-        Position in the generated family.
-    seed:
-        The case's own root seed (derived, not sequential — cases stay
-        independent even if the family is re-sliced).
-    params:
-        Name -> value; floats are shrinkable, strings (e.g. a
-        technology card name) are categorical.
-    """
-
-    index: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def rng(self, *tags) -> np.random.Generator:
-        """The case's deterministic generator (optionally sub-tagged)."""
-        return derive_rng(self.seed, *tags)
-
-    def with_params(self, **updates) -> "Case":
-        """A copy with some parameters replaced (same seed/index)."""
-        merged = dict(self.params)
-        merged.update(updates)
-        return dataclasses.replace(self, params=merged)
-
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v:.4g}" if isinstance(v, float)
-                          else f"{k}={v}" for k, v in self.params.items())
-        return f"case[{self.index}](seed={self.seed}, {inner})"
-
-
-class CaseGenerator:
-    """Seed-derived scenario families over trap/bias/technology space.
-
-    All draws go through generators derived from the root seed and the
-    case index, so ``CaseGenerator(7).trap_cases(100)[42]`` is the same
-    case in every process, forever.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self.root_seed = int(root_seed)
-
-    def _case(self, kind: str, index: int, params: dict) -> Case:
-        return Case(index=index,
-                    seed=derive_seed(self.root_seed, kind, index),
-                    params=params)
-
-    def trap_cases(self, n: int, technologies=None) -> list:
-        """Traps at random depth/energy/bias on random cards.
-
-        Parameters per case: ``tech`` (card name), ``depth_fraction``
-        (of the oxide thickness, kept off the interface), ``bias``
-        (gate drive in [0, Vdd]), ``target_candidates`` (how much
-        simulated activity a statistical check should budget for).
-        """
-        from ..devices.technology import TECHNOLOGIES
-
-        names = list(technologies or TECHNOLOGIES)
-        cases = []
-        for index in range(n):
-            rng = derive_rng(self.root_seed, "trap-case", index)
-            params = {
-                "tech": names[int(rng.integers(len(names)))],
-                "depth_fraction": float(rng.uniform(0.05, 0.6)),
-                "energy_offset": float(rng.uniform(-0.1, 0.1)),
-                "bias": float(rng.uniform(0.1, 0.9)),
-                "target_candidates": 4000.0,
-            }
-            cases.append(self._case("trap-case", index, params))
-        return cases
-
-    def rate_cases(self, n: int, log10_span: float = 2.0) -> list:
-        """Bare constant-rate chains spanning ``log10_span`` decades.
-
-        Parameters per case: ``lambda_c``, ``lambda_e`` (rates around
-        1/s scaled by a random decade factor), ``window_sums`` (window
-        length in units of ``1/(lambda_c+lambda_e)``).
-        """
-        cases = []
-        for index in range(n):
-            rng = derive_rng(self.root_seed, "rate-case", index)
-            scale = 10.0 ** rng.uniform(-log10_span / 2, log10_span / 2)
-            ratio = 10.0 ** rng.uniform(-1.0, 1.0)
-            params = {
-                "lambda_c": float(scale),
-                "lambda_e": float(scale * ratio),
-                "window_sums": 50.0,
-            }
-            cases.append(self._case("rate-case", index, params))
-        return cases
-
-    def bias_waveform_cases(self, n: int, n_segments: int = 6) -> list:
-        """Piecewise-linear bias waveforms (non-stationary drive).
-
-        Parameters per case: ``level_0..k`` (bias levels of the PWL
-        knots, in fractions of Vdd), ``period`` (total waveform span in
-        units of the trap's relaxation time), ``tech``.
-        """
-        from ..devices.technology import TECHNOLOGIES
-
-        names = list(TECHNOLOGIES)
-        cases = []
-        for index in range(n):
-            rng = derive_rng(self.root_seed, "bias-case", index)
-            params = {
-                "tech": names[int(rng.integers(len(names)))],
-                "period": float(rng.uniform(2.0, 20.0)),
-            }
-            for k in range(n_segments + 1):
-                params[f"level_{k}"] = float(rng.uniform(0.05, 0.95))
-            cases.append(self._case("bias-case", index, params))
-        return cases
-
-
-@dataclass(frozen=True)
-class PropertyOutcome:
-    """Result of sweeping one check over a case family.
-
-    Attributes
-    ----------
-    results:
-        ``(case, CheckResult)`` pairs in case order.
-    shrunk:
-        Minimal failing cases found by bisection (one per failure, in
-        failure order); empty when everything passed.
-    """
-
-    results: tuple
-    shrunk: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for _, result in self.results)
-
-    @property
-    def failures(self) -> list:
-        return [(case, result) for case, result in self.results
-                if not result.passed]
-
-    def describe_failures(self) -> str:
-        lines = []
-        for case, result in self.failures:
-            lines.append(f"{case.describe()}: {result.name} "
-                         f"stat={result.statistic:.4g} "
-                         f"thr={result.threshold:.4g}")
-        return "\n".join(lines)
-
-
-def run_property(cases, check_fn, shrink: bool = False,
-                 nominal: dict | None = None) -> PropertyOutcome:
-    """Run ``check_fn(case) -> CheckResult`` over a case family.
-
-    With ``shrink=True``, each failing case is bisected toward
-    ``nominal`` parameter values (see :func:`shrink_case`) and the
-    minimal failing variants are attached to the outcome.
-    """
-    results = []
-    shrunk = []
-    for case in cases:
-        result = check_fn(case)
-        if not isinstance(result, CheckResult):
-            raise AnalysisError(
-                f"check_fn must return CheckResult, got {type(result)}")
-        results.append((case, result))
-        if shrink and not result.passed:
-            shrunk.append(shrink_case(
-                case, lambda c: not check_fn(c).passed, nominal or {}))
-    return PropertyOutcome(results=tuple(results), shrunk=tuple(shrunk))
-
-
-def shrink_case(case: Case, fails_fn, nominal: dict,
-                rounds: int = 8) -> Case:
-    """Bisect a failing case's float parameters toward nominal values.
-
-    For each parameter with a nominal value, repeatedly move the
-    failing value halfway toward nominal while the case still fails
-    (``fails_fn(case)`` is True), keeping the failure deterministic via
-    the case's own seed.  Returns the smallest still-failing case found
-    — the one to paste into a regression test.
-
-    ``fails_fn`` must be a pure function of the case (true for every
-    oracle here: all randomness derives from ``case.seed``).
-    """
-    if not fails_fn(case):
-        raise AnalysisError("shrink_case needs a failing case to start from")
-    current = case
-    for name, target in nominal.items():
-        value = current.params.get(name)
-        if not isinstance(value, float) or not isinstance(target, (int, float)):
-            continue
-        lo = float(target)   # presumed passing end
-        hi = value           # known failing end
-        for _ in range(rounds):
-            mid = 0.5 * (lo + hi)
-            candidate = current.with_params(**{name: mid})
-            if fails_fn(candidate):
-                hi = mid
-            else:
-                lo = mid
-        current = current.with_params(**{name: hi})
-    return current

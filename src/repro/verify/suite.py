@@ -116,7 +116,7 @@ def _statistical_checks(seed: int, budget: AlphaBudget) -> list:
     from ..dram.cell import RetentionModel
 
     scan = get_scenario("dram.retention").default_config(_N_RETENTION_TRIALS)
-    times = run_scenario("dram.retention", scan, backend="serial",
+    times = run_scenario("dram.retention", scan,
                          seed=derive_seed(seed, "retention")).value
     checks.append(check_retention_law(
         times, RetentionModel.build(scan.spec, scan.trap), scan.t_max,

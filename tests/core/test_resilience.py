@@ -429,7 +429,7 @@ class TestSharedBackendKillResume:
     @staticmethod
     def _config(**overrides):
         base = dict(n_cells=5, spec=SPEC, pattern=fig8_pattern(bits=(1,)),
-                    rtn_scale=30.0, workers=2, backend="shared",
+                    rtn_scale=30.0, workers=2,
                     keep_traces=True, checkpoint_every=1)
         base.update(overrides)
         return EnsembleConfig(**base)

@@ -183,13 +183,13 @@ class TestRunScenario:
         expected = [rng.random() for rng in spawn_rngs(root, 4)]
         assert [v["draw"] for v in run.value] == expected
 
-    @pytest.mark.parametrize("backend", ["serial", "shared"])
-    def test_a_retry_restarts_the_job_stream(self, tmp_path, backend):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "shared"])
+    def test_a_retry_restarts_the_job_stream(self, tmp_path, workers):
         """A retry after a failed attempt that drew draws what an
         attempt that did not fail draws, on every backend."""
         clean = run_scenario(ToyScenario, 3, seed=5)
         retried = run_scenario(FlakyScenario, (str(tmp_path), 3), seed=5,
-                               backend=backend, workers=2)
+                               workers=workers)
         assert [r.status for r in retried.results] == ["recovered"] * 3
         assert [r.attempts for r in retried.results] == [2] * 3
         assert retried.value == clean.value
@@ -428,7 +428,7 @@ class TestBackendRouting:
             name = "test.nptoy"
             kernel = staticmethod(_np_kernel)
 
-        serial = run_scenario(NpToy, 3, seed=6, backend="serial")
+        serial = run_scenario(NpToy, 3, seed=6, workers=1)
         auto = run_scenario(NpToy, 3, seed=6, workers=2)
         assert auto.backend == "shared"
         assert auto.value == serial.value

@@ -203,11 +203,14 @@ class TestScenarioCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "run"])
 
-    def test_scenario_run_rejects_unknown_backends(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["scenario", "run", "oscillators.pll",
-                 "--backend", "quantum"])
+    def test_scenario_run_rejects_the_backend_flag(self, capsys):
+        """``--workers`` alone picks the backend: ``--backend`` is a usage
+        error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "run", "oscillators.pll",
+                  "--backend", "shared"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_list_shows_every_registered_scenario(self, capsys):
         assert main(["scenario", "list"]) == 0
@@ -227,9 +230,9 @@ class TestScenarioCommand:
         assert "backend serial" in out
         assert "MHz" in out
 
-    def test_run_honours_backend_and_workers(self, capsys):
+    def test_run_honours_workers(self, capsys):
         assert main(["scenario", "run", "oscillators.pll", "--n", "2",
-                     "--backend", "shared", "--workers", "2"]) == 0
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "backend shared" in out
 

@@ -85,7 +85,7 @@ class TestPlantedRetentionBiasIsCaught:
             scan.spec, leakage_factor=leakage_bias
             * scan.spec.leakage_factor))
         times = run_scenario("dram.retention", planted, seed=seed,
-                             backend="serial").value
+                             workers=1).value
         return check_retention_law(times, nominal, scan.t_max, self.ALPHA)
 
     @pytest.mark.parametrize("leakage_bias", [1.05, 0.95])

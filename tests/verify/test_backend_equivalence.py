@@ -114,8 +114,8 @@ class TestBitIdenticalTrajectories:
             config = EnsembleConfig(
                 n_cells=4, spec=fig8_cell_spec(),
                 pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
-                max_verified_cells=2, workers=2, backend=backend,
-                keep_traces=True)
+                max_verified_cells=2,
+                workers=1 if backend == "serial" else 2, keep_traces=True)
             return EnsembleRunner(config).run(
                 np.random.default_rng(20110314))
 

@@ -42,7 +42,7 @@ WORKERS = 2
 
 
 def _run(name: str, config, backend: str):
-    return run_scenario(name, config, seed=SEED, backend=backend,
+    return run_scenario(name, config, seed=SEED,
                         workers=1 if backend == "serial" else WORKERS)
 
 
@@ -204,7 +204,7 @@ class TestCheckpointKillResume:
     def test_dram_retention_survives_a_kill(self, tmp_path, monkeypatch):
         config = _default_config("dram.retention", 6)
         clean = run_scenario("dram.retention", config, seed=SEED,
-                             backend="serial")
+                             workers=1)
 
         real_save = scenario_module.RunCheckpoint.save
         saves = []
@@ -220,13 +220,13 @@ class TestCheckpointKillResume:
                           kill_after_three)
             with pytest.raises(KeyboardInterrupt):
                 run_scenario("dram.retention", config, seed=SEED,
-                             backend="serial", checkpoint_dir=tmp_path,
+                             workers=1, checkpoint_dir=tmp_path,
                              checkpoint_every=1)
         assert len(saves) == 3
 
         with obs.enable_tracing():
             resumed = run_scenario("dram.retention", config, seed=SEED,
-                                   backend="shared", workers=WORKERS,
+                                   workers=WORKERS,
                                    checkpoint_dir=tmp_path, resume=True)
         assert sorted(resumed.resumed) == [0, 1, 2]
         counters = resumed.metrics_snapshot["counters"]
