@@ -15,9 +15,9 @@ only need a kernel.
 The surface, by workflow:
 
 Kernels (paper Algorithm 1)
-    :func:`simulate_trap`, :func:`simulate_traps_batch`,
-    :class:`OccupancyTrace`, :class:`BatchPropensity`,
-    :func:`make_propensity`, :class:`UniformizationStats`
+    :func:`simulate_trap`, :func:`simulate_traps_batch` (over a rate
+    table), :class:`OccupancyTrace`, :class:`BatchPropensity` (the dense
+    rate table), :func:`make_propensity`, :class:`UniformizationStats`
 Trap physics (paper Eqs. 1-2)
     :class:`Trap`, :class:`TrapPopulation`, :class:`TrapProfiler`,
     :func:`population_propensity`, :func:`draw_initial_states`

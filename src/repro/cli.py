@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +73,22 @@ def _real_at_least(minimum: float, inclusive: bool = True,
 
 _non_negative_real = _real_at_least(0.0)
 _positive_real = _real_at_least(0.0, inclusive=False)
+
+
+def _alpha(text: str) -> float:
+    """An argparse type: a significance level in ``(0, 1)``."""
+    value = _positive_real(text)
+    if value >= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in (0, 1), got {text}")
+    return value
+
+
+def _existing_file(text: str) -> str:
+    """An argparse type: the path of an existing file."""
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
 
 
 def _cmd_cards(args) -> int:
@@ -187,7 +205,6 @@ def _cmd_ensemble(args) -> int:
 def _cmd_report(args) -> int:
     """Render a telemetry or Chrome-trace JSON as human-readable tables."""
     import json
-    from pathlib import Path
 
     from .obs.telemetry import telemetry_report
     from .obs.tracer import validate_chrome_trace
@@ -324,7 +341,6 @@ def _cmd_verify(args) -> int:
         failed += golden_report.n_failed
     if args.json_out:
         import json
-        from pathlib import Path
 
         payload = report.to_dict()
         Path(args.json_out).write_text(
@@ -336,6 +352,12 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .devices.technology import TECHNOLOGIES
+
+    technology = {"default": "90nm", "choices": list(TECHNOLOGIES),
+                  "help": "technology card (see `repro cards`)"}
+    supply = {"type": _positive_real, "default": None,
+              "help": "supply voltage [V] (default: the card's)"}
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SAMURAI reproduction command-line interface")
@@ -352,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ensemble", help="batched array-scale Monte-Carlo run")
     ensemble.add_argument("--cells", type=_positive, default=64,
                           help="number of cells in the ensemble")
-    ensemble.add_argument("--tech", default="90nm")
-    ensemble.add_argument("--vdd", type=float, default=None)
+    ensemble.add_argument("--tech", **technology)
+    ensemble.add_argument("--vdd", **supply)
     ensemble.add_argument("--seed", type=int, default=0)
     ensemble.add_argument("--scale", type=_non_negative_real, default=30.0,
                           help="RTN acceleration factor (paper uses 30)")
@@ -401,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="render a telemetry or trace JSON as tables")
-    report.add_argument("path", help="a --metrics-out telemetry JSON or a "
-                                     "--trace-out Chrome trace JSON")
+    report.add_argument("path", type=_existing_file,
+                        help="a --metrics-out telemetry JSON or a "
+                             "--trace-out Chrome trace JSON")
 
     scenario = sub.add_parser(
         "scenario", help="list or run registered workload scenarios")
@@ -430,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(implies --checkpoint-dir DIR)")
 
     snm = sub.add_parser("snm", help="static noise margins of a cell")
-    snm.add_argument("--tech", default="90nm")
-    snm.add_argument("--vdd", type=float, default=None)
+    snm.add_argument("--tech", **technology)
+    snm.add_argument("--vdd", **supply)
 
     traps = sub.add_parser("traps", help="sample a trap population")
-    traps.add_argument("--tech", default="90nm")
+    traps.add_argument("--tech", **technology)
     traps.add_argument("--seed", type=int, default=0)
 
     retention = sub.add_parser("retention", help="DRAM VRT scan")
@@ -452,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root seed of the statistical streams")
     verify.add_argument("--statistical", action="store_true",
                         help="include the tier-2 statistical oracles")
-    verify.add_argument("--alpha", type=float, default=1e-4,
+    verify.add_argument("--alpha", type=_alpha, default=1e-4,
                         help="family-wise false-positive budget of the "
                              "statistical suite")
     verify.add_argument("--golden", metavar="FILE", default=None,
@@ -478,7 +501,17 @@ _HANDLERS = {
 
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`repro cards | head -1`):
+        # exit quietly with 0, as stdout buffering decides whether the
+        # command had finished.  Python's SIGPIPE recipe: point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

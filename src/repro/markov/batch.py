@@ -22,10 +22,13 @@ longer depends on the current state.  The trajectory is therefore a
 forward-fill of the forced outcomes over the candidate sequence, which
 vectorises across every candidate of every trap at once.
 
-For SAMURAI traps the sum is bias-independent (paper Eq. 1), so
-``Lambda_i = lambda_c + lambda_e`` is simultaneously the tightest valid
-sum bound *and* the bound used by line 3 of paper Algorithm 1: the
-batched kernel then draws no more candidates than the scalar one.
+The kernel uniformises trap ``i`` at its table's peak sum
+``Lambda_i = max_t (lambda_c + lambda_e)``, the tightest valid sum
+bound.  For SAMURAI traps the sum is bias-independent (paper Eq. 1), so
+``Lambda_i`` is the constant ``lambda_c + lambda_e`` that line 3 of paper
+Algorithm 1 uses, and every candidate is forced.  The scalar kernel
+bounds each trap by its larger peak *rate*, ``max(peak lambda_c, peak
+lambda_e) <= Lambda_i``, so it may draw slightly fewer candidates.
 
 Two layouts implement the same sweep:
 
@@ -40,12 +43,12 @@ Two layouts implement the same sweep:
 Both are exact and produce trajectories with the law of the scalar
 kernel (verified by the statistical-equivalence tests).
 
-The sweeps read rates through one small *rate-table* interface, so a
-table need not hold its rates as dense arrays: ``times``, ``n_traps``,
-``rate_sums()``, ``_sum_info()``, ``grid_coordinates(t)``,
-``capture_at(rows, cols)``/``emission_at(rows, cols)`` (rate samples at
-``(trap, grid column)`` pairs) and ``single(k)`` (trap ``k`` for the
-scalar kernel).  :class:`BatchPropensity` is the dense form; the trap
+Both population kernels take one input, a *rate table*, read through
+one small interface, so a table need not hold its rates as dense
+arrays: ``times``, ``n_traps``, ``rate_sums()``, ``_sum_info()``,
+``grid_coordinates(t)``, ``capture_at(rows, cols)``/``emission_at(rows,
+cols)`` (rate samples at ``(trap, grid column)`` pairs) and
+``single(k)`` (trap ``k`` for the scalar kernel).  :class:`BatchPropensity` is the dense form; the trap
 physics supplies a lazy one
 (:func:`repro.traps.propensity.population_propensity`) that evaluates
 rates only at the columns around each candidate.
@@ -58,14 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..errors import ModelError, SimulationError
+from ..errors import SimulationError
 from ..obs import clock
 from ..testing import faults as _faults
 from .occupancy import PopulationOccupancy, _within_traps
-from .propensity import (
-    ConstantTwoStatePropensity,
-    SampledTwoStatePropensity,
-)
+from .propensity import SampledTwoStatePropensity, checked_rate_grid
 from .uniformization import (
     MAX_EXPECTED_CANDIDATES,
     UniformizationStats,
@@ -112,30 +112,9 @@ class BatchPropensity:
     emission: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        capture = np.atleast_2d(np.asarray(self.capture, dtype=float))
-        emission = np.atleast_2d(np.asarray(self.emission, dtype=float))
-        if times.ndim != 1 or times.size < 2:
-            raise ModelError("times must be a 1-D array with >= 2 samples")
-        if not np.all(np.isfinite(times)):
-            raise ModelError("times must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise ModelError("times must be strictly increasing")
-        if capture.shape != emission.shape:
-            raise ModelError(
-                f"capture {capture.shape} and emission {emission.shape} "
-                f"shapes must match"
-            )
-        if capture.shape[1] != times.size:
-            raise ModelError(
-                f"rate arrays have {capture.shape[1]} samples for "
-                f"{times.size} grid points"
-            )
-        if not (np.all(np.isfinite(capture))
-                and np.all(np.isfinite(emission))):
-            raise ModelError("propensity samples must be finite")
-        if np.any(capture < 0.0) or np.any(emission < 0.0):
-            raise ModelError("propensity samples must be non-negative")
+        times, capture, emission = checked_rate_grid(
+            self.times, np.atleast_2d(self.capture),
+            np.atleast_2d(self.emission))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "capture", capture)
         object.__setattr__(self, "emission", emission)
@@ -172,27 +151,6 @@ class BatchPropensity:
             object.__setattr__(self, "_sum_cache", cached)
         return cached
 
-    def digest(self) -> str:
-        """Content digest of the compiled table (cached, hex BLAKE2b).
-
-        Two batches with equal grids and equal rate samples share one
-        digest, so it serves for asserting bit-identical tables across
-        execution backends.
-        """
-        cached = getattr(self, "_digest_cache", None)
-        if cached is None:
-            import hashlib
-
-            h = hashlib.blake2b(digest_size=16)
-            h.update(np.int64(self.times.size).tobytes())
-            h.update(np.int64(self.capture.shape[0]).tobytes())
-            h.update(np.ascontiguousarray(self.times).tobytes())
-            h.update(np.ascontiguousarray(self.capture).tobytes())
-            h.update(np.ascontiguousarray(self.emission).tobytes())
-            cached = h.hexdigest()
-            object.__setattr__(self, "_digest_cache", cached)
-        return cached
-
     def single(self, index: int) -> SampledTwoStatePropensity:
         """Extract trap ``index`` as a scalar-kernel propensity object."""
         return SampledTwoStatePropensity(
@@ -213,50 +171,6 @@ class BatchPropensity:
     def emission_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Emission-rate samples at ``(trap, grid column)`` pairs."""
         return self.emission[rows, cols]
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_propensities(cls, propensities, times: np.ndarray | None = None
-                          ) -> "BatchPropensity":
-        """Stack per-trap propensity objects into one batch.
-
-        - All :class:`SampledTwoStatePropensity` on *identical* grids
-          stack directly (exact).
-        - All sampled propensities on differing grids are re-sampled on
-          the union grid, which is still exact for piecewise-linear
-          rates (the union contains every knot).
-        - All :class:`ConstantTwoStatePropensity` stack on a trivial
-          two-point grid (exact; the kernel clamps outside it).
-        - Anything else needs an explicit ``times`` grid and is sampled
-          on it — exact only when the rates are linear between samples.
-        """
-        props = list(propensities)
-        if not props:
-            raise ModelError("cannot build a batch from zero propensities")
-        if times is None and all(isinstance(p, SampledTwoStatePropensity)
-                                 for p in props):
-            grid = props[0].times
-            if all(p.times is grid or np.array_equal(p.times, grid)
-                   for p in props[1:]):
-                return cls(
-                    times=grid,
-                    capture=np.stack([p.capture_values for p in props]),
-                    emission=np.stack([p.emission_values for p in props]),
-                )
-            times = np.unique(np.concatenate([p.times for p in props]))
-        if times is None and all(isinstance(p, ConstantTwoStatePropensity)
-                                 for p in props):
-            times = np.array([0.0, 1.0])
-        if times is None:
-            raise ModelError(
-                "mixed/callable propensities need an explicit `times` grid"
-            )
-        times = np.asarray(times, dtype=float)
-        capture = np.stack([np.asarray(p.capture(times), dtype=float)
-                            for p in props])
-        emission = np.stack([np.asarray(p.emission(times), dtype=float)
-                             for p in props])
-        return cls(times=times, capture=capture, emission=emission)
 
 
 def grid_coordinates(grid: np.ndarray, t: np.ndarray
@@ -285,10 +199,14 @@ def grid_coordinates(grid: np.ndarray, t: np.ndarray
     return idx, w
 
 
-def _is_rate_table(propensities) -> bool:
-    """Whether ``propensities`` is a rate table (dense or lazy), not a
-    sequence of per-trap propensity objects."""
-    return hasattr(propensities, "capture_at")
+def _rate_table(table):
+    """``table`` itself, or a :class:`TypeError` if it is no rate table."""
+    if not hasattr(table, "capture_at"):
+        raise TypeError(
+            f"the population kernels take a rate table, not "
+            f"{type(table).__name__}: stack per-trap rates into a "
+            f"BatchPropensity (or build one with population_propensity)")
+    return table
 
 
 @dataclass(frozen=True)
@@ -341,10 +259,9 @@ class BatchUniformizationStats:
 
 
 def simulate_traps_batch(
-        propensities, t_start: float, t_stop: float,
+        table, t_start: float, t_stop: float,
         rng: np.random.Generator,
         initial_states: np.ndarray | None = None,
-        rate_bounds: np.ndarray | None = None,
 ) -> tuple[PopulationOccupancy, BatchUniformizationStats]:
     """Simulate a whole trap population over ``[t_start, t_stop]`` at once.
 
@@ -359,12 +276,11 @@ def simulate_traps_batch(
 
     Parameters
     ----------
-    propensities:
-        A rate table (a :class:`BatchPropensity`, or any object with its
-        kernel interface, see the module docstring), or a sequence of
-        per-trap propensity objects (stacked via
-        :meth:`BatchPropensity.from_propensities`; sequences that cannot
-        be stacked run through :func:`simulate_traps_scalar`).
+    table:
+        The population's rate table: a :class:`BatchPropensity`, or any
+        object with its kernel interface (see the module docstring),
+        such as :func:`repro.traps.propensity.population_propensity`.
+        Trap ``i`` is uniformised at ``table.rate_sums()[i]``.
     t_start, t_stop:
         Simulation window [s]; ``t_stop`` must exceed ``t_start``.
     rng:
@@ -374,11 +290,6 @@ def simulate_traps_batch(
     initial_states:
         Per-trap state at ``t_start`` (0/1), shape ``(K,)``; defaults to
         all-empty.
-    rate_bounds:
-        Optional per-trap override of the uniformisation rates.  Each
-        must dominate that trap's propensity **sum** (a stricter
-        requirement than the scalar kernel's max-rate bound); looser
-        bounds change cost but not statistics.
 
     Returns
     -------
@@ -390,33 +301,10 @@ def simulate_traps_batch(
         ``stats.aggregate`` for the population summary).
     """
     check_window(t_start, t_stop)
-    if not _is_rate_table(propensities):
-        try:
-            batch = BatchPropensity.from_propensities(propensities)
-        except ModelError:
-            return simulate_traps_scalar(propensities, t_start, t_stop, rng,
-                                         initial_states, rate_bounds)
-    else:
-        batch = propensities
-
+    batch = _rate_table(table)
     n_traps = batch.n_traps
     init = _checked_states(initial_states, n_traps)
-
-    sums = batch.rate_sums()
-    if rate_bounds is None:
-        bounds = sums.copy()
-    else:
-        bounds = np.asarray(rate_bounds, dtype=float)
-        if bounds.shape != (n_traps,):
-            raise SimulationError(
-                f"rate_bounds must have shape ({n_traps},), got {bounds.shape}"
-            )
-        if np.any(bounds < sums * (1.0 - 1e-12)):
-            worst = int(np.argmax(sums - bounds))
-            raise SimulationError(
-                f"rate bound {bounds[worst]:g} of trap {worst} does not "
-                f"dominate its propensity sum {sums[worst]:g}"
-            )
+    bounds = batch.rate_sums().copy()
     if np.any(~np.isfinite(bounds)) or np.any(bounds <= 0.0):
         worst = int(np.argmin(bounds))
         raise SimulationError(
@@ -429,8 +317,8 @@ def simulate_traps_batch(
     if expected > MAX_EXPECTED_CANDIDATES:
         raise SimulationError(
             f"expected candidate count {expected:.3g} exceeds the safety "
-            f"cap {MAX_EXPECTED_CANDIDATES:g}; shorten the window, tighten "
-            f"the bounds or shard the population"
+            f"cap {MAX_EXPECTED_CANDIDATES:g}; shorten the window or shard "
+            f"the population"
         )
 
     kernel_started = clock.monotonic() if obs.enabled() else 0.0
@@ -505,20 +393,13 @@ def _padded_sweep(batch, bounds: np.ndarray,
         p_fill = np.clip(p_fill + bias, 0.0, 1.0)
 
     draws = rng.random((n_traps, maxn))
-    sums, constant_sum = batch._sum_info()
-    if constant_sum:
-        # SAMURAI fast path: a bias-independent sum (paper Eq. 1) makes
-        # the acceptance threshold constant per trap — no interpolation,
-        # and the caller's bound validation already proved it <= 1.
-        forced = valid & (draws < (sums / bounds)[:, None])
+    if batch._sum_info()[1]:
+        # SAMURAI fast path: a bias-independent sum (paper Eq. 1) IS the
+        # bound, so every valid candidate is forced — no interpolation.
+        forced = valid
     else:
         p_forced = (1.0 - w) * ((c_lo + batch.emission_at(rows, idx)) * inv) \
             + w * ((c_hi + batch.emission_at(rows, idx + 1)) * inv)
-        if bool(np.any(p_forced > 1.0 + 1e-9)):
-            raise SimulationError(
-                "a propensity sum exceeds its uniformisation bound inside "
-                "the window; the bound is invalid"
-            )
         forced = valid.copy()
         forced[valid] = draws[valid] < p_forced
     value = np.zeros_like(valid)
@@ -564,25 +445,16 @@ def _flat_sweep(batch, bounds: np.ndarray,
     lam_c = (1.0 - w) * batch.capture_at(owner, idx) \
         + w * batch.capture_at(owner, idx + 1)
     bound_at = bounds[owner]
-    sums, constant_sum = batch._sum_info()
-    if constant_sum:
-        # As in the padded sweep: the Eq.-(1) sum needs no interpolation.
-        p_forced = (sums / bounds)[owner]
-    else:
-        lam_e = (1.0 - w) * batch.emission_at(owner, idx) \
-            + w * batch.emission_at(owner, idx + 1)
-        if np.any(lam_c + lam_e > bound_at * (1.0 + 1e-9)):
-            raise SimulationError(
-                "a propensity sum exceeds its uniformisation bound inside "
-                "the window; the bound is invalid"
-            )
-        p_forced = (lam_c + lam_e) / bound_at
-
     draws = rng.random(total)
-    forced = draws < p_forced
     # Candidates exactly on the window edge would violate the trace
     # invariant that transitions lie strictly inside (t_start, t_stop).
-    forced &= (t_cand > t_start) & (t_cand < t_stop)
+    forced = (t_cand > t_start) & (t_cand < t_stop)
+    if not batch._sum_info()[1]:
+        # Only a non-constant sum thins: as in the padded sweep, an
+        # Eq.-(1) sum is the bound and forces every candidate.
+        lam_e = (1.0 - w) * batch.emission_at(owner, idx) \
+            + w * batch.emission_at(owner, idx + 1)
+        forced &= draws < (lam_c + lam_e) / bound_at
     owner_f = owner[forced]
     t_f = t_cand[forced]
     p_fill = (lam_c / bound_at)[forced]
@@ -662,54 +534,36 @@ def _checked_states(initial_states, n_traps: int) -> np.ndarray:
 
 
 def simulate_traps_scalar(
-        propensities, t_start: float, t_stop: float,
+        table, t_start: float, t_stop: float,
         rng: np.random.Generator,
         initial_states: np.ndarray | None = None,
-        rate_bounds: np.ndarray | None = None,
 ) -> tuple[PopulationOccupancy, BatchUniformizationStats]:
     """Paper Algorithm 1 trap by trap over a whole population.
 
     The exact scalar kernel
     (:func:`~repro.markov.uniformization.simulate_trap_detailed`) runs
-    once per trap, in population order, on one shared generator, so a
-    population's traces are reproducible draw for draw from one seed.
-    This is the per-cell Fig.-8 path and the degrade path of the
-    batched kernel.
+    on each trap's row ``table.single(k)``, in population order, on one
+    shared generator, so a population's traces are reproducible draw for
+    draw from one seed.  Each trap is uniformised at its row's
+    ``rate_bound()``, the larger peak rate.  This is the per-cell Fig.-8
+    path and the ensemble's degrade path for the batched kernel.
 
     Parameters
     ----------
-    propensities:
-        A rate table (trap ``k`` runs on its ``single(k)``, e.g.
-        :meth:`BatchPropensity.single`) or a sequence of per-trap
-        propensity objects.
-    t_start, t_stop, rng, initial_states:
+    table, t_start, t_stop, rng, initial_states:
         As for :func:`simulate_traps_batch`.
-    rate_bounds:
-        Optional per-trap override of each propensity's
-        ``rate_bound()`` (must dominate both rates).
     """
     check_window(t_start, t_stop)
-    if _is_rate_table(propensities):
-        props = [propensities.single(index)
-                 for index in range(propensities.n_traps)]
-    else:
-        props = list(propensities)
-    n_traps = len(props)
+    table = _rate_table(table)
+    n_traps = table.n_traps
     states = _checked_states(initial_states, n_traps)
-    if rate_bounds is None:
-        rate_bounds = [None] * n_traps
-    if len(rate_bounds) != n_traps:
-        raise SimulationError(
-            "rate_bounds must match the population size")
     traces = []
     candidates = np.zeros(n_traps, dtype=np.int64)
     bounds = np.zeros(n_traps, dtype=float)
-    for index, prop in enumerate(props):
-        bound = rate_bounds[index]
+    for index in range(n_traps):
         trace, stats = simulate_trap_detailed(
-            prop, t_start, t_stop, rng, initial_state=int(states[index]),
-            rate_bound=None if bound is None else float(bound),
-        )
+            table.single(index), t_start, t_stop, rng,
+            initial_state=int(states[index]))
         traces.append(trace)
         candidates[index] = stats.n_candidates
         bounds[index] = stats.rate_bound

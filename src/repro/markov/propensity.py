@@ -121,6 +121,35 @@ class CallableTwoStatePropensity:
         return self._rate_bound
 
 
+def checked_rate_grid(times, *rates) -> tuple[np.ndarray, ...]:
+    """Validated ``(times, *rates)`` of rates sampled on one time grid.
+
+    ``times`` must be a 1-D array of at least two finite, strictly
+    increasing sample times.  Each rate array (one trap's row or a
+    ``(K, M)`` stack of rows) must have one finite, non-negative sample
+    per grid point along its last axis, and all must share one shape.
+    Returns float arrays.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ModelError("times must be a 1-D array with >= 2 samples")
+    if not np.all(np.isfinite(times)):
+        raise ModelError("times must be finite")
+    if np.any(np.diff(times) <= 0.0):
+        raise ModelError("times must be strictly increasing")
+    rates = tuple(np.asarray(values, dtype=float) for values in rates)
+    for values in rates:
+        if values.shape != rates[0].shape or values.shape[-1:] != times.shape:
+            raise ModelError(
+                f"rate samples of shapes {[v.shape for v in rates]} do not "
+                f"match the {times.size}-point time grid")
+        if not np.all(np.isfinite(values)):
+            raise ModelError("propensity samples must be finite")
+        if np.any(values < 0.0):
+            raise ModelError("propensity samples must be non-negative")
+    return (times, *rates)
+
+
 class SampledTwoStatePropensity:
     """Propensities sampled on a time grid, linearly interpolated between.
 
@@ -150,22 +179,10 @@ class SampledTwoStatePropensity:
 
     def __init__(self, *, times, capture_values, emission_values,
                  bound_safety: float = 1.0) -> None:
-        times = np.asarray(times, dtype=float)
-        capture_values = np.asarray(capture_values, dtype=float)
-        emission_values = np.asarray(emission_values, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ModelError("times must be a 1-D array with >= 2 samples")
-        if capture_values.shape != times.shape or emission_values.shape != times.shape:
+        times, capture_values, emission_values = checked_rate_grid(
+            times, capture_values, emission_values)
+        if capture_values.ndim != 1:
             raise ModelError("rate sample arrays must match the time grid")
-        if not np.all(np.isfinite(times)):
-            raise ModelError("times must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise ModelError("times must be strictly increasing")
-        if not (np.all(np.isfinite(capture_values))
-                and np.all(np.isfinite(emission_values))):
-            raise ModelError("propensity samples must be finite")
-        if np.any(capture_values < 0.0) or np.any(emission_values < 0.0):
-            raise ModelError("propensity samples must be non-negative")
         if bound_safety < 1.0:
             raise ModelError(f"bound_safety must be >= 1, got {bound_safety}")
         peak = float(max(capture_values.max(), emission_values.max()))

@@ -25,7 +25,7 @@ from ..constants import thermal_energy_ev
 from ..devices.technology import Technology
 from ..errors import ModelError
 from ..markov.batch import grid_coordinates
-from ..markov.propensity import make_propensity
+from ..markov.propensity import checked_rate_grid, make_propensity
 from .band import trap_energy_offset
 from .trap import Trap, TrapPopulation
 
@@ -162,15 +162,11 @@ class PopulationRateTable:
     """
 
     def __init__(self, traps, tech: Technology, times, v_gs) -> None:
-        times = np.asarray(times, dtype=float)
+        (times,) = checked_rate_grid(times)
         v_gs = _checked_bias(v_gs)
-        if times.ndim != 1 or times.size < 2:
-            raise ModelError("times must be 1-D with >= 2 samples")
         if v_gs.shape != times.shape:
             raise ModelError(
                 f"v_gs shape {v_gs.shape} does not match times {times.shape}")
-        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
-            raise ModelError("times must be finite and strictly increasing")
         self.times = times
         (self._e_tr, self._depth, self._log_g,
          self._totals) = _trap_constants(traps, tech)

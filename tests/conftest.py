@@ -34,3 +34,35 @@ def waveform_digest():
             hasher.update(waveform[name].tobytes())
         return hasher.hexdigest()
     return digest
+
+
+@pytest.fixture
+def occupancy_digest():
+    """``digest(occupancy, stats) -> str``: BLAKE2b over a population
+    run's initial states, flip offsets, flip times and per-trap
+    candidate counts, so a moved draw changes it."""
+    def digest(occupancy, stats) -> str:
+        hasher = hashlib.blake2b(digest_size=16)
+        for array in (occupancy.initial_states, occupancy.offsets,
+                      occupancy.flip_times, stats.n_candidates):
+            hasher.update(np.ascontiguousarray(array).tobytes())
+        return hasher.hexdigest()
+    return digest
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The batched kernel's sweep layouts, in call order: a spy list
+    that ``_padded_sweep``/``_flat_sweep`` append their name to."""
+    from repro.markov import batch as batch_module
+
+    ran = []
+    for name in ("_padded_sweep", "_flat_sweep"):
+        original = getattr(batch_module, name)
+
+        def spy(*args, _original=original, _name=name):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(batch_module, name, spy)
+    return ran

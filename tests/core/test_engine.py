@@ -33,7 +33,6 @@ from repro.core.experiments import fig8_cell_spec, fig8_pattern
 from repro.core.resilience import RetryPolicy, run_jobs
 from repro.core.scenario import get_scenario, run_scenario
 from repro.devices.technology import TECH_45NM, TECH_90NM
-from repro.markov.batch import BatchPropensity
 from repro.testing.faults import inject_faults
 from repro.traps.propensity import population_propensity
 from repro.traps.trap import Trap
@@ -486,23 +485,3 @@ class TestPropensityTableCache:
         assert propensity_cache() is propensity_cache()
         with pytest.raises(ValueError, match="maxsize"):
             PropensityTableCache(maxsize=0)
-
-
-class TestBatchPropensityDigest:
-    def test_equal_content_equal_digest(self):
-        times = np.array([0.0, 1.0])
-        a = BatchPropensity(times=times, capture=np.ones((2, 2)),
-                            emission=np.full((2, 2), 0.5))
-        b = BatchPropensity(times=times.copy(),
-                            capture=np.ones((2, 2)),
-                            emission=np.full((2, 2), 0.5))
-        assert a.digest() == b.digest()
-        assert a.digest() is a.digest()  # cached
-
-    def test_content_changes_change_the_digest(self):
-        times = np.array([0.0, 1.0])
-        a = BatchPropensity(times=times, capture=np.ones((2, 2)),
-                            emission=np.full((2, 2), 0.5))
-        b = BatchPropensity(times=times, capture=np.ones((2, 2)),
-                            emission=np.full((2, 2), 0.6))
-        assert a.digest() != b.digest()

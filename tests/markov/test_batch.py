@@ -16,10 +16,10 @@ from repro.markov.batch import (
     BatchPropensity,
     BatchUniformizationStats,
     simulate_traps_batch,
+    simulate_traps_scalar,
 )
 from repro.markov.occupancy import OccupancyTrace
 from repro.markov.propensity import (
-    CallableTwoStatePropensity,
     ConstantTwoStatePropensity,
     SampledTwoStatePropensity,
 )
@@ -89,59 +89,6 @@ class TestBatchPropensity:
         )
         assert not varying._sum_info()[1]
 
-    def test_from_propensities_shared_grid_is_exact(self):
-        props = [
-            SampledTwoStatePropensity(
-                times=GRID, capture_values=np.full(GRID.size, float(k + 1)),
-                emission_values=np.full(GRID.size, 2.0))
-            for k in range(3)
-        ]
-        batch = BatchPropensity.from_propensities(props)
-        assert batch.n_traps == 3
-        assert np.array_equal(batch.capture[2], props[2].capture_values)
-
-    def test_from_propensities_union_grid(self):
-        a = SampledTwoStatePropensity(
-            times=np.array([0.0, 0.5, 1.0]),
-            capture_values=np.array([1.0, 3.0, 1.0]),
-            emission_values=np.array([2.0, 2.0, 2.0]))
-        b = SampledTwoStatePropensity(
-            times=np.array([0.0, 0.25, 1.0]),
-            capture_values=np.array([4.0, 1.0, 4.0]),
-            emission_values=np.array([1.0, 1.0, 1.0]))
-        batch = BatchPropensity.from_propensities([a, b])
-        # The union grid contains every knot, so piecewise-linear rates
-        # are represented exactly.
-        for t in (0.0, 0.1, 0.25, 0.5, 0.77, 1.0):
-            idx, w = batch.grid_coordinates(np.array([t]))
-            got = (1.0 - w) * batch.capture[0, idx] \
-                + w * batch.capture[0, idx + 1]
-            assert got[0] == pytest.approx(float(a.capture(t)), rel=1e-12)
-
-    def test_from_propensities_constants(self):
-        batch = BatchPropensity.from_propensities(
-            [ConstantTwoStatePropensity(lambda_c=1.0, lambda_e=2.0),
-             ConstantTwoStatePropensity(lambda_c=3.0, lambda_e=4.0)])
-        assert batch.n_traps == 2
-        assert np.allclose(batch.rate_sums(), [3.0, 7.0])
-
-    def test_from_propensities_mixed_needs_grid(self):
-        mixed = [
-            ConstantTwoStatePropensity(lambda_c=1.0, lambda_e=2.0),
-            CallableTwoStatePropensity(
-                capture_fn=lambda t: np.full_like(np.asarray(t, float), 1.0),
-                emission_fn=lambda t: np.full_like(np.asarray(t, float), 1.0),
-                rate_bound=2.0),
-        ]
-        with pytest.raises(ModelError):
-            BatchPropensity.from_propensities(mixed)
-        batch = BatchPropensity.from_propensities(mixed, times=GRID)
-        assert batch.n_traps == 2
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ModelError):
-            BatchPropensity.from_propensities([])
-
 
 class TestInterface:
     def test_rejects_bad_window(self, rng):
@@ -167,18 +114,13 @@ class TestInterface:
                 simulate_traps_batch(batch, 0.0, 1.0, rng,
                                      initial_states=np.array(states))
 
-    def test_rejects_non_dominating_bounds(self, rng):
-        batch = _constant_batch(2, 3.0, 4.0)
-        with pytest.raises(SimulationError):
-            simulate_traps_batch(batch, 0.0, 1.0, rng,
-                                 rate_bounds=np.array([7.0, 5.0]))
-
-    def test_loose_bounds_accepted(self, rng):
-        batch = _constant_batch(2, 3.0, 4.0)
-        traces, stats = simulate_traps_batch(
-            batch, 0.0, 1.0, rng, rate_bounds=np.array([14.0, 70.0]))
-        assert np.allclose(stats.rate_bounds, [14.0, 70.0])
-        _revalidate(traces)
+    def test_sequence_input_names_batch_propensity(self, rng):
+        # The kernels take one input, a rate table; a list of per-trap
+        # propensity objects is refused with the type to build instead.
+        props = [ConstantTwoStatePropensity(lambda_c=40.0, lambda_e=40.0)]
+        for kernel in (simulate_traps_batch, simulate_traps_scalar):
+            with pytest.raises(TypeError, match="BatchPropensity"):
+                kernel(props, 0.0, 1.0, rng)
 
     def test_trace_window_and_initial_states(self, rng):
         batch = _constant_batch(4, 20.0, 20.0)
@@ -242,6 +184,42 @@ class TestInterface:
             traces[0].times[0] = 99.0
         with pytest.raises(ValueError):
             traces[0].states[0] = 1
+
+
+class TestSweepPins:
+    """Seeded streams of the sweep branches the ensemble digest misses.
+
+    A non-constant-sum table takes the interpolated acceptance path,
+    which SAMURAI's Eq.-(1) tables never reach; each pin is the
+    occupancy and candidate counts of one seeded run.
+    """
+
+    @staticmethod
+    def _square_wave() -> BatchPropensity:
+        scale = np.linspace(0.5, 2.0, 40)[:, None]
+        lam_c = np.where((GRID * 10).astype(int) % 2 == 0, 80.0, 5.0)
+        return BatchPropensity(times=GRID, capture=scale * lam_c,
+                               emission=np.tile(40.0 * scale, GRID.size))
+
+    def _run(self, seed: int):
+        batch = self._square_wave()
+        assert not batch._sum_info()[1]
+        return simulate_traps_batch(batch, 0.0, 1.0,
+                                    np.random.default_rng(seed),
+                                    initial_states=np.arange(40) % 2)
+
+    def test_padded_layout(self, layouts, occupancy_digest):
+        run = self._run(11)
+        assert layouts == ["_padded_sweep"]
+        assert occupancy_digest(*run) == "cda9ff5f0740c609a0f62999ebafd4b6"
+
+    def test_flat_layout(self, layouts, occupancy_digest, monkeypatch):
+        import repro.markov.batch as batch_module
+        monkeypatch.setattr(batch_module, "_PAD_MIN_BUDGET", 0)
+        monkeypatch.setattr(batch_module, "_PAD_WASTE_FACTOR", 0.0)
+        run = self._run(12)
+        assert layouts == ["_flat_sweep"]
+        assert occupancy_digest(*run) == "08422f11fcbc98b0c326db153e9a8b54"
 
 
 class TestStatisticalEquivalence:
@@ -316,24 +294,3 @@ class TestStatisticalEquivalence:
         padded_occ = np.mean([t.fraction_filled() for t in padded_traces])
         flat_occ = np.mean([t.fraction_filled() for t in flat_traces])
         assert flat_occ == pytest.approx(padded_occ, abs=0.04)
-
-    def test_scalar_fallback_for_unstackable_population(self, rng):
-        mixed = [
-            ConstantTwoStatePropensity(lambda_c=40.0, lambda_e=40.0),
-            CallableTwoStatePropensity(capture_fn=np.vectorize(lambda t: 40.0),
-                                       emission_fn=np.vectorize(lambda t: 40.0),
-                                       rate_bound=80.0),
-        ]
-        traces, stats = simulate_traps_batch(mixed, 0.0, 1.0, rng)
-        assert len(traces) == 2
-        assert stats.total_candidates > 0
-        _revalidate(traces)
-
-    def test_sequence_of_sampled_propensities_is_batched(self, rng):
-        props = [SampledTwoStatePropensity(
-            times=GRID, capture_values=np.full(GRID.size, 30.0),
-            emission_values=np.full(GRID.size, 30.0)) for _ in range(5)]
-        traces, stats = simulate_traps_batch(props, 0.0, 1.0, rng)
-        assert len(traces) == 5
-        assert stats.n_candidates.shape == (5,)
-        _revalidate(traces)

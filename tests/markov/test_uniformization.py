@@ -23,7 +23,7 @@ from repro.markov.propensity import (
     ConstantTwoStatePropensity,
     SampledTwoStatePropensity,
 )
-from repro.markov.batch import simulate_traps_scalar
+from repro.markov.batch import BatchPropensity, simulate_traps_scalar
 from repro.markov.uniformization import simulate_trap, simulate_trap_detailed
 
 pytestmark = pytest.mark.tier1
@@ -91,7 +91,9 @@ class TestInterface:
         assert s.acceptance_ratio == 0.0
 
     def test_simulate_traps_defaults_and_validation(self, rng):
-        props = [ConstantTwoStatePropensity(lambda_c=10.0, lambda_e=10.0)] * 3
+        props = BatchPropensity(times=np.array([0.0, 5.0]),
+                                capture=np.full((3, 2), 10.0),
+                                emission=np.full((3, 2), 10.0))
         traces, stats = simulate_traps_scalar(props, 0.0, 5.0, rng)
         assert len(traces) == 3
         assert all(t.initial_state == 0 for t in traces)

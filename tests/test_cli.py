@@ -133,6 +133,58 @@ class TestCommands:
         assert f"error: argument {argv[1]}:" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, argument", [
+        (["snm", "--vdd", "-1"], "--vdd"),
+        (["snm", "--vdd", "nan"], "--vdd"),
+        (["ensemble", "--vdd", "0"], "--vdd"),
+        (["traps", "--tech", "7nm"], "--tech"),
+        (["ensemble", "--tech", "7nm"], "--tech"),
+        (["snm", "--tech", "7nm"], "--tech"),
+        (["verify", "--alpha", "0"], "--alpha"),
+        (["verify", "--alpha", "1"], "--alpha"),
+        (["report", "/nonexistent.json"], "path"),
+    ])
+    def test_bad_inputs_are_usage_errors(self, capsys, argv, argument):
+        # Each used to reach the model (a NetlistError, a DC-solve
+        # ConvergenceError, a ModelError, an AnalysisError or a
+        # FileNotFoundError) and end in a traceback with exit 1.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {argument}:" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["cards"],
+        ["scenario", "list"],
+        ["scenario", "run", "dram.retention", "--n", "4"],
+        ["fig8", "--seed", "2", "--scale", "30"],
+    ])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # The reader exits before reading anything (`repro cards |
+        # (exit 0)`): the write meets a broken pipe, which must end the
+        # command with exit 0 and no traceback, whether the pipe breaks
+        # mid-command or at the final flush (fig8 alone exits 2).
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 0
+
     @pytest.mark.parametrize("argv, key, value", [
         (["ensemble", "--scale", "0"], "scale", 0.0),
         (["ensemble", "--job-timeout", "2.5"], "job_timeout", 2.5),

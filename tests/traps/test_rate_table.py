@@ -13,7 +13,6 @@ import pytest
 
 from repro.devices.technology import TECH_90NM
 from repro.errors import ModelError
-from repro.markov import batch as batch_module
 from repro.markov.batch import (
     BatchPropensity,
     simulate_traps_batch,
@@ -114,19 +113,6 @@ class TestEntries:
 class TestStreamUnchanged:
     """The lazy table draws the dense table's stream, in every layout."""
 
-    @pytest.fixture
-    def layouts(self, monkeypatch):
-        ran = []
-        for name in ("_padded_sweep", "_flat_sweep"):
-            original = getattr(batch_module, name)
-
-            def spy(*args, _original=original, _name=name):
-                ran.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(batch_module, name, spy)
-        return ran
-
     def _both(self, traps, seed, times=TIMES, v_gs=V_GS):
         table = population_propensity(traps, TECH_90NM, times, v_gs)
         dense = _dense(traps, times, v_gs)
@@ -145,11 +131,14 @@ class TestStreamUnchanged:
         assert dense_run[1].total_candidates > 0
         _assert_same_run(dense_run, lazy_run, bound_ulps=2)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_flat_layout(self, seed, layouts):
-        # Depths from 0.05 nm to 1.8 nm spread the rates over ~8
-        # decades; the window gives the fastest trap ~20k candidates,
-        # so padding would waste memory and the flat sweep runs.
+    @staticmethod
+    def _skewed(seed):
+        """A population whose rates span ~8 decades, with its drive.
+
+        Depths from 0.05 nm to 1.8 nm spread the rates; the window gives
+        the fastest trap ~20k candidates, so padding would waste memory
+        and the flat sweep runs.
+        """
         rng = np.random.default_rng(seed)
         traps = [Trap(y_tr=float(y), e_tr=float(rng.uniform(0.6, 1.3)))
                  for y in np.concatenate(([0.05e-9],
@@ -157,9 +146,23 @@ class TestStreamUnchanged:
         window = 2e4 / propensity_sum(traps[0], TECH_90NM)
         times = np.linspace(0.0, window, 121)
         v_gs = 0.4 + 0.5 * np.sin(2 * np.pi * times / window) ** 2
+        return traps, times, v_gs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_layout(self, seed, layouts):
+        traps, times, v_gs = self._skewed(seed)
         dense_run, lazy_run = self._both(traps, seed, times, v_gs)
         assert layouts == ["_flat_sweep"] * 2
         _assert_same_run(dense_run, lazy_run, bound_ulps=2)
+
+    def test_flat_layout_pin(self, layouts, occupancy_digest):
+        # The ensemble digest never reaches the flat sweep; this pins
+        # the lazy table's stream there, bit for bit.
+        traps, times, v_gs = self._skewed(0)
+        _, lazy_run = self._both(traps, 0, times, v_gs)
+        assert layouts == ["_flat_sweep"] * 2
+        assert occupancy_digest(*lazy_run) == \
+            "7df13bad1368d4c278ec1a04c29096e2"
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_scalar_kernel(self, seed):
