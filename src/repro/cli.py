@@ -84,10 +84,25 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _existing_file(text: str) -> str:
-    """An argparse type: the path of an existing file."""
-    if not Path(text).is_file():
-        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+def _json_file(text: str) -> tuple:
+    """An argparse type: ``(path, parsed JSON)`` of a JSON file."""
+    import json
+
+    try:
+        return text, json.loads(Path(text).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"no JSON in {text!r}: {exc}") from None
+
+
+def _scenario_name(text: str) -> str:
+    """An argparse type: a registered scenario name."""
+    from .core.scenario import get_scenario
+
+    try:
+        get_scenario(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 
@@ -204,12 +219,10 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_report(args) -> int:
     """Render a telemetry or Chrome-trace JSON as human-readable tables."""
-    import json
-
     from .obs.telemetry import telemetry_report
     from .obs.tracer import validate_chrome_trace
 
-    document = json.loads(Path(args.path).read_text(encoding="utf-8"))
+    path, document = args.path
     if isinstance(document, dict) and "traceEvents" in document:
         problems = validate_chrome_trace(document)
         for problem in problems:
@@ -226,7 +239,7 @@ def _cmd_report(args) -> int:
                 for name, (count, total) in
                 sorted(totals.items(), key=lambda kv: -kv[1][1])]
         print(format_table(["span", "count", "total [ms]", "mean [ms]"],
-                           rows, title=f"Trace summary ({args.path})"))
+                           rows, title=f"Trace summary ({path})"))
         return 1 if problems else 0
     print(telemetry_report(document))
     return 0
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="render a telemetry or trace JSON as tables")
-    report.add_argument("path", type=_existing_file,
+    report.add_argument("path", type=_json_file,
                         help="a --metrics-out telemetry JSON or a "
                              "--trace-out Chrome trace JSON")
 
@@ -435,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run = scenario_sub.add_parser(
         "run", help="run one scenario's demonstration configuration")
     scenario_run.add_argument(
-        "name", help="registry name (see `repro scenario list`)")
+        "name", type=_scenario_name,
+        help="registry name (see `repro scenario list`)")
     scenario_run.add_argument("--n", type=_positive, default=None,
                               help="job count / sweep size of the "
                                    "demonstration configuration")

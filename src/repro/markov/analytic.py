@@ -5,7 +5,8 @@ These expressions are the oracles the paper validates SAMURAI against in
 spectral density ``S(f)`` of a single-trap RTN current, plus the
 occupancy-probability master equation for arbitrary time-varying rates
 (the oracle for genuinely non-stationary tests, where the paper has no
-analytical curve).
+analytical curve) and its exact grid recurrence for a whole population
+of constant-sum (paper Eq. 1) traps.
 """
 
 from __future__ import annotations
@@ -84,6 +85,45 @@ def occupancy_probability(times: np.ndarray, capture_fn: Callable,
     if not solution.success:
         raise AnalysisError(f"master-equation integration failed: {solution.message}")
     return solution.y[0]
+
+
+def occupancy_recurrence(table, initial=None) -> np.ndarray:
+    """Every trap's exact filled probability on a rate table's grid.
+
+    A constant sum ``Lambda = lambda_c + lambda_e`` (paper Eq. 1) makes
+    ``dp/dt = lambda_c(t) - Lambda p`` linear, and the kernels read
+    ``lambda_c = a + b s`` linearly on each grid segment of length
+    ``h``; with ``x = Lambda h`` a segment is one exact update,
+    vectorised over the traps::
+
+        p' = e^{-x} p + a (1 - e^{-x})/Lambda + b (h/Lambda - (1 - e^{-x})/Lambda^2)
+
+    ``1 - e^{-x}`` is ``-expm1(-x)``, and ``b``'s bracket,
+    ``h^2 (x - 1 + e^{-x})/x^2``, is its Taylor series below ``x =
+    0.01``, where the difference cancels.  ``initial`` (shape ``(K,)``)
+    defaults to the column-0 equilibrium that
+    :func:`~repro.traps.propensity.draw_initial_states` samples.
+    Returns ``p`` of shape ``(K, M)``; a table whose sums are not
+    constant raises.
+    """
+    sums, constant = table._sum_info()
+    if not constant:
+        raise AnalysisError("the occupancy recurrence needs a constant-sum "
+                            "rate table (paper Eq. 1)")
+    rows = np.arange(table.n_traps)
+    low = table.capture_at(rows, np.zeros_like(rows))
+    p = np.empty((rows.size, table.times.size))
+    p[:, 0] = low / sums if initial is None else initial
+    for j, h in enumerate(np.diff(table.times)):
+        high = table.capture_at(rows, np.full_like(rows, j + 1))
+        x = sums * h
+        rise = -np.expm1(-x)
+        ramp = np.where(x < 0.01, 0.5 - x / 6 + x * x / 24 - x ** 3 / 120,
+                        (x - rise) / (x * x))
+        p[:, j + 1] = ((1.0 - rise) * p[:, j] + low * rise / sums
+                       + (high - low) * h * ramp)
+        low = high
+    return p
 
 
 def stationary_autocovariance(tau, lambda_c: float, lambda_e: float,

@@ -30,18 +30,16 @@ Algorithm 1 uses, and every candidate is forced.  The scalar kernel
 bounds each trap by its larger peak *rate*, ``max(peak lambda_c, peak
 lambda_e) <= Lambda_i``, so it may draw slightly fewer candidates.
 
-Two layouts implement the same sweep:
-
-- a *padded row-wise* layout ``(K, max_candidates)`` whose candidate
-  times come pre-sorted per trap from exponential spacings (uniform
-  order statistics), avoiding any sort — the fast path for populations
-  with comparable rates;
-- a *flat* layout that concatenates all candidates and lexsorts them by
-  (trap, time) — used when per-trap candidate counts are so skewed that
-  padding would waste memory.
-
-Both are exact and produce trajectories with the law of the scalar
-kernel (verified by the statistical-equivalence tests).
+One flat sweep draws every candidate of every trap.  Given its Poisson
+count, a trap's candidate times are uniform order statistics: the sweep
+draws ``total + K`` standard exponentials and takes one ``cumsum``;
+trap ``i``'s times are its segment's partial sums, minus the sum before
+the segment, over the segment's total.  They come out sorted by (trap,
+time), with no sort and no padding.  Rounding keeps that order: a
+``cumsum`` of positive spacings is non-decreasing, and the per-trap
+shift and scale are monotone, so each trap's times are non-decreasing.
+An exact tie goes through :func:`_untied`, and a time that rounds onto
+``t_start`` or ``t_stop`` is unforced by the window-edge mask.
 
 Both population kernels take one input, a *rate table*, read through
 one small interface, so a table need not hold its rates as dense
@@ -79,13 +77,6 @@ __all__ = [
     "simulate_traps_batch",
     "simulate_traps_scalar",
 ]
-
-#: Padded layout budget: fall back to the flat layout when padding would
-#: allocate more than this factor times the actual candidate count.
-_PAD_WASTE_FACTOR = 4.0
-#: ... unless the padded allocation is small anyway (elements).
-_PAD_MIN_BUDGET = 2_000_000
-
 
 @dataclass(frozen=True)
 class BatchPropensity:
@@ -268,7 +259,7 @@ def simulate_traps_batch(
     One vectorised thinning sweep replaces the per-trap candidate loops
     of :func:`~repro.markov.uniformization.simulate_trap`: candidate
     counts are Poisson-drawn per trap, candidate times for *all* traps
-    are generated in stacked arrays, both rates are gathered with a
+    are generated in one flat array, both rates are gathered with a
     single interpolation pass, and the regenerative thinning rule (see
     the module docstring) resolves every candidate without sequential
     state tracking.  The law of each returned trajectory is exactly that
@@ -323,19 +314,8 @@ def simulate_traps_batch(
 
     kernel_started = clock.monotonic() if obs.enabled() else 0.0
     counts = rng.poisson(lam=bounds * window).astype(np.int64)
-    total = int(counts.sum())
-    padded = n_traps * (int(counts.max(initial=0)) + 1)
-    if total == 0:
-        # No candidates anywhere (likely for low-rate populations over
-        # short windows) — every trap simply holds its initial state.
-        flips_per_trap = np.zeros(n_traps, dtype=np.int64)
-        flip_times = np.zeros(0, dtype=float)
-    elif padded <= max(_PAD_MIN_BUDGET, _PAD_WASTE_FACTOR * (total + n_traps)):
-        flips_per_trap, flip_times = _padded_sweep(
-            batch, bounds, counts, init, t_start, window, rng)
-    else:
-        flips_per_trap, flip_times = _flat_sweep(
-            batch, bounds, counts, init, t_start, t_stop, window, rng)
+    flips_per_trap, flip_times = _sweep(
+        batch, bounds, counts, init, t_start, t_stop, window, rng)
 
     offsets, flip_times = _untied(flips_per_trap, flip_times)
     occupancy = PopulationOccupancy(t_start, t_stop, init, offsets,
@@ -357,101 +337,34 @@ def simulate_traps_batch(
     return occupancy, stats
 
 
-def _padded_sweep(batch, bounds: np.ndarray,
-                  counts: np.ndarray, init: np.ndarray,
-                  t_start: float, window: float,
-                  rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise sweep on a ``(K, max_count)`` padded layout.
-
-    Candidate times arrive *pre-sorted per trap* from normalised
-    exponential spacings — conditioned on its count, a homogeneous
-    Poisson process's event times are uniform order statistics — so no
-    sort is ever performed.  Rates are read only at the valid
-    candidates (``rows``, in row-major order); pad slots never are.
-    """
+def _sweep(batch, bounds: np.ndarray,
+           counts: np.ndarray, init: np.ndarray,
+           t_start: float, t_stop: float, window: float,
+           rng: np.random.Generator
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The thinning sweep: trap ``i`` owns ``counts[i] + 1`` consecutive
+    exponential spacings (see the module docstring)."""
     n_traps = counts.size
-    maxn = int(counts.max(initial=0))
-    col = np.arange(maxn + 1, dtype=np.int32)
-
-    gaps = rng.standard_exponential((n_traps, maxn + 1))
-    gaps *= col[None, :] <= counts[:, None]
-    totals = gaps.sum(axis=1)
-    t2d = t_start + window * (np.cumsum(gaps, axis=1)[:, :maxn]
-                              / totals[:, None])
-    valid = col[None, :maxn] < counts[:, None]
-    rows = np.repeat(np.arange(n_traps), counts)
-
-    idx, w = batch.grid_coordinates(t2d[valid])
-    inv = 1.0 / bounds[rows]
-    c_lo = batch.capture_at(rows, idx)
-    c_hi = batch.capture_at(rows, idx + 1)
-    p_fill = (1.0 - w) * (c_lo * inv) + w * (c_hi * inv)
-    bias = _faults.kernel_bias()
-    if bias:
-        # Injected off-by-epsilon acceptance bug (verification drills).
-        p_fill = np.clip(p_fill + bias, 0.0, 1.0)
-
-    draws = rng.random((n_traps, maxn))
-    if batch._sum_info()[1]:
-        # SAMURAI fast path: a bias-independent sum (paper Eq. 1) IS the
-        # bound, so every valid candidate is forced — no interpolation.
-        forced = valid
-    else:
-        p_forced = (1.0 - w) * ((c_lo + batch.emission_at(rows, idx)) * inv) \
-            + w * ((c_hi + batch.emission_at(rows, idx + 1)) * inv)
-        forced = valid.copy()
-        forced[valid] = draws[valid] < p_forced
-    value = np.zeros_like(valid)
-    value[valid] = draws[valid] < p_fill
-
-    # Forward-fill: the state after a forced candidate IS its outcome,
-    # so a transition happens exactly where the outcome differs from the
-    # previous forced outcome (or from the initial state before the
-    # first forced candidate of the trap).
-    forced_col = np.where(forced, col[None, :maxn], np.int32(-1))
-    prev_col = np.empty_like(forced_col)
-    prev_col[:, 0] = -1
-    np.maximum.accumulate(forced_col[:, :-1], axis=1, out=prev_col[:, 1:])
-    prev_value = np.where(
-        prev_col >= 0,
-        np.take_along_axis(value, np.maximum(prev_col, 0), 1),
-        (init > 0)[:, None],
-    )
-    flip = forced & (value != prev_value)
-    # Row-major extraction keeps flips grouped by trap, chronological.
-    return flip.sum(axis=1).astype(np.int64), t2d[flip]
-
-
-def _flat_sweep(batch, bounds: np.ndarray,
-                counts: np.ndarray, init: np.ndarray,
-                t_start: float, t_stop: float, window: float,
-                rng: np.random.Generator
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat concatenated-candidate sweep (lexsort by trap, then time).
-
-    Used when per-trap candidate counts are too skewed for the padded
-    layout — e.g. a population whose rates span many decades.
-    """
-    n_traps = counts.size
-    total = int(counts.sum())
     owner = np.repeat(np.arange(n_traps), counts)
-    t_cand = t_start + window * rng.random(total)
-    order = np.lexsort((t_cand, owner))
-    owner = owner[order]
-    t_cand = t_cand[order]
+    sums = np.cumsum(rng.standard_exponential(owner.size + n_traps))
+    last = np.cumsum(counts + 1) - 1
+    before = np.zeros(n_traps)
+    before[1:] = sums[last[:-1]]
+    span = sums[last] - before
+    t_cand = t_start + window * ((np.delete(sums, last) - before[owner])
+                                 / span[owner])
 
     idx, w = batch.grid_coordinates(t_cand)
     lam_c = (1.0 - w) * batch.capture_at(owner, idx) \
         + w * batch.capture_at(owner, idx + 1)
     bound_at = bounds[owner]
-    draws = rng.random(total)
+    draws = rng.random(owner.size)
     # Candidates exactly on the window edge would violate the trace
     # invariant that transitions lie strictly inside (t_start, t_stop).
     forced = (t_cand > t_start) & (t_cand < t_stop)
     if not batch._sum_info()[1]:
-        # Only a non-constant sum thins: as in the padded sweep, an
-        # Eq.-(1) sum is the bound and forces every candidate.
+        # Only a non-constant sum thins: an Eq.-(1) sum is the bound
+        # and forces every candidate (SAMURAI's fast path).
         lam_e = (1.0 - w) * batch.emission_at(owner, idx) \
             + w * batch.emission_at(owner, idx + 1)
         forced &= draws < (lam_c + lam_e) / bound_at
@@ -464,16 +377,12 @@ def _flat_sweep(batch, bounds: np.ndarray,
         p_fill = np.clip(p_fill + bias, 0.0, 1.0)
     value_f = (draws[forced] < p_fill).astype(np.int8)
 
-    if owner_f.size:
-        seg_start = np.empty(owner_f.size, dtype=bool)
-        seg_start[0] = True
-        seg_start[1:] = owner_f[1:] != owner_f[:-1]
-        prev = np.empty_like(value_f)
-        prev[1:] = value_f[:-1]
-        prev = np.where(seg_start, init[owner_f], prev)
-        flip = value_f != prev
-    else:
-        flip = np.zeros(0, dtype=bool)
+    # Forward-fill: the state after a forced candidate IS its outcome,
+    # so a transition happens exactly where the outcome differs from the
+    # previous forced outcome of the trap (or from its initial state).
+    seg_start = np.ones(owner_f.size, dtype=bool)
+    seg_start[1:] = owner_f[1:] != owner_f[:-1]
+    flip = value_f != np.where(seg_start, init[owner_f], np.roll(value_f, 1))
 
     flips_per_trap = np.bincount(owner_f[flip], minlength=n_traps)
     return flips_per_trap.astype(np.int64), t_f[flip]

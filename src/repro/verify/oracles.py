@@ -14,6 +14,10 @@ closed forms the law implies:
   y_tr})`` (paper Eq. 1) tying both means to the trap depth;
 - the batched and scalar kernels implement the same law, so their
   outputs are statistically indistinguishable;
+- independent traps superpose (da Silva & Wirth), so a population's
+  filled count ``N_filled(t)`` (paper Eq. 3) has the exact mean
+  ``sum p_i`` and variance ``sum p_i (1 - p_i)`` of the per-trap
+  occupancy recurrence;
 - a DRAM retention trial is a time change of one decay curve, so its
   retention time has an exact law: the occupation-time law of the
   defect's two-state chain (:func:`retention_probability`).
@@ -36,25 +40,31 @@ import numpy as np
 from scipy import stats
 
 from ..errors import AnalysisError
-from ..markov.analytic import occupancy_probability, stationary_occupancy
+from ..markov.analytic import (
+    occupancy_probability,
+    occupancy_recurrence,
+    stationary_occupancy,
+)
 from ..markov.batch import (
     BatchPropensity,
     simulate_traps_batch,
     simulate_traps_scalar,
 )
 from ..markov.occupancy import number_filled
-from ..testing.seeding import spawn_rngs
+from ..testing.seeding import derive_rng, spawn_rngs
 from .result import CheckResult
 
 __all__ = [
     "check_batch_scalar_equivalence",
     "check_dwell_times",
+    "check_population_occupancy",
     "check_propensity_sum_invariant",
     "check_retention_law",
     "check_stationary_occupancy",
     "check_transient_occupancy",
     "pooled_dwell_times",
     "retention_probability",
+    "sample_screen_populations",
     "sample_stationary_population",
 ]
 
@@ -108,6 +118,39 @@ def sample_stationary_population(lambda_c: float, lambda_e: float,
     traces, _ = simulate_traps_batch(batch, 0.0, t_stop, sim_rng,
                                      initial_states=init)
     return traces
+
+
+def sample_screen_populations(seed: int, n_cells: int = 64) -> list:
+    """The ensemble screen's kernel runs at ``seed``, one per transistor.
+
+    The benchmark's Fig.-8 cell and one-bit write pattern: a clean pass
+    gives each transistor's drive, and the traps of ``n_cells`` devices
+    run through the batched kernel from the column-0 equilibrium, as in
+    the ensemble's step 3.  Returns ``(rate table, occupancy)`` pairs.
+    """
+    from ..core.experiments import fig8_cell_spec, fig8_pattern
+    from ..core.methodology import MethodologyConfig, PatternBench
+    from ..sram.biases import extract_biases
+    from ..traps.profiling import TrapProfiler
+    from ..traps.propensity import draw_initial_states, population_propensity
+
+    spec = fig8_cell_spec()
+    bench = PatternBench.build(spec, fig8_pattern(bits=(1,)),
+                               MethodologyConfig())
+    biases = extract_biases(bench.cell, bench.simulate()[0])
+    profiler = TrapProfiler(spec.technology)
+    rng = derive_rng(seed, "screen")
+    populations = []
+    for name, transistor in bench.cell.transistors.items():
+        params, record = transistor.params, biases[name]
+        traps = profiler.sample(rng, n_cells * params.width, params.length)
+        table = population_propensity(traps, spec.technology, record.times,
+                                      record.v_drive)
+        init = draw_initial_states(table.equilibrium(0), rng)
+        populations.append((table, simulate_traps_batch(
+            table, float(record.times[0]), float(record.times[-1]), rng,
+            initial_states=init)[0]))
+    return populations
 
 
 def pooled_dwell_times(traces, state: int) -> np.ndarray:
@@ -190,6 +233,35 @@ def check_transient_occupancy(traces, capture_fn, emission_fn,
                 f"worst at t={worst_at:.3g}s"),
         grid_points=int(grid.size), worst_time=worst_at,
         alpha_per_point=per_point)
+
+
+def check_population_occupancy(populations, alpha: float,
+                               points=(0.25, 0.5, 0.75)) -> CheckResult:
+    """Simulated ``N_filled`` vs its exact mean and variance.
+
+    ``populations`` are independent ``(rate table, occupancy)`` pairs,
+    constant-sum tables run from the column-0 equilibrium.  At a grid
+    time the filled count sums independent ``Bernoulli(p_i)``, ``p_i``
+    from :func:`~repro.markov.analytic.occupancy_recurrence`; pooled
+    over the populations at each of ``points`` (fractions of the grid),
+    ``z = (N - sum p)/sqrt(sum p (1 - p))`` is tested two-sided against
+    the normal law.  One trap's states at two times are correlated, so
+    ``alpha`` is Bonferroni-split across the points.
+    """
+    parts = []
+    for table, occupancy in populations:
+        cols = np.rint(np.multiply(points, table.times.size - 1)).astype(int)
+        p = occupancy_recurrence(table)[:, cols]
+        parts.append((number_filled(occupancy, table.times[cols]),
+                      p.sum(axis=0), (p * (1.0 - p)).sum(axis=0)))
+    filled, mean, var = np.sum(parts, axis=0)
+    z = (filled - mean) / np.sqrt(var)
+    return CheckResult.from_pvalue(
+        "markov.population_occupancy",
+        float(2.0 * stats.norm.sf(np.abs(z).max())), alpha / z.size,
+        detail=(f"{len(populations)} populations, z = "
+                + ", ".join(f"{value:+.2f}" for value in z)),
+        z=z.tolist())
 
 
 def check_dwell_times(traces, state: int, exit_rate: float, alpha: float,

@@ -9,7 +9,7 @@ Two tiers mirror the CI split:
 - the **statistical suite** (tier 2) simulates populations and tests
   their law against the analytic oracles — stationary and transient
   occupancy, dwell exponentiality, batch/scalar equivalence, the
-  exact DRAM retention law — under
+  screen's exact ``N_filled`` law, the exact DRAM retention law — under
   one Bonferroni :class:`~repro.verify.harness.AlphaBudget`, so a
   correct kernel fails a whole run with probability at most
   ``alpha_total``.
@@ -25,10 +25,12 @@ from .harness import AlphaBudget
 from .oracles import (
     check_batch_scalar_equivalence,
     check_dwell_times,
+    check_population_occupancy,
     check_propensity_sum_invariant,
     check_retention_law,
     check_stationary_occupancy,
     check_transient_occupancy,
+    sample_screen_populations,
     sample_stationary_population,
 )
 from .result import VerificationReport
@@ -69,8 +71,8 @@ def _deterministic_checks() -> list:
 def _statistical_checks(seed: int, budget: AlphaBudget) -> list:
     from ..testing.seeding import derive_seed
 
-    # Six statistical checks share the budget.
-    alpha = budget.split(6)
+    # Seven statistical checks share the budget.
+    alpha = budget.split(7)
     checks = []
 
     # Stationary marginal + dwell laws on one asymmetric population.
@@ -110,6 +112,10 @@ def _statistical_checks(seed: int, budget: AlphaBudget) -> list:
         emission=np.tile(rates_e[:, None], (1, 2)))
     checks.append(check_batch_scalar_equivalence(
         hetero, 0.0, 20.0, derive_seed(seed, "equivalence"), alpha))
+
+    # The screen's filled counts vs the exact occupancy recurrence.
+    checks.append(check_population_occupancy(
+        sample_screen_populations(seed), alpha))
 
     # The dram.retention scenario vs its exact time-change law.
     from ..core.scenario import get_scenario, run_scenario

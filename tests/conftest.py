@@ -49,20 +49,3 @@ def occupancy_digest():
         return hasher.hexdigest()
     return digest
 
-
-@pytest.fixture
-def layouts(monkeypatch):
-    """The batched kernel's sweep layouts, in call order: a spy list
-    that ``_padded_sweep``/``_flat_sweep`` append their name to."""
-    from repro.markov import batch as batch_module
-
-    ran = []
-    for name in ("_padded_sweep", "_flat_sweep"):
-        original = getattr(batch_module, name)
-
-        def spy(*args, _original=original, _name=name):
-            ran.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(batch_module, name, spy)
-    return ran

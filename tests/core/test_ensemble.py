@@ -306,4 +306,4 @@ class TestSeedCompatibility:
             max_verified_cells=2, keep_traces=True)
         result = EnsembleRunner(config).run(np.random.default_rng(0))
         assert result.verified_cells == 2
-        assert ensemble_digest(result) == "2ec275776ff8dabb9a24e77ee0266fd2"
+        assert ensemble_digest(result) == "29702d6416b3e3f86af5658ae0d061dd"

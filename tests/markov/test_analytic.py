@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
+from repro.markov.batch import BatchPropensity
 from repro.markov.analytic import (
     lorentzian_corner_frequency,
     lorentzian_psd,
     occupancy_probability,
     occupancy_probability_constant,
+    occupancy_recurrence,
     stationary_autocorrelation,
     stationary_autocovariance,
     stationary_occupancy,
@@ -89,6 +91,52 @@ class TestOccupancyProbability:
         )
         assert np.all(p >= -1e-9)
         assert np.all(p <= 1.0 + 1e-9)
+
+
+class TestOccupancyRecurrence:
+    """The exact grid update for constant-sum (Eq.-1) rate tables."""
+
+    TIMES = np.linspace(0.0, 2.0, 41)
+
+    def _table(self, sums, share):
+        sums = np.asarray(sums, dtype=float)[:, None]
+        return BatchPropensity(times=self.TIMES, capture=sums * share,
+                               emission=sums * (1.0 - share))
+
+    def test_matches_the_ode_on_piecewise_linear_rates(self):
+        # Sums from 1e-6/s (x ~ 5e-8 per step, the Taylor branch) to
+        # 40/s; the ODE integrates the same interpolated capture rate.
+        share = 0.5 + 0.4 * np.sin(3.0 * self.TIMES)
+        sums = [1e-6, 0.5, 3.0, 40.0]
+        p = occupancy_recurrence(self._table(sums, share))
+        assert p.shape == (4, self.TIMES.size)
+        assert np.allclose(p[:, 0], share[0], rtol=1e-12)
+        def shared(t):
+            return np.interp(t, self.TIMES, share)
+
+        for row, total in zip(p, sums):
+            ode = occupancy_probability(
+                self.TIMES, lambda t, c=total: c * shared(t),
+                lambda t, c=total: c * (1.0 - shared(t)), row[0],
+                rtol=1e-11, atol=1e-13)
+            assert np.max(np.abs(row - ode)) < 1e-8
+
+    def test_constant_rates_match_the_closed_form(self):
+        share = np.full(self.TIMES.size, 0.25)
+        p = occupancy_recurrence(self._table([2.0, 7.0], share),
+                                 initial=np.array([0.0, 1.0]))
+        for row, total, start in zip(p, (2.0, 7.0), (0.0, 1.0)):
+            assert np.allclose(row, occupancy_probability_constant(
+                self.TIMES, 0.25 * total, 0.75 * total, start),
+                rtol=0.0, atol=1e-14)
+
+    def test_rejects_a_non_constant_sum(self):
+        table = BatchPropensity(times=self.TIMES,
+                                capture=np.ones((1, self.TIMES.size)),
+                                emission=np.linspace(1.0, 2.0,
+                                                     self.TIMES.size)[None])
+        with pytest.raises(AnalysisError, match="constant-sum"):
+            occupancy_recurrence(table)
 
 
 class TestAutocorrelation:

@@ -156,6 +156,30 @@ class TestCommands:
         assert f"error: argument {argument}:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_unknown_scenario_is_a_usage_error(self, capsys):
+        # Used to end in the registry's ValueError traceback, exit 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "run", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument name: unknown scenario 'nosuch'" in err
+        assert "dram.retention" in err and "sram.array" in err
+        assert "Traceback" not in err
+
+    def test_report_on_a_non_json_file_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        # Used to end in a JSONDecodeError traceback, exit 1.
+        path = tmp_path / "bad.json"
+        path.write_text("{bad", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument path:" in captured.err
+        assert "no JSON in" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["cards"],
         ["scenario", "list"],

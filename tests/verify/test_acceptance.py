@@ -76,7 +76,7 @@ class TestPlantedRetentionBiasIsCaught:
     nominal cell's law, while the nominal cell's own trials pass it."""
 
     N_TRIALS = 2000
-    ALPHA = AlphaBudget().split(6)
+    ALPHA = AlphaBudget().split(7)
 
     def _check(self, leakage_bias: float, seed: int):
         scan = get_scenario("dram.retention").default_config(self.N_TRIALS)

@@ -34,7 +34,7 @@ class TestDeterministicSuite:
         report = run_suite(seed=1, statistical=True)
         assert report["dram.retention_law"].passed
         assert report["dram.retention_law"].threshold == \
-            pytest.approx(1e-4 / 6 / 7)
+            pytest.approx(1e-4 / 7 / 7)
 
 
 class TestCliVerify:
