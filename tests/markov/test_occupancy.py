@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, ModelError
@@ -279,9 +279,19 @@ def test_property_from_transitions_consistency(flips, initial):
         max_size=20, unique=True,
     ),
 )
+@example(flips=[0.25])
+@example(flips=[0.75])
 def test_property_restriction_preserves_states(flips):
-    """A restriction agrees with the parent trace everywhere inside it."""
+    """A restriction agrees with the parent trace everywhere inside it.
+
+    On ``[0.25, 0.75)`` the two share the right-open convention.  At
+    its own ``t_stop`` a trace reports its last segment's state, so
+    there the restriction holds the parent's state just before 0.75,
+    even when the parent flips at exactly 0.75.
+    """
     trace = OccupancyTrace.from_transitions(0.0, 1.0, 0, np.array(sorted(flips)))
     sub = trace.restricted(0.25, 0.75)
     grid = np.linspace(0.25, 0.75, 101)
-    assert np.array_equal(sub.sample(grid), trace.sample(grid))
+    assert np.array_equal(sub.sample(grid[:-1]), trace.sample(grid[:-1]))
+    before_stop = np.searchsorted(trace.times, 0.75, side="left") - 1
+    assert sub.state_at(0.75) == trace.states[before_stop]
