@@ -23,7 +23,6 @@ terminal voltages.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..constants import thermal_voltage
 from .mosfet import MosfetParams
@@ -32,6 +31,20 @@ from .mosfet import MosfetParams
 def _softplus(x):
     """Numerically stable ``ln(1 + e^x)``."""
     return np.logaddexp(0.0, x)
+
+
+def expit(x):
+    """The logistic sigmoid ``1 / (1 + e^{-x})``, elementwise.
+
+    Within 4 ulp of ``scipy.special.expit`` over the whole double range
+    (0 below x = -709.78, where ``e^{-x}`` overflows, silently).
+    ``exp`` runs on the fresh temporary ``-x``: NumPy's float64 ``exp``
+    takes a SIMD or a libm path depending on its input's strides, and
+    the two differ in the last bit, so a reversed or strided view would
+    not give the bits of a contiguous call.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def interpolation_f(u):
@@ -45,9 +58,13 @@ def interpolation_f(u):
 
 
 def interpolation_f_prime(u):
-    """Derivative ``dF/du = ln(1 + e^{u/2}) * sigmoid(u/2)``."""
-    u = np.asarray(u, dtype=float)
-    return _softplus(u / 2.0) * expit(u / 2.0)
+    """Derivative ``dF/du = ln(1 + e^{u/2}) * sigmoid(u/2)``.
+
+    With ``sp = ln(1 + e^{u/2})``, ``sigmoid(u/2) = 1 - e^{-sp}``, so
+    ``F' = -sp * expm1(-sp)``: the formula :func:`core_derivatives` uses.
+    """
+    sp = _softplus(np.asarray(u, dtype=float) / 2.0)
+    return -(sp * np.expm1(-sp))
 
 
 def device_constants(params: MosfetParams) -> tuple:
@@ -78,29 +95,41 @@ def _core_current(params: MosfetParams, v_gb, v_db, v_sb):
 def core_derivatives(vt0, slope, v_t, i_s, v_gb, v_db, v_sb):
     """Return ``(i, di/dv_gb, di/dv_db, di/dv_sb)`` for the NMOS core.
 
-    The device constants (see :func:`device_constants`) and the
-    bulk-referenced voltages may be scalars or arrays that broadcast
-    together; every operation is elementwise, so an array call gives
-    each device the same bits as a scalar call.  The forward and reverse
-    levels ``(x_f, x_r)`` are stacked on a leading axis, so they share
-    one softplus and one sigmoid: ``F = sp^2`` and ``F' = sp * expit``
-    with ``sp = ln(1 + e^{x/2})``.
+    The device constants (see :func:`device_constants`) are scalars or
+    arrays that broadcast to the shape of the bulk-referenced voltages,
+    which broadcast together; every operation is elementwise, so an
+    array call gives each device the same bits as a scalar call.  The
+    forward and reverse levels ``(x_f, x_r)`` are stacked on a leading
+    axis, so they share one softplus and one ``expm1``: ``F = sp^2`` and
+    ``-F' = sp * expm1(-sp)`` with ``sp = ln(1 + e^{x/2})``.  The
+    temporaries are updated in place, which keeps the per-call cost of
+    the extra negation at or below that of the former one-pass sigmoid.
     """
     v_p = (np.asarray(v_gb, dtype=float) - vt0) / slope
     terminals = (v_sb, v_db)
     if not getattr(v_sb, "shape", None) == getattr(v_db, "shape", None) \
             == v_p.shape:
         terminals = np.broadcast_arrays(v_sb, v_db, v_p)[:2]
-    half = (v_p - np.array(terminals, dtype=float)) / v_t / 2.0
-    sp = _softplus(half)
-    f = sp * sp
-    fp = sp * expit(half)
-    i = i_s * (f[0] - f[1])
-    di_dvg = i_s * (fp[0] - fp[1]) / (slope * v_t)
-    # -(i_s F'_f / v_t) has the bits of (-i_s) F'_f / v_t: IEEE products
-    # and quotients are symmetric under negation.
-    di_dv = i_s * fp / v_t
-    return i, di_dvg, di_dv[1], -di_dv[0]
+    sp = v_p - np.array(terminals, dtype=float)
+    sp /= v_t
+    sp /= 2.0
+    np.logaddexp(0.0, sp, out=sp)
+    # expm1 runs on the fresh temporary -sp (see expit).
+    neg_fp = -sp
+    np.expm1(neg_fp, out=neg_fp)
+    neg_fp *= sp
+    f = sp
+    f *= sp  # F = sp^2 in place: sp is not read again
+    i = f[0] - f[1]
+    i *= i_s
+    di_dvg = neg_fp[1] - neg_fp[0]
+    di_dvg *= i_s
+    di_dvg /= slope * v_t
+    # -(i_s F'_r / v_t) has the bits of i_s (-F'_r) / v_t: IEEE products,
+    # quotients and differences are symmetric under negation.
+    neg_fp *= i_s
+    neg_fp /= v_t
+    return i, di_dvg, -neg_fp[1], neg_fp[0]
 
 
 def drain_current(params: MosfetParams, v_g, v_d, v_s, v_b=0.0):

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from ..constants import thermal_energy_ev
+from ..devices.ekv import expit
 from ..devices.technology import Technology
 from ..errors import ModelError
 from ..markov.batch import grid_coordinates

@@ -127,4 +127,4 @@ class TestSeedCompatibility:
         result = run_coupled(build_sram_cell(), SHORT, traps,
                              np.random.default_rng(0), rtn_scale=20.0,
                              record_every=4)
-        assert coupled_digest(result) == "c2212d78a95661bc4ba025c6a9248b86"
+        assert coupled_digest(result) == "75fbca21ddea71791d2fe82f1e5404cc"

@@ -306,4 +306,4 @@ class TestSeedCompatibility:
             max_verified_cells=2, keep_traces=True)
         result = EnsembleRunner(config).run(np.random.default_rng(0))
         assert result.verified_cells == 2
-        assert ensemble_digest(result) == "29702d6416b3e3f86af5658ae0d061dd"
+        assert ensemble_digest(result) == "b3d640b6e60c85f50388b954e1850718"

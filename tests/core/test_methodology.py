@@ -156,8 +156,8 @@ def methodology_digest(result, injected: dict) -> str:
 
 class TestSeedCompatibility:
     @pytest.mark.parametrize("seed, expected", [
-        (0, "5f2a1e39cb0ea7480c68a1a957e01219"),
-        (3, "e23ae505ac6fe2a53a60707ba28095d9"),
+        (0, "c9d5f67811011de0cb78c2340c8065f5"),
+        (3, "a879bec4fb64d6f3e9afabf04704b9aa"),
     ])
     def test_seeded_output_is_pinned(self, monkeypatch, seed, expected):
         """Any change to the RNG order or the arithmetic of the four
@@ -200,4 +200,4 @@ class TestSeedCompatibility:
         bench = PatternBench.build(fig8_cell_spec(), pattern, config)
         waveform, verdicts = bench.simulate(injected)
         assert [v.outcome for v in verdicts]
-        assert waveform_digest(waveform) == "ca84e695b7afdc123f035e99367584dc"
+        assert waveform_digest(waveform) == "1153af0be8d1b764d5cbe74505040f1b"

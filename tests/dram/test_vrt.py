@@ -13,6 +13,8 @@ from repro.dram.cell import (
     DramCellSpec,
     RetentionModel,
     RetentionScanConfig,
+    _decay,
+    _leakage,
     default_vrt_cell,
     retention_distribution,
     simulate_retention,
@@ -40,8 +42,6 @@ def _integrate_crossing(spec: DramCellSpec, segments) -> float:
     """Reference: integrate ``dV/dt = -m I_leak(V) / C`` over
     ``(t_lo, t_hi, m)`` segments; the threshold crossing or ``inf``."""
     from scipy.integrate import solve_ivp
-
-    from repro.dram.cell import _leakage
 
     def crossing(t, y):
         return y[0] - spec.threshold
@@ -101,6 +101,51 @@ class TestVrtLevels:
         small, __ = vrt_levels(DramCellSpec(storage_capacitance=10e-15))
         large, __ = vrt_levels(DramCellSpec(storage_capacitance=50e-15))
         assert large > 4 * small
+
+
+#: The default cell and one changed input each.
+DECAY_SPECS = [DramCellSpec(), DramCellSpec(storage_capacitance=10e-15),
+               DramCellSpec(v_write=0.9), DramCellSpec(sense_threshold=0.3)]
+DECAY_IDS = ["default", "storage_capacitance", "v_write", "sense_threshold"]
+
+
+class TestDecayQuadrature:
+    """``T_slow`` and ``V0`` come from a quadrature of ``dt = -C dV / I``;
+    SciPy's adaptive quadrature and a tight ODE solve are the oracles."""
+
+    @pytest.mark.parametrize("spec", DECAY_SPECS, ids=DECAY_IDS)
+    def test_slow_level_matches_adaptive_quadrature(self, spec):
+        from scipy.integrate import quad
+
+        integral, __ = quad(lambda v: 1.0 / _leakage(spec, v),
+                            spec.threshold, spec.stored_level,
+                            epsabs=0.0, epsrel=1e-13)
+        slow, __ = _decay(spec)
+        assert slow == pytest.approx(spec.storage_capacitance * integral,
+                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec", DECAY_SPECS, ids=DECAY_IDS)
+    def test_voltage_matches_a_tight_ode_solve(self, spec):
+        from scipy.integrate import solve_ivp
+
+        slow, decay = _decay(spec)
+        tau = np.linspace(0.0, slow, 129)
+        voltage = decay(tau)
+        assert voltage[0] == spec.stored_level
+        assert voltage[-1] == spec.threshold
+        assert np.all(np.diff(voltage) < 0.0)
+        reference = solve_ivp(
+            lambda t, y: [-_leakage(spec, y[0]) / spec.storage_capacitance],
+            (0.0, slow), [spec.stored_level], t_eval=tau, rtol=1e-12,
+            atol=1e-15).y[0]
+        assert np.abs(voltage - reference).max() <= 1e-8
+
+    def test_a_cell_that_never_discharges_is_refused(self):
+        spec = DramCellSpec(storage_capacitance=1e-9)
+        with pytest.raises(SimulationError, match="never discharged"):
+            vrt_levels(spec)
+        with pytest.raises(SimulationError, match="never discharged"):
+            RetentionModel.build(spec, slow_defect(DramCellSpec()))
 
 
 class TestSenseThreshold:

@@ -6,13 +6,15 @@ the oracle for the program's bit-identity with every body unchanged:
 the ``Stamper``, each element's ``stamp``/``init_history``/
 ``update_history`` (dispatched on the element class here), the EKV
 derivative chain they called and the transient/DC assembler factories.
+The one change to those bodies follows the EKV model's sigmoid: ``F'``
+is ``-sp * expm1(-sp)`` with ``sp = ln(1 + e^{u/2})`` (the library
+formula, copied here), no longer ``sp * scipy.special.expit(u/2)``.
 Only the tests import it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from repro.constants import thermal_voltage
 from repro.spice.elements import (
@@ -86,8 +88,8 @@ def _interpolation_f(u):
 
 
 def _interpolation_f_prime(u):
-    u = np.asarray(u, dtype=float)
-    return _softplus(u / 2.0) * expit(u / 2.0)
+    sp = _softplus(np.asarray(u, dtype=float) / 2.0)
+    return -(sp * np.expm1(-sp))
 
 
 def _core_derivatives(params, v_gb, v_db, v_sb):

@@ -61,20 +61,23 @@ class TestLaziness:
         assert proc.returncode == 0, proc.stderr
 
     def test_entry_points_load_only_what_they_run(self):
-        # Package __init__s re-export nothing, so the CLI skips the SciPy
-        # modules only oracles and baselines use, and the ensemble
-        # skips the packages it never calls.
+        # Package __init__s re-export nothing, so the ensemble skips the
+        # packages it never calls.  The run paths need NumPy alone: the
+        # CLI, the ensemble and a scenario lookup (which imports every
+        # built-in scenario) load no SciPy module at all.
         code = (
             "import sys\n"
             "import repro.cli\n"
-            "for name in ('scipy.signal', 'scipy.stats', 'scipy.integrate',\n"
-            "             'scipy.optimize'):\n"
-            "    assert name not in sys.modules, name\n"
             "import repro.api\n"
             "repro.api.EnsembleRunner\n"
             "for name in ('repro.rtn.ye_baseline', 'repro.markov.analytic',\n"
             "             'repro.analysis', 'repro.verify', 'repro.cosim'):\n"
             "    assert name not in sys.modules, name\n"
+            "repro.api.available_scenarios()\n"
+            "repro.api.get_scenario('dram.retention').default_config(2)\n"
+            "scipy = sorted(m for m in sys.modules\n"
+            "               if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not scipy, scipy\n"
         )
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
