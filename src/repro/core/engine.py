@@ -102,9 +102,10 @@ class SerialBackend:
     name = "serial"
 
     def run(self, fn, jobs, *, keys, workers=None, policy=None,
-            on_result=None) -> list:
+            on_result=None, batch=None) -> list:
         policy = policy or RetryPolicy()
-        return _run_serial(fn, list(jobs), list(keys), policy, on_result)
+        return _run_serial(fn, list(jobs), list(keys), policy, on_result,
+                           batch)
 
 
 # ======================================================================
@@ -387,7 +388,9 @@ class SharedMemoryBackend:
 
     # ------------------------------------------------------------------
     def run(self, fn, jobs, *, keys, workers=None, policy=None,
-            on_result=None) -> list:
+            on_result=None, batch=None) -> list:
+        # ``batch`` is the serial backend's grouping; each job here runs
+        # alone in a worker.
         import multiprocessing
         from multiprocessing.connection import wait as mp_wait
 

@@ -36,7 +36,9 @@ The pipeline:
    re-simulated through the real injected SPICE pass (with their own
    ``vt_shifts``) and classified into write errors exactly like the
    per-cell methodology.  The fan-out is the ``sram.verify`` scenario,
-   executed in-process, or on ``workers`` worker processes.
+   executed in-process, or on ``workers`` worker processes.  In
+   process, its cells go in groups through one lockstep transient per
+   topology (:func:`~repro.core.methodology.simulate_passes`).
 5. **Margins**: the nominal static noise margin is computed once;
    ``margin_samples`` adds a per-cell hold-SNM distribution.
 
@@ -55,7 +57,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..errors import ModelError, RecoveredWarning, SimulationError
+from ..errors import (
+    ConvergenceError,
+    ModelError,
+    RecoveredWarning,
+    SimulationError,
+)
 from ..obs import clock
 from ..obs.telemetry import RunTelemetry
 from ..markov.batch import simulate_traps_batch, simulate_traps_scalar
@@ -74,6 +81,7 @@ from .methodology import (
     PatternBench,
     injection_currents,
     run_fingerprint,
+    simulate_passes,
 )
 from .resilience import JOB_STATUSES, JobResult, RetryPolicy
 from .scenario import Scenario, register_scenario, run_scenario
@@ -468,20 +476,56 @@ def _simulate_population(batch, t_start: float, t_stop: float,
                                      initial_states=init)
 
 
-def _verify_cell(payload, rng: np.random.Generator) -> tuple[int, list]:
-    """Scenario kernel: the injected SPICE pass of one flagged cell.
+def _verify_cells(payloads: list, rngs: list) -> list:
+    """Scenario batch kernel: the injected SPICE passes of flagged cells.
 
-    ``payload`` is ``(spec, pattern, traces, methodology)``.  Every
+    Each payload is ``(spec, pattern, traces, methodology)``.  Every
     randomness-bearing input (traces, trap populations, mismatch) was
-    drawn during screening, so the job generator is deliberately unused
-    and the shared backend's workers, reading the trace arrays from its
-    arena, are deterministic.  Returns ``(failures, error_slots)``.
+    drawn during screening, so the job generators are deliberately
+    unused and the shared backend's workers, reading the trace arrays
+    from its arena, are deterministic.
+
+    The payloads are grouped by topology — the pattern, the methodology
+    and the names of the attached RTN sources, in order — and each
+    group runs one lockstep transient.  Returns, per payload,
+    ``((failures, error_slots), None)``, or ``(None, error)`` for a cell
+    whose pass did not converge.
     """
-    spec, pattern, traces, method = payload
-    _, results = PatternBench.build(spec, pattern, method).simulate(traces)
-    failures = sum(1 for r in results if r.outcome is not OpOutcome.OK)
-    errors = [r.index for r in results if r.outcome is OpOutcome.ERROR]
-    return failures, errors
+    groups: list = []  # (topology, payload positions)
+    for position, (_, pattern, traces, method) in enumerate(payloads):
+        topology = (tuple(traces), pattern, method)
+        for known, members in groups:
+            if known == topology:
+                members.append(position)
+                break
+        else:
+            groups.append((topology, [position]))
+    outcomes: list = [None] * len(payloads)
+    for _, members in groups:
+        benches = [PatternBench.build(spec, pattern, method)
+                   for spec, pattern, _, method in
+                   (payloads[position] for position in members)]
+        passes = simulate_passes(
+            benches, [payloads[position][2] for position in members])
+        for position, outcome in zip(members, passes):
+            if isinstance(outcome, ConvergenceError):
+                outcomes[position] = (None, outcome)
+                continue
+            results = outcome[1]
+            outcomes[position] = ((
+                sum(1 for r in results if r.outcome is not OpOutcome.OK),
+                [r.index for r in results if r.outcome is OpOutcome.ERROR]),
+                None)
+    return outcomes
+
+
+def _verify_cell(payload, rng: np.random.Generator) -> tuple[int, list]:
+    """Scenario kernel: :func:`_verify_cells` on one flagged cell.
+    Returns ``(failures, error_slots)``."""
+    ((value, error),) = _verify_cells([payload], [rng])
+    if error is not None:
+        raise error
+    return value
 
 
 class VerifyScenario(Scenario):
@@ -494,13 +538,15 @@ class VerifyScenario(Scenario):
     cells, and a resume restores only the cells selected this time.
     It exists so the runner's fan-out rides the same scenario -> engine
     path, checkpoints included, as every other workload; it has no
-    standalone CLI configuration.
+    standalone CLI configuration.  In process, its jobs run in groups
+    through :func:`_verify_cells`, one lockstep transient per topology.
     """
 
     name = "sram.verify"
     description = ("SRAM ensemble verification fan-out "
                    "(internal: driven by EnsembleRunner)")
     kernel = staticmethod(_verify_cell)
+    batch_kernel = staticmethod(_verify_cells)
 
     def plan(self, config: tuple) -> list:
         return list(config[0].values())

@@ -21,7 +21,8 @@ sources, so both run through one :class:`PatternBench`, and step 3's
 trace shaping is :func:`injection_trace`.  :func:`run_methodology`
 uses both for the per-cell flow; the array ensemble
 (:mod:`repro.core.ensemble`) uses them for its shared clean pass and
-its per-cell verification.
+its per-cell verification, whose cells :func:`simulate_passes` steps
+through one lockstep transient.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import ConvergenceError, SimulationError
 from ..rtn.current import RtnAmplitudeModel, VanDerZielModel
 from ..rtn.trace import RTNTrace
-from ..spice.transient import TransientOptions, simulate_transient
+from ..spice.transient import TransientOptions, simulate_transient_batch
 from ..sram.biases import BiasRecord, extract_biases
 from ..sram.cell import SramCell, SramCellSpec, build_sram_cell
 from ..sram.detectors import (
@@ -191,18 +192,50 @@ class PatternBench:
         so the bench can run again; ``None`` runs the clean pass.
         Returns ``(waveform, verdicts)``.
         """
-        if traces is not None:
-            attach_rtn_sources(self.cell, traces, scale=1.0)
-        try:
-            waveform = simulate_transient(
-                self.cell.circuit, self.waves.duration, self.dt,
-                initial_voltages=self.initial, options=self.options)
-        finally:
-            if traces is not None:
-                detach_rtn_sources(self.cell)
-        return waveform, classify_operations(
-            waveform, self.waves.schedule, self.cell.vdd,
-            thresholds=self.thresholds)
+        (outcome,) = simulate_passes([self], [traces])
+        if isinstance(outcome, ConvergenceError):
+            raise outcome
+        return outcome
+
+
+def simulate_passes(benches: list, traces: list) -> list:
+    """One lockstep transient pass over many benches, and its verdicts.
+
+    The benches share their pattern window, step and transient options,
+    and with their ``traces`` (one dict or ``None`` per bench, as for
+    :meth:`PatternBench.simulate`) attached, their circuits share one
+    topology: the same RTN sources in the same order.  Their cells may
+    differ in every value (``vt_shifts``, say).  Each bench gets the
+    bits of its own :meth:`PatternBench.simulate`.
+
+    Returns, per bench, ``(waveform, verdicts)`` or the
+    :class:`~repro.errors.ConvergenceError` that stopped its pass.
+    """
+    first = benches[0]
+    window = (first.waves.duration, first.dt, first.options)
+    if any((bench.waves.duration, bench.dt, bench.options) != window
+           for bench in benches):
+        raise SimulationError(
+            "benches of one pass must share their window, step and "
+            "transient options")
+    attached = []
+    try:
+        for bench, cell_traces in zip(benches, traces, strict=True):
+            if cell_traces is not None:
+                attached.append(bench)
+                attach_rtn_sources(bench.cell, cell_traces, scale=1.0)
+        waveforms = simulate_transient_batch(
+            [bench.cell.circuit for bench in benches], first.waves.duration,
+            first.dt, initial_voltages=[bench.initial for bench in benches],
+            options=first.options)
+    finally:
+        for bench in attached:
+            detach_rtn_sources(bench.cell)
+    return [waveform if isinstance(waveform, ConvergenceError) else (
+                waveform, classify_operations(
+                    waveform, bench.waves.schedule, bench.cell.vdd,
+                    thresholds=bench.thresholds))
+            for bench, waveform in zip(benches, waveforms)]
 
 
 def injection_currents(record: BiasRecord, current: np.ndarray,

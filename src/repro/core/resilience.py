@@ -197,7 +197,8 @@ def _finish(result: JobResult, error: BaseException | None,
 
 def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
              policy: RetryPolicy | None = None,
-             on_result: Callable | None = None) -> list:
+             on_result: Callable | None = None,
+             batch: Callable | None = None) -> list:
     """Run ``fn(job)`` over every job, surviving worker failures.
 
     Parameters
@@ -222,6 +223,12 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
         Callback invoked with each :class:`JobResult` as it reaches a
         terminal status, in completion order — the ensemble's
         incremental checkpoint hook.
+    batch:
+        Optional batch form of ``fn``: ``batch(payloads)`` returns, per
+        payload, ``(value, None)`` or ``(None, error)``.  The serial
+        backend, when no per-job timeout is set, runs first attempts in
+        groups of at most :data:`~repro.core.engine.MAX_CHUNK`
+        consecutive jobs through it; the ``shared`` backend ignores it.
 
     Returns
     -------
@@ -237,7 +244,7 @@ def run_jobs(fn: Callable, jobs, *, keys=None, workers: int | None = None,
 
     return resolve_backend(workers).run(
         fn, jobs, keys=keys, workers=workers, policy=policy or RetryPolicy(),
-        on_result=on_result)
+        on_result=on_result, batch=batch)
 
 
 # ----------------------------------------------------------------------
@@ -274,33 +281,107 @@ def _call_with_timeout(fn, payload, key, attempt, plan, timeout):
     return outcome.get("value")
 
 
-def _run_serial(fn, jobs, keys, policy, on_result) -> list:
+def _run_serial(fn, jobs, keys, policy, on_result, batch=None) -> list:
+    """The in-process loop, in job order.
+
+    With a ``batch`` form and no per-job timeout, first attempts run in
+    groups of at most ``MAX_CHUNK`` consecutive jobs: every job's
+    ``worker``/``hang``/``job`` sites fire first, in job order, then
+    ``batch`` runs the group's survivors in one call.  Each job then
+    settles on its own, in job order; a failed first attempt retries
+    alone from attempt 2.  If the batch call itself raises, the group's
+    jobs rerun alone from attempt 1, uncharged.
+    """
     from ..testing import faults
+    from .engine import MAX_CHUNK
 
     plan = faults.active()
+    size = MAX_CHUNK if batch is not None and policy.timeout is None else 1
     results = []
-    for payload, key in zip(jobs, keys):
-        result = JobResult(key=key)
+    for start in range(0, len(jobs), size):
+        group = list(zip(jobs[start:start + size], keys[start:start + size]))
         started = obs.clock.monotonic()
-        for attempt in range(1, policy.attempts + 1):
-            delay = policy.delay(attempt)
-            if delay:
-                time.sleep(delay)
-            try:
-                result.value = _call_with_timeout(
-                    fn, payload, key, attempt, plan, policy.timeout)
-            except BaseException as exc:  # noqa: B036 - classified below
-                last, timed_out = exc, isinstance(exc, WorkerTimeoutError)
-                if attempt >= policy.attempts or not policy.retryable(exc):
-                    _finish(result, last, attempt, started, timed_out)
-                    break
+        firsts = (_first_attempts(batch, group, plan) if size > 1
+                  else [None] * len(group))
+        for (payload, key), first in zip(group, firsts):
+            result = JobResult(key=key)
+            if first is None:
+                started = obs.clock.monotonic()
+                _attempt(fn, payload, key, plan, policy, result, started, 1)
             else:
-                _finish(result, None, attempt, started)
-                break
-        results.append(result)
-        if on_result is not None:
-            on_result(result)
+                value, error = first
+                if error is None:
+                    result.value = value
+                    _finish(result, None, 1, started)
+                elif policy.attempts <= 1 or not policy.retryable(error):
+                    _finish(result, error, 1, started,
+                            isinstance(error, WorkerTimeoutError))
+                else:
+                    _attempt(fn, payload, key, plan, policy, result,
+                             started, 2)
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
     return results
+
+
+def _first_attempts(batch, group, plan) -> list:
+    """Attempt 1 of a group of ``(payload, key)`` jobs: per job,
+    ``(value, None)`` or ``(None, error)``; ``None`` for every job when
+    the batch call itself raised."""
+    from ..testing import faults
+
+    def fire(job) -> None:
+        for site in ("worker", "hang", "job"):
+            faults.fire(site, job[1], 1)
+
+    try:
+        return fire_then_batch(
+            group, fire, lambda ready: batch([job[0] for job in ready]))
+    except Exception:  # noqa: BLE001 - the group reruns job by job
+        return [None] * len(group)
+
+
+def fire_then_batch(items: list, fire: Callable, batch: Callable) -> list:
+    """Per item, ``(value, None)`` or ``(None, error)``.
+
+    ``fire(item)`` runs first for every item, in order, and an exception
+    it raises is that item's outcome.  Then ``batch`` runs once on the
+    items that passed and returns their outcomes, in order.
+    """
+    outcomes: list = [None] * len(items)
+    ready = []
+    for position, item in enumerate(items):
+        try:
+            fire(item)
+        except Exception as error:  # noqa: BLE001 - the item's outcome
+            outcomes[position] = (None, error)
+        else:
+            ready.append(position)
+    values = batch([items[position] for position in ready])
+    for position, outcome in zip(ready, values, strict=True):
+        outcomes[position] = outcome
+    return outcomes
+
+
+def _attempt(fn, payload, key, plan, policy, result, started,
+             first: int) -> None:
+    """Try one job alone from attempt ``first`` until it settles."""
+    for attempt in range(first, policy.attempts + 1):
+        delay = policy.delay(attempt)
+        if delay:
+            time.sleep(delay)
+        try:
+            result.value = _call_with_timeout(
+                fn, payload, key, attempt, plan, policy.timeout)
+        except BaseException as exc:  # noqa: B036 - classified below
+            if attempt >= policy.attempts or not policy.retryable(exc):
+                _finish(result, exc, attempt, started,
+                        isinstance(exc, WorkerTimeoutError))
+                return
+        else:
+            _finish(result, None, attempt, started)
+            return
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ A :class:`Scenario` is the declarative answer: a workload is
   process, any order, any backend);
 - a **reducer** — a pure function folding the per-job
   :class:`~repro.core.resilience.JobResult` list (in job order) back
-  into the workload's domain result.
+  into the workload's domain result;
+- optionally a **batch kernel** doing many jobs' work in one call
+  (``sram.verify``: one lockstep transient for many cells), which the
+  serial backend uses for first attempts.
 
 :func:`run_scenario` executes any registered scenario through
 :func:`~repro.core.resilience.run_jobs`, so every scenario inherits —
@@ -56,6 +59,7 @@ stack and the migration guide for adding a workload.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -72,6 +76,7 @@ from .resilience import (
     JobResult,
     RetryPolicy,
     RunCheckpoint,
+    fire_then_batch,
     run_jobs,
 )
 
@@ -143,6 +148,23 @@ def execute_scenario_job(job: ScenarioJob):
     return job.kernel(job.payload, np.random.default_rng(job.seed_sequence))
 
 
+def execute_scenario_batch(batch_kernel: Callable, jobs: list) -> list:
+    """Batch form of :func:`execute_scenario_job` for the serial backend.
+
+    Fires each job's ``scenario`` site in job order, then runs
+    ``batch_kernel`` once on the payloads of the jobs that passed it,
+    each with its own generator.  Returns, per job, ``(value, None)``
+    or ``(None, error)``.
+    """
+    from ..testing import faults
+
+    return fire_then_batch(
+        jobs, lambda job: faults.fire("scenario", (job.scenario, job.index)),
+        lambda ready: batch_kernel(
+            [job.payload for job in ready],
+            [np.random.default_rng(job.seed_sequence) for job in ready]))
+
+
 class Scenario:
     """One declarative workload: plan + kernel + reducer.
 
@@ -162,6 +184,13 @@ class Scenario:
     #: Module-level job function ``kernel(payload, rng) -> value``.
     #: Must be picklable by reference (defined at module scope).
     kernel: Callable | None = None
+
+    #: Optional ``batch_kernel(payloads, rngs) -> outcomes`` doing the
+    #: work of many jobs at once: per payload ``(value, None)`` with
+    #: the value ``kernel`` returns, or ``(None, error)`` with the
+    #: exception it raises.  The serial backend runs first attempts
+    #: through it in groups (:func:`~repro.core.resilience.run_jobs`).
+    batch_kernel: Callable | None = None
 
     # -- the declarative surface ----------------------------------------
     def plan(self, config) -> list:
@@ -514,10 +543,14 @@ def run_scenario(scenario, config=None, *, seed: int = 0,
     if obs.enabled():
         obs.inc("scenario.jobs", len(pending))
         obs.inc("scenario.resumed", len(resumed))
+    batch = None
+    if scenario.batch_kernel is not None:
+        batch = functools.partial(execute_scenario_batch,
+                                  scenario.batch_kernel)
     try:
         run_jobs(execute_scenario_job, [jobs[p] for p in pending],
                  keys=[keys[p] for p in pending], workers=workers,
-                 policy=policy, on_result=settle)
+                 policy=policy, on_result=settle, batch=batch)
     finally:
         # Saved even when nothing ran, so every checkpointed run leaves
         # a manifest whose fingerprint guards the next resume.

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from .circuit import Circuit
-from .mna import StampProgram
+from .mna import GMIN_FLOOR, StampPools, StampProgram, single_cell
 from .newton import NewtonOptions, solve_newton
 from .sources import DC
 
@@ -75,7 +75,7 @@ def dc_operating_point(circuit: Circuit, t: float = 0.0,
     ConvergenceError
         If plain Newton, gmin stepping and source stepping all fail.
     """
-    return _solve(circuit, _compile(circuit), t, initial_guess, options)
+    return _solve(circuit, _compile(circuit), t, initial_guess, options, {})
 
 
 def dc_sweep(circuit: Circuit, source, values,
@@ -86,16 +86,18 @@ def dc_sweep(circuit: Circuit, source, values,
     ``DC(value)`` for each point (and left at the last one).  Each point
     is exactly :func:`dc_operating_point`, with all three strategies,
     seeded from the previous point's node voltages (the first from
-    ``initial_guess``); the circuit is compiled once for the whole
-    sweep, because a :class:`StampProgram` reads the stimuli each time
-    it builds an assembler.  Returns one :class:`DcSolution` per value.
+    ``initial_guess``); the circuit is compiled, and its pools are
+    allocated, once for the whole sweep, because an assembler reads the
+    stimuli each time it is built.  Returns one :class:`DcSolution` per
+    value.
     """
     program = _compile(circuit)
+    pools: dict = {}
     solutions = []
     guess = initial_guess
     for value in values:
         source.stimulus = DC(float(value))
-        solution = _solve(circuit, program, 0.0, guess, None)
+        solution = _solve(circuit, program, 0.0, guess, None, pools)
         solutions.append(solution)
         guess = dict(solution.voltages)
     return solutions
@@ -110,14 +112,24 @@ def _compile(circuit: Circuit) -> StampProgram:
 
 
 def _solve(circuit: Circuit, program: StampProgram, t: float,
-           initial_guess: dict | None,
-           options: NewtonOptions | None) -> DcSolution:
-    """Plain Newton, then gmin stepping, then source stepping."""
+           initial_guess: dict | None, options: NewtonOptions | None,
+           pools: dict) -> DcSolution:
+    """Plain Newton, then gmin stepping, then source stepping.
+
+    ``pools`` keeps one :class:`StampPools` per gmin for the analysis:
+    each solve is done with its assembler before the next is built.
+    """
     x0 = program.unknown_vector(initial_guess)
+
+    def dc_assembler(gmin: float = GMIN_FLOOR, source_scale: float = 1.0):
+        if gmin not in pools:
+            pools[gmin] = StampPools(program, gmin)
+        return single_cell(pools[gmin].assembler(
+            t, None, None, source_scale, separate=True))
 
     # Strategy 1: plain Newton with the floor gmin.
     try:
-        x = solve_newton(program.dc_assembler(t), x0, options)
+        x = solve_newton(dc_assembler(), x0, options)
         return _package(circuit, x)
     except ConvergenceError:
         pass
@@ -127,7 +139,7 @@ def _solve(circuit: Circuit, program: StampProgram, t: float,
     try:
         for exponent in range(3, 13):
             gmin = 10.0 ** (-exponent)
-            x = solve_newton(program.dc_assembler(t, gmin), x, options)
+            x = solve_newton(dc_assembler(gmin), x, options)
         return _package(circuit, x)
     except ConvergenceError:
         pass
@@ -137,9 +149,8 @@ def _solve(circuit: Circuit, program: StampProgram, t: float,
     last_error = None
     for scale in np.linspace(0.1, 1.0, 10):
         try:
-            x = solve_newton(
-                program.dc_assembler(t, source_scale=float(scale)),
-                x, options)
+            x = solve_newton(dc_assembler(source_scale=float(scale)),
+                             x, options)
         except ConvergenceError as exc:
             last_error = exc
             break

@@ -8,11 +8,7 @@ import pytest
 from repro.analysis.autocorr import autocovariance
 from repro.analysis.psd import periodogram_psd, psd_from_autocovariance, welch_psd
 from repro.errors import AnalysisError
-from repro.markov.analytic import (
-    lorentzian_corner_frequency,
-    lorentzian_psd,
-    stationary_autocovariance,
-)
+from repro.markov.analytic import lorentzian_corner_frequency, lorentzian_psd
 from repro.markov.gillespie import simulate_constant
 
 pytestmark = pytest.mark.tier1

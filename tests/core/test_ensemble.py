@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.ensemble as ensemble_module
 from repro.core.ensemble import (
     CellEnsembleOutcome,
     EnsembleConfig,
@@ -307,3 +308,50 @@ class TestSeedCompatibility:
         result = EnsembleRunner(config).run(np.random.default_rng(0))
         assert result.verified_cells == 2
         assert ensemble_digest(result) == "b3d640b6e60c85f50388b954e1850718"
+
+    def test_fully_verified_run_is_pinned(self):
+        """Six cells, every one verified: in process they share one
+        lockstep transient, and the run keeps the digest the one-cell
+        passes gave it."""
+        config = EnsembleConfig(
+            n_cells=6, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=None, keep_traces=True)
+        result = EnsembleRunner(config).run(np.random.default_rng(0))
+        assert result.verified_cells == 6
+        assert ensemble_digest(result) == "7f7e46086b115f6967840a53da507baa"
+
+
+class TestVerifyBatch:
+    def test_groups_by_topology_and_matches_one_cell_passes(
+            self, monkeypatch):
+        config = EnsembleConfig(
+            n_cells=4, spec=fig8_cell_spec(),
+            pattern=fig8_pattern(bits=(1,)), rtn_scale=30.0,
+            max_verified_cells=0, keep_traces=True)
+        result = EnsembleRunner(config).run(np.random.default_rng(5))
+        method = ensemble_module.dataclasses.replace(
+            config.methodology, rtn_scale=config.rtn_scale)
+        payloads = []
+        for outcome, traces in zip(result.outcomes, result.traces):
+            spec = ensemble_module.dataclasses.replace(
+                config.spec, vt_shifts=outcome.vt_shifts)
+            payloads.append((spec, config.pattern, dict(traces), method))
+        # Two RTN-source sets: cells 1 and 3 lose one transistor's trace.
+        for position in (1, 3):
+            payloads[position][2].pop(sorted(payloads[position][2])[0])
+        groups = []
+        real = ensemble_module.simulate_passes
+
+        def recording(benches, traces):
+            groups.append(len(benches))
+            return real(benches, traces)
+
+        monkeypatch.setattr(ensemble_module, "simulate_passes", recording)
+        batched = ensemble_module._verify_cells(payloads, [None] * 4)
+        assert sorted(groups) == [2, 2]
+        groups.clear()
+        for payload, (value, error) in zip(payloads, batched):
+            assert error is None
+            assert value == ensemble_module._verify_cell(payload, None)
+        assert groups == [1, 1, 1, 1]

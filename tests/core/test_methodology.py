@@ -158,7 +158,7 @@ class TestSeedCompatibility:
     @pytest.mark.parametrize("seed, expected", [
         (0, "c9d5f67811011de0cb78c2340c8065f5"),
         (3, "a879bec4fb64d6f3e9afabf04704b9aa"),
-    ])
+    ], ids=["seed0", "seed3"])
     def test_seeded_output_is_pinned(self, monkeypatch, seed, expected):
         """Any change to the RNG order or the arithmetic of the four
         Fig.-8 steps (clean pass, SAMURAI, scaled and clipped injection,

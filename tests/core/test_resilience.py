@@ -135,6 +135,85 @@ class TestRunJobsSerial:
         assert result.error_type == "WorkerTimeoutError"
 
 
+def squares(payloads):
+    """Batch form of :func:`square`."""
+    return [(p * p, None) for p in payloads]
+
+
+class TestSerialGroups:
+    """First attempts run in groups through the batch form."""
+
+    def test_groups_of_at_most_max_chunk_in_job_order(self):
+        from repro.core.engine import MAX_CHUNK
+
+        groups = []
+
+        def batch(payloads):
+            groups.append(list(payloads))
+            return squares(payloads)
+
+        jobs = list(range(2 * MAX_CHUNK + 2))
+        settled = []
+        results = run_jobs(square, jobs, batch=batch,
+                           on_result=lambda r: settled.append(r.key))
+        assert [len(g) for g in groups] == [MAX_CHUNK, MAX_CHUNK, 2]
+        assert sum(groups, []) == jobs
+        assert settled == jobs
+        assert [r.value for r in results] == [j * j for j in jobs]
+        assert all(r.status == "ok" and r.attempts == 1 for r in results)
+
+    def test_a_timeout_runs_every_job_alone(self):
+        def batch(payloads):
+            raise AssertionError("grouped under a timeout")
+
+        results = run_jobs(square, [1, 2, 3], batch=batch,
+                           policy=RetryPolicy(timeout=30.0))
+        assert [r.value for r in results] == [1, 4, 9]
+
+    def test_a_raising_batch_reruns_its_jobs_alone_uncharged(self):
+        def batch(payloads):
+            raise RuntimeError("the group's call failed")
+
+        results = run_jobs(square, [1, 2, 3], batch=batch)
+        assert [r.value for r in results] == [1, 4, 9]
+        assert all(r.status == "ok" and r.attempts == 1 for r in results)
+
+    def test_a_failed_first_attempt_retries_alone(self):
+        def batch(payloads):
+            return [(None, ConvergenceError("diverged", iterations=3,
+                                            residual=0.5)) if p == 2
+                    else (p * p, None) for p in payloads]
+
+        results = run_jobs(square, [1, 2, 3], batch=batch)
+        assert [r.value for r in results] == [1, 4, 9]
+        assert [r.status for r in results] == ["ok", "recovered", "ok"]
+        assert [r.attempts for r in results] == [1, 2, 1]
+        failed = run_jobs(square, [2], batch=batch,
+                          policy=RetryPolicy(attempts=1))
+        assert failed[0].status == "failed"
+        assert failed[0].error_details == {"iterations": 3, "residual": 0.5}
+
+    def test_sites_fire_per_job_before_the_group_runs(self):
+        grouped = []
+
+        def batch(payloads):
+            grouped.extend(payloads)
+            return squares(payloads)
+
+        with inject_faults(convergence_rate=0.5, seed=1):
+            results = run_jobs(square, list(range(20)), batch=batch,
+                               policy=RetryPolicy(attempts=5))
+            alone = run_jobs(square, list(range(20)),
+                             policy=RetryPolicy(attempts=5))
+        faulted = [r.key for r in alone if r.attempts > 1]
+        assert faulted
+        # A job whose site fired never reached the group.
+        assert sorted(grouped) == [k for k in range(20)
+                                   if k not in faulted]
+        assert [(r.status, r.attempts, r.value) for r in results] == \
+            [(r.status, r.attempts, r.value) for r in alone]
+
+
 class TestRunJobsPool:
     """``run_jobs(workers > 1)`` drills, which run on the shared backend."""
 
@@ -259,18 +338,19 @@ class TestEnsembleFaultTolerance:
         from repro.spice.transient import TransientOptions
         from repro.sram.injection import RTN_SOURCE_PREFIX
 
-        real = methodology_module.simulate_transient
+        real = methodology_module.simulate_transient_batch
 
-        def stalling(circuit, t_stop, dt, **kwargs):
+        def stalling(circuits, t_stop, dt, **kwargs):
             injected = any(el.name.startswith(RTN_SOURCE_PREFIX)
+                           for circuit in circuits
                            for el in circuit.elements)
             if injected:  # stall only the verification pass
                 kwargs["options"] = TransientOptions(
                     max_halvings=0, recovery=False,
                     newton=NewtonOptions(max_iterations=0))
-            return real(circuit, t_stop, dt, **kwargs)
+            return real(circuits, t_stop, dt, **kwargs)
 
-        monkeypatch.setattr(methodology_module, "simulate_transient",
+        monkeypatch.setattr(methodology_module, "simulate_transient_batch",
                             stalling)
         result = EnsembleRunner(small_config(
             max_verified_cells=1, retry=RetryPolicy(attempts=1),
@@ -291,6 +371,28 @@ class TestEnsembleFaultTolerance:
         assert summary["statuses"]["ok"] == 4
 
 
+class TestGroupedVerification:
+    def test_grouped_and_per_job_runs_agree_under_faults(self):
+        """workers=1 runs the verification in one lockstep group;
+        workers=2 runs it job by job in worker processes.  Under one
+        fault plan both give every cell the same status, attempts and
+        verdicts."""
+        config = small_config(n_cells=6, max_verified_cells=None,
+                              retry=RetryPolicy(attempts=3))
+        runs = []
+        for workers in (1, 2):
+            with inject_faults(convergence_rate=0.4, scenario_rate=0.2,
+                               seed=3):
+                result = EnsembleRunner(dataclasses.replace(
+                    config, workers=workers)).run(np.random.default_rng(7))
+            runs.append([(o.status, o.attempts, o.verified, o.rtn_failures,
+                          o.error_slots) for o in result.outcomes])
+        grouped, per_job = runs
+        assert grouped == per_job
+        statuses = {status for status, *_ in grouped}
+        assert "recovered" in statuses or "failed" in statuses
+
+
 class TestCheckpointResume:
     def test_resume_skips_finished_cells(self, tmp_path, monkeypatch):
         directory = tmp_path / "run"
@@ -307,13 +409,14 @@ class TestCheckpointResume:
 
         # The verification payload names its cell by its mismatch.
         recomputed_shifts = []
-        real = ensemble_module.VerifyScenario.kernel
+        real = ensemble_module.VerifyScenario.batch_kernel
 
-        def counting(payload, rng):
-            recomputed_shifts.append(payload[0].vt_shifts)
-            return real(payload, rng)
+        def counting(payloads, rngs):
+            for payload in payloads:
+                recomputed_shifts.append(payload[0].vt_shifts)
+            return real(payloads, rngs)
 
-        monkeypatch.setattr(ensemble_module.VerifyScenario, "kernel",
+        monkeypatch.setattr(ensemble_module.VerifyScenario, "batch_kernel",
                             staticmethod(counting))
         second = EnsembleRunner(EnsembleConfig(
             **base, resume=True)).run(np.random.default_rng(11))

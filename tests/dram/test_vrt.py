@@ -22,7 +22,6 @@ from repro.dram.cell import (
 )
 from repro.errors import ModelError, SimulationError
 from repro.traps.band import crossing_energy
-from repro.traps.propensity import rates_from_bias
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1

@@ -17,7 +17,6 @@ from repro.oscillators.pll import (
 )
 from repro.oscillators.sweeps import PllPulloutSweepConfig
 from repro.traps.band import crossing_energy
-from repro.traps.propensity import rates_from_bias
 from repro.traps.trap import Trap
 
 pytestmark = pytest.mark.tier1

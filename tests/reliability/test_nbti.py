@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.core.scenario import run_scenario

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.constants import Q_ELECTRON
 from repro.devices.mosfet import MosfetParams
 from repro.devices.noise import carrier_number_density
 from repro.devices.technology import TECH_22NM, TECH_90NM
